@@ -66,11 +66,7 @@ def main(argv=None) -> int:
             print(f"demo dataset written; config at {config_path}")
             return EXIT_OK
 
-        overrides = {
-            "output_dir": args.output_dir,
-            "jobs": args.jobs,
-            "verbose": args.verbose,
-        }
+        overrides = {"output_dir": args.output_dir, "jobs": args.jobs}
         overrides = {k: v for k, v in overrides.items() if v not in (None, False)}
         cfg = load_config(args.config, overrides)
         if args.command == "run":

@@ -237,18 +237,3 @@ def compound_counts(
         count = sum(1 for p in distinct if p in accepted_pairs)
         out[color] = (count, count / len(distinct))
     return out, missing
-
-
-def compounding_features(
-    analyses,
-    translations,
-) -> tuple[dict[str, tuple[int, float]], set[str]]:
-    """Per color: accepted-compound count among its translations and the
-    fraction of translation pairs that are compounds.
-
-    ``translations`` maps color -> list of (language, word) pairs.
-    """
-    accepted_pairs = {
-        (a.candidate.language, a.candidate.word) for a in analyses if a.accepted
-    }
-    return compound_counts(accepted_pairs, translations)

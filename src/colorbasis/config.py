@@ -48,8 +48,6 @@ class PipelineConfig:
     rfe_targets: tuple[str, ...] = ("basic", "sequence")
     sequence_scope: str = "all"  # or "basic-only"
     jobs: int = 1
-    seed: int = 0
-    verbose: bool = False
 
     def affix_thresholds(self) -> AffixThresholds:
         return AffixThresholds(
@@ -63,7 +61,7 @@ class PipelineConfig:
         return {k: getattr(self, k) for k in INPUT_KEYS}
 
     def semantic_fields(self) -> dict:
-        """Fields that determine outputs (paths, jobs and verbosity do not)."""
+        """Fields that determine outputs (paths and jobs do not)."""
         return {
             "alpha": self.alpha,
             "max_iters": self.max_iters,
@@ -79,7 +77,6 @@ class PipelineConfig:
             "rfe_enabled": self.rfe_enabled,
             "rfe_targets": list(self.rfe_targets),
             "sequence_scope": self.sequence_scope,
-            "seed": self.seed,
         }
 
     def config_hash(self) -> str:
@@ -97,7 +94,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse and validate a YAML config file.
 
     ``overrides`` (e.g. from CLI flags) replace top-level scalar fields
-    such as ``output_dir``, ``jobs`` and ``verbose``.
+    such as ``output_dir`` and ``jobs``.
     """
     path = Path(path)
     try:
@@ -192,8 +189,6 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     if jobs < 1:
         raise ConfigError("parameters.jobs: must be >= 1")
 
-    verbose = bool(overrides.pop("verbose", raw.get("verbose", False)))
-
     cfg = PipelineConfig(
         **paths,
         output_dir=out_dir,
@@ -212,8 +207,6 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
         rfe_targets=targets,
         sequence_scope=scope,
         jobs=jobs,
-        seed=num("seed", 0, kind=int),
-        verbose=verbose,
     )
 
     for key, p in cfg.input_paths().items():

@@ -240,9 +240,6 @@ class FeatureMatrix:
     def column(self, name: str) -> list[float]:
         return list(self.values[name])
 
-    def cell(self, color: str, column: str) -> float:
-        return self.values[column][self.colors.index(color)]
-
     def with_column(self, name: str, values) -> "FeatureMatrix":
         if name not in self.columns:
             raise ValueError(f"unknown column {name!r}")

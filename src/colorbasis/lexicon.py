@@ -75,15 +75,13 @@ class TranslationTable:
         return word in self._by_language.get(lang, ())
 
 
-def load_lexicon(path, fmt: str = "tsv") -> TranslationTable:
+def load_lexicon(path) -> TranslationTable:
     """Load a lexicon TSV: ``language<TAB>foreign_word<TAB>english_gloss``.
 
     Rows with fewer than three non-empty fields are skipped and counted;
     extra columns are ignored.  Raises EmptyLexiconError when no valid
     row remains, and propagates I/O errors for unreadable files.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unsupported lexicon format {fmt!r}")
     path = Path(path)
     rows = []
     rows_read = 0
@@ -211,15 +209,3 @@ def round_trip(table: TranslationTable, color: str, lang: str) -> list[RoundTrip
             )
         )
     return records
-
-
-def round_trip_all(table: TranslationTable, colors) -> dict[str, list[RoundTripRecord]]:
-    """Round trips for every color through every language in the table."""
-    out: dict[str, list[RoundTripRecord]] = {}
-    langs = table.languages()
-    for color in colors:
-        records: list[RoundTripRecord] = []
-        for lang in langs:
-            records.extend(round_trip(table, color, lang))
-        out[color] = records
-    return out

@@ -5,6 +5,17 @@ in the output directory, so any stage can be re-run on its own from the
 cached upstream artifacts.  Every output is byte-deterministic: fixed
 orderings, fixed float formatting, and per-language work merged in
 canonical order regardless of the worker-pool size.
+
+A stage function reads its upstream artifacts and returns its counts and
+its artifacts as ``{relative path: text}``; one executor step writes them
+only after the stage has returned.  Hence:
+
+- a stage re-run (``run_stage``) refuses cached artifacts produced under
+  a different configuration or from inputs that have changed since;
+- a failed stage re-run leaves the earlier artifacts and the manifest
+  untouched;
+- a failed full run (``run_pipeline``) removes every file it wrote,
+  ``manifest.json`` included.  The manifest is written once, at the end.
 """
 
 from __future__ import annotations
@@ -72,30 +83,15 @@ STAGE_ORDER = (
     "report",
 )
 
-#: Files each stage produces, relative to the output directory.
-STAGE_OUTPUTS = {
-    "ingest": ("cache/lexicon_normalized.tsv", "cache/seeds_normalized.tsv", "cache/roundtrips.csv"),
-    "segment": ("cache/segmentations.csv", "affixes.csv"),
-    "compounds": ("compounds.csv",),
-    "features": ("cache/features_base.csv",),
-    "aggregate": ("features.csv", "ranking.csv", "ranking_bootstrap.csv"),
-    "gamma": ("gamma.csv",),
-    "rfe": ("rfe.json",),
-    "wcs": ("consensus.csv", "inventory.csv", "heterogeneity.svg"),
-    "report": ("summary.md",),
-}
-
 NON_AFFIX_COLUMNS = tuple(c for c in FEATURE_COLUMNS if c != "affix-presence")
+
+#: What a stage returns: its counts for the manifest, and its artifacts as
+#: ``{path relative to the output directory: text}``.
+StageResult = tuple[dict, dict[str, str]]
 
 
 # ---------------------------------------------------------------------------
 # artifact I/O helpers
-
-
-def _write_text(path: Path, text: str, created: list[Path]):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
-    created.append(path)
 
 
 def _csv_text(header, rows) -> str:
@@ -210,19 +206,15 @@ def _read_accepted_compounds(out: Path) -> set[tuple[str, str]]:
 # stages
 
 
-def stage_ingest(cfg: PipelineConfig, created: list[Path]) -> dict:
-    out = cfg.output_dir
+def stage_ingest(cfg: PipelineConfig) -> StageResult:
     table = load_lexicon(cfg.lexicon)
     seeds = load_seeds(cfg.seeds)
 
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in sorted(table.entries)]
-    _write_text(out / "cache/lexicon_normalized.tsv", "\n".join(lex_lines) + "\n", created)
-
     seed_lines = [
         f"{c.term}\t{1 if c.is_basic else 0}\t{c.bk_stage if c.bk_stage is not None else ''}"
         for c in seeds
     ]
-    _write_text(out / "cache/seeds_normalized.tsv", "\n".join(seed_lines) + "\n", created)
 
     rows = []
     for concept in seeds:
@@ -236,11 +228,6 @@ def stage_ingest(cfg: PipelineConfig, created: list[Path]) -> dict:
                         json.dumps(sorted(rec.back_translations)),
                     )
                 )
-    _write_text(
-        out / "cache/roundtrips.csv",
-        _csv_text(["color", "language", "foreign_word", "back_translations"], rows),
-        created,
-    )
     report = table.load_report
     return {
         "lexicon_entries": len(table.entries),
@@ -248,6 +235,12 @@ def stage_ingest(cfg: PipelineConfig, created: list[Path]) -> dict:
         "languages": len(table.languages()),
         "colors": len(seeds),
         "roundtrip_rows": len(rows),
+    }, {
+        "cache/lexicon_normalized.tsv": "\n".join(lex_lines) + "\n",
+        "cache/seeds_normalized.tsv": "\n".join(seed_lines) + "\n",
+        "cache/roundtrips.csv": _csv_text(
+            ["color", "language", "foreign_word", "back_translations"], rows
+        ),
     }
 
 
@@ -264,7 +257,7 @@ def _train_language(args):
     return lang, model
 
 
-def stage_segment(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_segment(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
     records = _read_roundtrips(out)
@@ -310,23 +303,16 @@ def stage_segment(cfg: PipelineConfig, created: list[Path]) -> dict:
             )
     affix_rows.sort(key=lambda r: (r[0], r[2], r[1]))
 
-    _write_text(
-        out / "cache/segmentations.csv",
-        _csv_text(["language", "word", "segments"], seg_rows),
-        created,
-    )
-    _write_text(
-        out / "affixes.csv",
-        _csv_text(
+    return {"languages_trained": len(results), "affixes": len(affix_rows)}, {
+        "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
+        "affixes.csv": _csv_text(
             ["language", "affix", "position", "class", "color_coverage", "global_coverage"],
             affix_rows,
         ),
-        created,
-    )
-    return {"languages_trained": len(results), "affixes": len(affix_rows)}
+    }
 
 
-def stage_compounds(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_compounds(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
     affixes = _read_affixes(out)
@@ -359,21 +345,18 @@ def stage_compounds(cfg: PipelineConfig, created: list[Path]) -> dict:
                 "1" if a.accepted else "0",
             )
         )
-    _write_text(
-        out / "compounds.csv",
-        _csv_text(
-            ["language", "word", "left", "glue", "right", "left_concept", "right_concept", "support", "accepted"],
-            rows,
-        ),
-        created,
-    )
     return {
         "candidates": len(analyses),
         "accepted": sum(1 for a in analyses if a.accepted),
+    }, {
+        "compounds.csv": _csv_text(
+            ["language", "word", "left", "glue", "right", "left_concept", "right_concept", "support", "accepted"],
+            rows,
+        ),
     }
 
 
-def stage_features(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = _read_seeds_cache(out)
     records = _read_roundtrips(out)
@@ -420,12 +403,9 @@ def stage_features(cfg: PipelineConfig, created: list[Path]) -> dict:
             v = maps[col][color]
             row.append("" if v is None else repr(v))
         rows.append(row)
-    _write_text(
-        out / "cache/features_base.csv",
-        _csv_text(["color", "has_translations", *NON_AFFIX_COLUMNS], rows),
-        created,
-    )
-    return {"colors": len(colors)}
+    return {"colors": len(colors)}, {
+        "cache/features_base.csv": _csv_text(["color", "has_translations", *NON_AFFIX_COLUMNS], rows),
+    }
 
 
 def _read_features_base(out: Path):
@@ -440,7 +420,7 @@ def _read_features_base(out: Path):
     return colors, has_translations, maps
 
 
-def stage_aggregate(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     colors, has_translations, maps = _read_features_base(out)
     records = _read_roundtrips(out)
@@ -481,12 +461,6 @@ def stage_aggregate(cfg: PipelineConfig, created: list[Path]) -> dict:
         [color, *(repr(matrix.values[col][i]) for col in matrix.columns)]
         for i, color in enumerate(matrix.colors)
     ]
-    _write_text(
-        out / "features.csv",
-        _csv_text(["color", *matrix.columns], feat_rows),
-        created,
-    )
-
     seeds = {c.term: c for c in _read_seeds_cache(out)}
 
     def ranking_rows(ranking):
@@ -495,21 +469,15 @@ def stage_aggregate(cfg: PipelineConfig, created: list[Path]) -> dict:
             for i, (color, score) in enumerate(zip(ranking.colors, ranking.scores))
         ]
 
-    _write_text(
-        out / "ranking.csv",
-        _csv_text(["color", "rank", "score", "basic"], ranking_rows(final)),
-        created,
-    )
-    _write_text(
-        out / "ranking_bootstrap.csv",
-        _csv_text(["color", "rank", "score", "basic"], ranking_rows(boot)),
-        created,
-    )
     return {
         "colors_ranked": len(matrix.colors),
         "colors_dropped": len(matrix.dropped),
         "dropped": [c for c, _ in matrix.dropped],
         "top_color": final.colors[0],
+    }, {
+        "features.csv": _csv_text(["color", *matrix.columns], feat_rows),
+        "ranking.csv": _csv_text(["color", "rank", "score", "basic"], ranking_rows(final)),
+        "ranking_bootstrap.csv": _csv_text(["color", "rank", "score", "basic"], ranking_rows(boot)),
     }
 
 
@@ -532,7 +500,7 @@ def _gamma_or_nan(x, y) -> float:
         return float("nan")
 
 
-def stage_gamma(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_gamma(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     matrix = _read_feature_matrix(out)
     seeds = {c.term: c for c in _read_seeds_cache(out)}
@@ -553,22 +521,18 @@ def stage_gamma(cfg: PipelineConfig, created: list[Path]) -> dict:
     gs = _gamma_or_nan([scores[i] for i in seq_idx], [seq[i] for i in seq_idx])
     rows.append(("aggregate", _fmt(gb), _fmt(gs)))
 
-    _write_text(
-        out / "gamma.csv",
-        _csv_text(["feature", "gamma_basic", "gamma_sequence"], rows),
-        created,
-    )
     return {
         "gamma_basic_aggregate": gb if gb == gb else None,
         "gamma_sequence_aggregate": gs if gs == gs else None,
+    }, {
+        "gamma.csv": _csv_text(["feature", "gamma_basic", "gamma_sequence"], rows),
     }
 
 
-def stage_rfe(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_rfe(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     if not cfg.rfe_enabled:
-        _write_text(out / "rfe.json", json.dumps({"enabled": False}, indent=2) + "\n", created)
-        return {"enabled": False}
+        return {"enabled": False}, {"rfe.json": json.dumps({"enabled": False}, indent=2) + "\n"}
     matrix = _read_feature_matrix(out)
     seeds = {c.term: c for c in _read_seeds_cache(out)}
     basic_flags, seq, seq_idx = _targets_for(matrix, seeds, cfg.sequence_scope)
@@ -599,31 +563,28 @@ def stage_rfe(cfg: PipelineConfig, created: list[Path]) -> dict:
             "best_features": list(best),
             "best_gamma": trajectory[-1]["gamma"],
         }
-    _write_text(out / "rfe.json", json.dumps(payload, indent=2, sort_keys=True) + "\n", created)
-    return {"targets": list(cfg.rfe_targets)}
+    return {"targets": list(cfg.rfe_targets)}, {
+        "rfe.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
 
 
-def stage_wcs(cfg: PipelineConfig, created: list[Path]) -> dict:
-    out = cfg.output_dir
+def stage_wcs(cfg: PipelineConfig) -> StageResult:
     table = load_wcs(cfg.wcs)
     summaries, consensus, inventory, svg = heterogeneity_report(table)
-    _write_text(out / "consensus.csv", consensus, created)
-    _write_text(out / "inventory.csv", inventory, created)
-    _write_text(out / "heterogeneity.svg", svg, created)
     return {
         "languages": len(summaries),
         "responses": len(table.rows),
         "conflicts": table.conflicts,
-    }
+    }, {"consensus.csv": consensus, "inventory.csv": inventory, "heterogeneity.svg": svg}
 
 
-def stage_report(cfg: PipelineConfig, created: list[Path]) -> dict:
+def stage_report(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     lines = ["# Color basicness run summary", ""]
 
-    header, rows = _read_csv(_need(out / "ranking.csv"))
+    header, ranking = _read_csv(_need(out / "ranking.csv"))
     lines += ["## Ranking (top 15)", "", "| rank | color | score | basic |", "| --- | --- | --- | --- |"]
-    for row in rows[:15]:
+    for row in ranking[:15]:
         lines.append(f"| {row[1]} | {row[0]} | {row[2]} | {'yes' if row[3] == '1' else ''} |")
     lines.append("")
 
@@ -651,15 +612,14 @@ def stage_report(cfg: PipelineConfig, created: list[Path]) -> dict:
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
 
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        dropped = manifest.get("dropped_colors", [])
-        if dropped:
-            lines += ["## Dropped colors", "", ", ".join(dropped), ""]
+    # the colors missing from the ranking are exactly those the aggregate
+    # stage dropped; features_base.csv lists colors in seed order
+    ranked = {row[0] for row in ranking}
+    dropped = [c for c in _read_features_base(out)[0] if c not in ranked]
+    if dropped:
+        lines += ["## Dropped colors", "", ", ".join(dropped), ""]
 
-    _write_text(out / "summary.md", "\n".join(lines) + "\n", created)
-    return {}
+    return {}, {"summary.md": "\n".join(lines) + "\n"}
 
 
 STAGE_FUNCS = {
@@ -693,18 +653,41 @@ def _load_manifest(out: Path) -> dict:
     return {}
 
 
-def _store_manifest(out: Path, manifest: dict, created: list[Path]):
-    _write_text(
-        out / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        created,
+def _store_manifest(out: Path, manifest: dict):
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
     )
+
+
+def _step(cfg: PipelineConfig, stage: str, manifest: dict, written: list[Path]) -> dict:
+    """Run one stage, write the artifacts it returns and record it in
+    ``manifest``; every path about to be written is appended to
+    ``written`` first.  Any failure is raised as a StageError."""
+    started = time.perf_counter()
+    try:
+        counts, artifacts = STAGE_FUNCS[stage](cfg)
+        for rel, text in artifacts.items():
+            path = cfg.output_dir / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            written.append(path)
+            path.write_text(text, encoding="utf-8", newline="")
+    except Exception as e:
+        raise StageError(stage, e) from e
+    manifest["stages"][stage] = {
+        "counts": counts,
+        "duration_s": round(time.perf_counter() - started, 6),
+    }
+    if stage == "aggregate":
+        manifest["dropped_colors"] = counts["dropped"]
+    return counts
 
 
 def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     """Run a single stage against cached upstream artifacts.
 
-    Refuses to mix artifacts produced under a different configuration.
+    Refuses cached artifacts produced under a different configuration or
+    from inputs that have changed since.  A failing stage writes nothing,
+    so earlier artifacts and the manifest stay as they were.
     """
     if stage not in STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
@@ -716,36 +699,29 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
             "cached artifacts were produced under a different configuration; "
             "re-run the full pipeline"
         )
-    created: list[Path] = []
-    started = time.perf_counter()
-    try:
-        counts = STAGE_FUNCS[stage](cfg, created)
-    except Exception as e:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise StageError(stage, e) from e
-    manifest.setdefault("stages", {})[stage] = {
-        "counts": counts,
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-    manifest["config_hash"] = cfg.config_hash()
-    manifest["input_digests"] = _input_digests(cfg)
-    manifest["tool_version"] = __version__
-    if stage == "aggregate":
-        manifest["dropped_colors"] = counts.get("dropped", [])
-    _store_manifest(out, manifest, created)
+    digests = _input_digests(cfg)
+    cached = manifest.get("input_digests", digests)
+    changed = sorted(k for k in digests.keys() | cached.keys() if digests.get(k) != cached.get(k))
+    if changed:
+        raise DataError(
+            f"inputs changed since the cached artifacts were produced: {', '.join(changed)}; "
+            "re-run the full pipeline"
+        )
+    manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
+    manifest.setdefault("stages", {})
+    counts = _step(cfg, stage, manifest, [])
+    _store_manifest(out, manifest)
     return counts
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every stage in dependency order and write the manifest.
 
-    On failure, every file created by this run is removed before the
-    stage error propagates.
+    On failure, every file this run wrote, and ``manifest.json``, is
+    removed before the error propagates.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
     manifest = {
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),
@@ -753,24 +729,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": {},
         "dropped_colors": [],
     }
+    written: list[Path] = []
     try:
         for stage in STAGE_ORDER:
-            started = time.perf_counter()
-            counts = STAGE_FUNCS[stage](cfg, created)
-            manifest["stages"][stage] = {
-                "counts": counts,
-                "duration_s": round(time.perf_counter() - started, 6),
-            }
-            if stage == "aggregate":
-                manifest["dropped_colors"] = counts.get("dropped", [])
-            # keep the manifest current so later stages (the report reads
-            # dropped colors from it) and partial re-runs see fresh state
-            _store_manifest(out, manifest, created)
+            counts = _step(cfg, stage, manifest, written)
             log.info("stage %s done: %s", stage, counts)
-    except Exception as e:
-        for path in created:
+        _store_manifest(out, manifest)
+    except Exception:
+        for path in [*written, out / "manifest.json"]:
             path.unlink(missing_ok=True)
-        if isinstance(e, StageError):
-            raise
-        raise StageError(stage, e) from e
+        raise
     return manifest

@@ -53,11 +53,6 @@ class SegmentModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    @property
-    def segment_probs(self) -> dict[str, float]:
-        """MAP probability of every stored (counted) segment."""
-        return {s: segment_probability(self, s) for s in self.counts}
-
 
 def segment_probability(model: SegmentModel, segment: str) -> float:
     """MAP estimate (count + alpha) / (total + alpha * V); unseen

@@ -50,23 +50,7 @@ DEFAULT_NEGATED = frozenset(
 #: statistics are unaffected; only the aggregate mean is.
 DEFAULT_TRANSFORMS = {"ngram-frequency": "log1p"}
 
-#: Acquisition stages for the eleven basic terms.  Secondary terms share
-#: one tied stage after all of these.
-BK_STAGES = {
-    "white": 1,
-    "black": 1,
-    "red": 2,
-    "green": 3,
-    "yellow": 3,
-    "blue": 4,
-    "brown": 5,
-    "purple": 6,
-    "pink": 6,
-    "orange": 6,
-    "grey": 6,
-    "gray": 6,
-}
-
+#: The one tied stage secondary terms share, after every basic stage.
 SECONDARY_STAGE = 7
 
 

@@ -8,7 +8,7 @@ from colorbasis.compounds import (
     Recipe,
     SplitCandidate,
     build_recipes,
-    compounding_features,
+    compound_counts,
     enumerate_splits,
     extract_candidates,
     score_and_filter,
@@ -268,34 +268,38 @@ def _analysis(lang, word, accepted):
     return CompoundAnalysis(candidate=cand, recipe=recipe, score=2, accepted=accepted)
 
 
+def _accepted(analyses):
+    return {(a.candidate.language, a.candidate.word) for a in analyses if a.accepted}
+
+
 def test_compounding_features_counts_and_fraction():
     analyses = [_analysis("aa", "redword", True)]
     translations = {
         "red": [("aa", "redword"), ("aa", "plain"), ("bb", "roji"), ("cc", "rosso")]
     }
-    feats, missing = compounding_features(analyses, translations)
+    feats, missing = compound_counts(_accepted(analyses), translations)
     assert feats["red"] == (1, 0.25)
     assert not missing
 
 
 def test_compounding_features_no_compounds():
-    feats, _ = compounding_features([], {"red": [("aa", "plain")]})
+    feats, _ = compound_counts(set(), {"red": [("aa", "plain")]})
     assert feats["red"] == (0, 0.0)
 
 
 def test_compounding_features_all_compounds():
     analyses = [_analysis("aa", "w1", True), _analysis("bb", "w2", True)]
-    feats, _ = compounding_features(analyses, {"red": [("aa", "w1"), ("bb", "w2")]})
+    feats, _ = compound_counts(_accepted(analyses), {"red": [("aa", "w1"), ("bb", "w2")]})
     assert feats["red"] == (2, 1.0)
 
 
 def test_compounding_features_missing_translations():
-    feats, missing = compounding_features([], {"puce": []})
+    feats, missing = compound_counts(set(), {"puce": []})
     assert "puce" in missing
     assert feats["puce"] == (0, 0.0)
 
 
 def test_rejected_compounds_do_not_count():
     analyses = [_analysis("aa", "w1", False)]
-    feats, _ = compounding_features(analyses, {"red": [("aa", "w1"), ("bb", "w2")]})
+    feats, _ = compound_counts(_accepted(analyses), {"red": [("aa", "w1"), ("bb", "w2")]})
     assert feats["red"] == (0, 0.0)

@@ -252,7 +252,7 @@ def test_assemble_imputes_column_median():
     maps = {col: {c: 1.0 for c in colors} for col in FEATURE_COLUMNS}
     maps["word-length"] = {"a": 1.0, "b": 2.0, "c": None, "d": 4.0}
     matrix = assemble_feature_matrix(maps, colors)
-    assert matrix.cell("c", "word-length") == 2.0
+    assert matrix.values["word-length"][matrix.colors.index("c")] == 2.0
     assert matrix.missing["word-length"] == [False, False, True, False]
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shutil
 
 import pytest
 import yaml
@@ -7,7 +9,7 @@ from colorbasis.cli import main
 from colorbasis.config import load_config
 from colorbasis.demo import write_demo
 from colorbasis.errors import ConfigError, DependencyError, StageError
-from colorbasis.pipeline import run_pipeline, run_stage
+from colorbasis.pipeline import STAGE_ORDER, run_pipeline, run_stage
 
 OUTPUT_FILES = [
     "features.csv", "ranking.csv", "ranking_bootstrap.csv", "gamma.csv",
@@ -19,6 +21,21 @@ OUTPUT_FILES = [
 def _read_ranking(out_dir):
     lines = (out_dir / "ranking.csv").read_text(encoding="utf-8").splitlines()[1:]
     return [line.split(",")[0] for line in lines]
+
+
+def _strip_timing(manifest):
+    out = json.loads(json.dumps(manifest))
+    for stage in out["stages"].values():
+        stage.pop("duration_s")
+    return out
+
+
+def _copy_demo_output(demo_run, tmp_path):
+    """A private copy of the demo run's output directory, so a test may
+    re-run stages in it without touching the shared run."""
+    cfg, _ = demo_run
+    shutil.copytree(cfg.output_dir, tmp_path / "out")
+    return dataclasses.replace(cfg, output_dir=tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +141,42 @@ def test_demo_manifest_stable_except_timing(demo_run, tmp_path):
     config_path = write_demo(tmp_path)
     cfg2 = load_config(config_path)
     m2 = run_pipeline(cfg2)
-
-    def strip(m):
-        out = json.loads(json.dumps(m))
-        for stage in out["stages"].values():
-            stage.pop("duration_s")
-        return out
-
-    assert strip(manifest) == strip(m2)
+    assert _strip_timing(manifest) == _strip_timing(m2)
 
 
-def test_stage_rerun_from_cache(demo_run):
-    cfg, _ = demo_run
-    gamma_path = cfg.output_dir / "gamma.csv"
-    before = gamma_path.read_bytes()
-    gamma_path.unlink()
-    run_stage(cfg, "gamma")
-    assert gamma_path.read_bytes() == before
+@pytest.mark.parametrize("stage", STAGE_ORDER[1:])
+def test_stage_rerun_from_cache(demo_run, tmp_path, stage):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+
+    def snapshot():
+        return {
+            p.relative_to(cfg.output_dir).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in cfg.output_dir.rglob("*")
+            if p.is_file()
+        }
+
+    before = snapshot()
+    run_stage(cfg, stage)
+    after = snapshot()
+    manifest_before = json.loads(before.pop("manifest.json")[0])
+    manifest_after = json.loads(after.pop("manifest.json")[0])
+    assert _strip_timing(manifest_after) == _strip_timing(manifest_before)
+    assert after.keys() == before.keys()
+    assert any(after[rel][1] != before[rel][1] for rel in after), "the stage wrote nothing"
+    for rel in after:
+        assert after[rel][0] == before[rel][0], rel
+
+
+def test_failed_stage_rerun_keeps_earlier_artifacts(demo_run, tmp_path):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    out = cfg.output_dir
+    before = {name: (out / name).read_bytes() for name in ("features.csv", "manifest.json")}
+    (out / "cache" / "seeds_normalized.tsv").unlink()
+    with pytest.raises(StageError) as err:
+        run_stage(cfg, "aggregate")
+    assert isinstance(err.value.cause, DependencyError)
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_stage_missing_upstream_dependency(tmp_path):
@@ -170,6 +206,28 @@ def test_failed_run_removes_partial_outputs(tmp_path):
     assert err.value.stage == "features"
     assert not (cfg.output_dir / "features.csv").exists()
     assert not (cfg.output_dir / "cache" / "roundtrips.csv").exists()
+    assert not (cfg.output_dir / "manifest.json").exists()
+
+
+def test_dropped_colors_reported(tmp_path):
+    config_path = write_demo(tmp_path)
+    dropped = ("tan", "bronze")  # seed order
+    lexicon = tmp_path / "lexicon.tsv"
+    lines = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+    lexicon.write_text(
+        "".join(l for l in lines if l.rstrip("\n").split("\t")[2] not in dropped),
+        encoding="utf-8",
+    )
+    for name in ("concreteness.tsv", "ngram.tsv", "treebank.tsv", "etymology.tsv"):
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if l.split("\t")[0] not in dropped), encoding="utf-8")
+    cfg = load_config(config_path)
+    manifest = run_pipeline(cfg)
+    assert manifest["dropped_colors"] == list(dropped)
+    summary = (cfg.output_dir / "summary.md").read_text(encoding="utf-8")
+    assert "## Dropped colors\n\ntan, bronze\n" in summary
+    assert not set(dropped) & set(_read_ranking(cfg.output_dir))
 
 
 def test_summary_report_sections(demo_run):
@@ -208,6 +266,18 @@ def test_cli_dependency_error_exit_code(tmp_path, capsys):
     config_path = write_demo(tmp_path)
     assert main(["gamma", "--config", str(config_path)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_stage_refuses_changed_inputs(tmp_path, capsys):
+    config_path = write_demo(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    with (tmp_path / "lexicon.tsv").open("a", encoding="utf-8") as fh:
+        fh.write("deu\tneuwort\tred\n")
+    capsys.readouterr()
+    assert main(["gamma", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "lexicon" in err
+    assert "re-run the full pipeline" in err
 
 
 def test_cli_stage_subcommand(tmp_path):

@@ -105,8 +105,8 @@ def test_map_event_space_sums_to_one():
 
 def test_stored_probabilities_in_unit_interval():
     model = train_segmenter(["redish", "bluish", "greenish"])
-    for prob in model.segment_probs.values():
-        assert 0.0 < prob <= 1.0
+    for segment in model.counts:
+        assert 0.0 < segment_probability(model, segment) <= 1.0
 
 
 # ---------------------------------------------------------------------------
