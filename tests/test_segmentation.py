@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -416,3 +417,49 @@ def test_presence_suffix_needs_two_supporting_colors():
     )
     scores, _ = affix_presence_feature(colors, translations, segmentations, colors)
     assert all(v == 0.0 for v in scores.values())
+
+
+# ---------------------------------------------------------------------------
+# golden digests: training output recorded before the incremental rewrite
+
+GOLDEN_TRAIN_SHA256 = "d9f79a8984c72c6336b30aea9418b31b6a3e93b3b0d09e2bcae0ba4b690caa07"
+GOLDEN_DEMO_SHA256 = {
+    "affixes.csv": "347371d2e55e5e0373fd4c7bbfca91f6e83743ffa9114624fa6660ad6f570070",
+    "cache/segmentations.csv": "bf87048c8ddfe68c18593b628473d8624d4a15a2cfb35bb67a5838a138d77f2e",
+    "compounds.csv": "d8064263f5110362c44b6f8918e05c6487e05a4bb5909873867b872224b8d430",
+}
+
+
+def _golden_words(n=1000, seed=11):
+    """Seeded words from stems sharing prefixes and suffixes, with repeats."""
+    rng = random.Random(seed)
+    onsets, vowels = "bdgklmnprstvz", "aeiou"
+    stems = sorted({
+        "".join(rng.choice(onsets) + rng.choice(vowels) for _ in range(rng.randint(1, 3)))
+        for _ in range(260)
+    })
+    prefixes = ["", "", "", "un", "re", "pre", "ko"]
+    suffixes = ["", "", "ish", "ness", "ed", "ly", "ata", "in"]
+    return [
+        rng.choice(prefixes) + rng.choice(stems) + rng.choice(suffixes)
+        for _ in range(n)
+    ]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_train_segmenter_digest():
+    model = train_segmenter(_golden_words())
+    text = "".join(
+        f"{w}\t{' '.join(model.segmentations[w])}\n" for w in sorted(model.segmentations)
+    )
+    assert _sha256(text) == GOLDEN_TRAIN_SHA256
+
+
+@pytest.mark.parametrize("rel", sorted(GOLDEN_DEMO_SHA256))
+def test_golden_demo_artifact_digest(demo_run, rel):
+    cfg, _ = demo_run
+    data = (cfg.output_dir / rel).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_DEMO_SHA256[rel]
