@@ -107,11 +107,19 @@ def extract_candidates(
     affixes = set(derivational_affixes)
     out = []
     for word in sorted(words):
-        for cand in enumerate_splits(word, lang):
-            if not table.has_word(lang, cand.left):
+        n = len(word)
+        # the same splits as enumerate_splits, skipping left parts that are
+        # not words before any candidate is built
+        for i in range(1, n):
+            left = word[:i]
+            if left not in words:
                 continue
-            if table.has_word(lang, cand.right) or cand.right in affixes:
-                out.append(cand)
+            for j in range(i, n):
+                right = word[j:]
+                if right in words or right in affixes:
+                    out.append(
+                        SplitCandidate(word=word, left=left, glue=word[i:j], right=right, language=lang)
+                    )
     return out
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, EmptyLexiconError
+from .segmentation import RESERVED_SENTINELS
 
 log = logging.getLogger(__name__)
 
@@ -79,8 +80,10 @@ def load_lexicon(path) -> TranslationTable:
     """Load a lexicon TSV: ``language<TAB>foreign_word<TAB>english_gloss``.
 
     Rows with fewer than three non-empty fields are skipped and counted;
-    extra columns are ignored.  Raises EmptyLexiconError when no valid
-    row remains, and propagates I/O errors for unreadable files.
+    extra columns are ignored.  Raises DataError naming ``path:line`` for
+    a foreign word holding a reserved word-boundary sentinel,
+    EmptyLexiconError when no valid row remains, and propagates I/O errors
+    for unreadable files.
     """
     path = Path(path)
     rows = []
@@ -97,6 +100,11 @@ def load_lexicon(path) -> TranslationTable:
                 skipped += 1
                 log.warning("%s:%d: malformed lexicon row skipped", path, lineno)
                 continue
+            if any(ch in parts[1] for ch in RESERVED_SENTINELS):
+                raise DataError(
+                    f"{path}:{lineno}: foreign word {parts[1]!r} contains a reserved "
+                    "word-boundary character"
+                )
             rows.append(tuple(parts[:3]))
     table = TranslationTable.from_rows(rows)
     table.load_report = LoadReport(

@@ -303,7 +303,14 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
             )
     affix_rows.sort(key=lambda r: (r[0], r[2], r[1]))
 
-    return {"languages_trained": len(results), "affixes": len(affix_rows)}, {
+    counts = {
+        "languages_trained": len(results),
+        "affixes": len(affix_rows),
+        "edge_split_moves": sum(model.edge_split_moves for _, model in results),
+        "em_passes": sum(model.em_passes for _, model in results),
+        "em_not_converged": [lang for lang, model in results if not model.converged],
+    }
+    return counts, {
         "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
         "affixes.csv": _csv_text(
             ["language", "affix", "position", "class", "color_coverage", "global_coverage"],

@@ -103,6 +103,27 @@ def test_extract_affix_route():
     assert found == [("anaranja", "", "do")]
 
 
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["xx", "yy"]), st.text("ab", min_size=1, max_size=6)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.sets(st.text("ab", min_size=1, max_size=3), max_size=3),
+)
+def test_extract_matches_filtered_enumeration(rows, affixes):
+    table = _table([(lang, word, "gloss") for lang, word in rows])
+    for lang in table.languages():
+        expected = [
+            c
+            for word in sorted(table.words_of(lang))
+            for c in enumerate_splits(word, lang)
+            if table.has_word(lang, c.left)
+            and (table.has_word(lang, c.right) or c.right in affixes)
+        ]
+        assert extract_candidates(table, lang, affixes) == expected
+
+
 # ---------------------------------------------------------------------------
 # recipes
 

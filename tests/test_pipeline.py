@@ -230,6 +230,25 @@ def test_dropped_colors_reported(tmp_path):
     assert not set(dropped) & set(_read_ranking(cfg.output_dir))
 
 
+def test_segment_counts_report_training(demo_run):
+    _, manifest = demo_run
+    counts = manifest["stages"]["segment"]["counts"]
+    assert counts["edge_split_moves"] > 0
+    assert counts["em_passes"] >= counts["languages_trained"]
+    assert counts["em_not_converged"] == []
+
+
+def test_segment_counts_report_em_cap(tmp_path, caplog):
+    cfg = load_config(write_demo(tmp_path))
+    cfg.max_iters = 1  # nld needs a second pass on the demo
+    with caplog.at_level("WARNING"):
+        manifest = run_pipeline(cfg)
+    counts = manifest["stages"]["segment"]["counts"]
+    assert counts["em_not_converged"] == ["nld"]
+    assert counts["em_passes"] == counts["languages_trained"]
+    assert "nld: hard EM stopped at max_iters=1" in caplog.text
+
+
 def test_summary_report_sections(demo_run):
     cfg, _ = demo_run
     text = (cfg.output_dir / "summary.md").read_text(encoding="utf-8")
@@ -266,6 +285,18 @@ def test_cli_dependency_error_exit_code(tmp_path, capsys):
     config_path = write_demo(tmp_path)
     assert main(["gamma", "--config", str(config_path)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_reserved_sentinel_in_lexicon_is_data_error(tmp_path, capsys):
+    config_path = write_demo(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    rows = len(lexicon.read_text(encoding="utf-8").splitlines())
+    with lexicon.open("a", encoding="utf-8") as fh:
+        fh.write("deu\tro\x02t\tred\n")
+    assert main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"lexicon.tsv:{rows + 1}" in err
+    assert "reserved word-boundary character" in err
 
 
 def test_cli_stage_refuses_changed_inputs(tmp_path, capsys):

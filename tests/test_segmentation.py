@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from colorbasis import segmentation
 from colorbasis.segmentation import (
     Affix,
     AffixThresholds,
@@ -261,6 +262,243 @@ def test_train_long_words_stay_in_event_space():
     assert set(model.counts) <= set(model.vocab)
 
 
+def test_train_reports_em_cap(caplog):
+    words = _golden_words(60, seed=5)
+    assert train_segmenter(words).em_passes > 1  # needs more than one pass
+    with caplog.at_level("WARNING", logger="colorbasis.segmentation"):
+        model = train_segmenter(words, max_iters=1, language="xx")
+    assert (model.em_passes, model.converged) == (1, False)
+    assert "xx: hard EM stopped at max_iters=1" in caplog.text
+
+
+def test_train_reports_edge_split_cap(monkeypatch, caplog):
+    words = ["redish", "bluish", "greenish", "reddish", "blueness", "greenness"]
+    assert train_segmenter(words).edge_split_moves > 1
+    monkeypatch.setattr(segmentation, "MAX_EDGE_SPLIT_MOVES", 1)
+    with caplog.at_level("WARNING", logger="colorbasis.segmentation"):
+        model = train_segmenter(words, language="xx")
+    assert model.edge_split_moves == 1
+    assert "xx: edge-split phase stopped at its cap of 1 moves" in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# reference training: an edge-split phase that rebuilds its host index and
+# every change list on every move, a Viterbi decoder that computes each
+# substring's log-probability on demand, and the same hard-EM loop
+
+
+class _ReferenceCost:
+    def __init__(self, char_cost):
+        self.char_cost = char_cost
+        self.counts = Counter()
+        self.total = 0
+
+    def add(self, segment, freq):
+        self.counts[segment] += freq
+        if self.counts[segment] == 0:
+            del self.counts[segment]
+        self.total += freq
+
+    def delta(self, changes):
+        def xlogx(v):
+            return v * math.log(v) if v > 0 else 0.0
+
+        new_total = self.total + sum(changes.values())
+        d = xlogx(new_total) - xlogx(self.total)
+        for s, dc in changes.items():
+            if dc == 0:
+                continue
+            old = self.counts.get(s, 0)
+            new = old + dc
+            d -= xlogx(new) - xlogx(old)
+            if old == 0 and new > 0:
+                d += (len(s) + 1) * self.char_cost
+            elif old > 0 and new == 0:
+                d -= (len(s) + 1) * self.char_cost
+        return d
+
+
+def reference_edge_split(analyses, freqs, char_cost, max_moves=10000):
+    cost = _ReferenceCost(char_cost)
+    for w, segs in analyses.items():
+        for s in segs:
+            cost.add(s, freqs[w])
+    moves = 0
+    for _ in range(max_moves):
+        hosts = {}
+        for w, segs in analyses.items():
+            first, last = segs[0], segs[-1]
+            for k in range(1, len(last)):
+                hosts.setdefault(("suffix", last[-k:]), []).append(w)
+            for k in range(1, len(first)):
+                hosts.setdefault(("prefix", first[:k]), []).append(w)
+        best_key = None
+        for (pos, affix), words in sorted(hosts.items()):
+            if len(words) < 2:
+                continue
+            changes = Counter()
+            for w in words:
+                f = freqs[w]
+                segs = analyses[w]
+                edge = segs[-1] if pos == "suffix" else segs[0]
+                stem = edge[: -len(affix)] if pos == "suffix" else edge[len(affix):]
+                changes[edge] -= f
+                changes[stem] += f
+                changes[affix] += f
+            d = cost.delta(changes)
+            if d >= -1e-9:
+                continue
+            key = (d, 0 if pos == "suffix" else 1, affix)
+            if best_key is None or key < best_key:
+                best_key = key
+        if best_key is None:
+            break
+        moves += 1
+        _, pos_rank, affix = best_key
+        pos = "suffix" if pos_rank == 0 else "prefix"
+        for w in hosts[(pos, affix)]:
+            f = freqs[w]
+            segs = analyses[w]
+            if pos == "suffix":
+                edge = segs[-1]
+                stem = edge[: -len(affix)]
+                analyses[w] = segs[:-1] + (stem, affix)
+            else:
+                edge = segs[0]
+                stem = edge[len(affix):]
+                analyses[w] = (affix, stem) + segs[1:]
+            cost.add(edge, -f)
+            cost.add(stem, f)
+            cost.add(affix, f)
+    return analyses, moves
+
+
+def reference_viterbi(model, word, max_segment_len):
+    n = len(word)
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, ())
+    for j in range(1, n + 1):
+        for i in range(max(0, j - max_segment_len), j):
+            prev = best[i]
+            lp = math.log(segment_probability(model, word[i:j]))
+            cand = (prev[0] + lp, prev[1] + 1, prev[2] + (word[i:j],))
+            b = best[j]
+            if (
+                b is None
+                or cand[0] > b[0]
+                or (cand[0] == b[0] and (cand[1] < b[1] or (cand[1] == b[1] and cand[2] < b[2])))
+            ):
+                best[j] = cand
+    return best[n][2]
+
+
+def reference_train(words, alpha=0.01, max_iters=20, max_segment_len=8):
+    freqs = Counter(words)
+    types = sorted(freqs)
+    char_cost = math.log(len(set().union(*types)) + 1)
+    analyses, _ = reference_edge_split({w: (w,) for w in types}, freqs, char_cost)
+    analyses = {
+        w: tuple(p for s in segs for p in (s[i:i + max_segment_len] for i in range(0, len(s), max_segment_len)))
+        for w, segs in analyses.items()
+    }
+    model = SegmentModel(alpha=alpha, vocab=segmentation._substring_vocab(types, max_segment_len))
+
+    def recount(analyses):
+        model.counts = Counter()
+        for w, segs in analyses.items():
+            for s in segs:
+                model.counts[s] += freqs[w]
+        model.total = sum(model.counts.values())
+
+    recount(analyses)
+    for _ in range(max_iters):
+        new = {w: reference_viterbi(model, w, max_segment_len) for w in types}
+        if new == analyses:
+            break
+        analyses = new
+        recount(analyses)
+    return analyses
+
+
+@given(
+    st.dictionaries(st.text("abc", min_size=1, max_size=3), st.integers(1, 40), max_size=12),
+    st.lists(st.tuples(st.text("abc", min_size=1, max_size=3), st.integers(-40, 40)), max_size=20),
+    st.floats(0.5, 3.0),
+)
+def test_split_delta_is_bit_identical_to_reference(counts, moves, char_cost):
+    reference = _ReferenceCost(char_cost)
+    for s, c in counts.items():
+        reference.add(s, c)
+    changes = Counter()
+    for s, dc in moves:
+        changes[s] += max(dc, -(counts.get(s, 0) + changes[s]))  # counts stay >= 0
+    expected = reference.delta(changes)
+    nonzero = [(s, dc) for s, dc in changes.items() if dc]
+    got = segmentation._split_delta(
+        sum(changes.values()),
+        tuple(s for s, _ in nonzero),
+        tuple(dc for _, dc in nonzero),
+        counts,
+        reference.total,
+        char_cost,
+        segmentation._XLogX(),
+    )
+    assert got.hex() == expected.hex()
+
+
+_STEMS = ["kal", "kalo", "mir", "miran", "sut", "tal", "talo"]
+_PREFIXES = ["", "", "re", "ra", "un"]
+_SUFFIXES = ["", "", "ish", "is", "ness", "a", "an"]
+
+edge_affixed_words = st.lists(
+    st.tuples(st.sampled_from(_PREFIXES), st.sampled_from(_STEMS), st.sampled_from(_SUFFIXES)).map("".join),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(edge_affixed_words, st.sampled_from(["suffix", "prefix"]), st.sampled_from(["a", "an", "is", "k", "ra"]))
+def test_split_changes_keep_first_touch_order(words, position, affix):
+    freqs = Counter(words)
+    analyses = {w: (w,) for w in sorted(freqs)}
+    hosts = [
+        w for w in analyses
+        if len(w) > len(affix) and (w.endswith(affix) if position == "suffix" else w.startswith(affix))
+    ]
+    changes = Counter()
+    for w in hosts:
+        stem = w[: -len(affix)] if position == "suffix" else w[len(affix):]
+        changes[w] -= freqs[w]
+        changes[stem] += freqs[w]
+        changes[affix] += freqs[w]
+    nonzero = [(s, dc) for s, dc in changes.items() if dc]
+    added, segments, deltas = segmentation._split_changes(position, affix, hosts, analyses, freqs)
+    assert (added, list(zip(segments, deltas))) == (sum(changes.values()), nonzero)
+
+
+@given(edge_affixed_words)
+def test_edge_split_matches_reference(words):
+    freqs = Counter(words)
+    types = sorted(freqs)
+    char_cost = math.log(len(set().union(*types)) + 1)
+    analyses = {w: (w,) for w in types}
+    expected, expected_moves = reference_edge_split(dict(analyses), freqs, char_cost)
+    moves, capped = segmentation._edge_split_phase(analyses, freqs, char_cost)
+    assert analyses == expected
+    assert list(analyses) == types
+    assert (moves, capped) == (expected_moves, False)
+
+
+@given(edge_affixed_words)
+def test_train_matches_reference(words):
+    assert train_segmenter(words).segmentations == reference_train(words)
+
+
+def test_train_matches_reference_on_golden_words():
+    words = _golden_words(300, seed=5)
+    assert train_segmenter(words).segmentations == reference_train(words)
+
+
 # ---------------------------------------------------------------------------
 # affix discovery
 
@@ -420,7 +658,8 @@ def test_presence_suffix_needs_two_supporting_colors():
 
 
 # ---------------------------------------------------------------------------
-# golden digests: training output recorded before the incremental rewrite
+# golden digests: recorded from the rebuild-everything edge-split phase; any
+# rewrite of training must reproduce them byte for byte
 
 GOLDEN_TRAIN_SHA256 = "d9f79a8984c72c6336b30aea9418b31b6a3e93b3b0d09e2bcae0ba4b690caa07"
 GOLDEN_DEMO_SHA256 = {
