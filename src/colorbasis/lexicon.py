@@ -179,7 +179,10 @@ def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
         if term in seen:
             raise DataError(f"{path}:{lineno}: duplicate color term {term!r}")
         seen.add(term)
-        concepts.append(ColorConcept(term=term, is_basic=is_basic, bk_stage=stage))
+        try:
+            concepts.append(ColorConcept(term=term, is_basic=is_basic, bk_stage=stage))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     basic = sum(1 for c in concepts if c.is_basic)
     if require_eleven_basic and basic != 11:
         raise DataError(f"{path}: expected 11 basic colors, found {basic}")

@@ -309,6 +309,7 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         "edge_split_moves": sum(model.edge_split_moves for _, model in results),
         "em_passes": sum(model.em_passes for _, model in results),
         "em_not_converged": [lang for lang, model in results if not model.converged],
+        "edge_split_capped": [lang for lang, model in results if model.edge_split_capped],
     }
     return counts, {
         "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
@@ -561,6 +562,10 @@ def stage_rfe(cfg: PipelineConfig) -> StageResult:
                         for col in matrix.columns
                     },
                 )
+        if len(set(target)) < 2:
+            # every pair is tied in a constant target, so no gamma is defined
+            payload[target_name] = {"trajectory": [], "best_features": [], "best_gamma": None}
+            continue
         trajectory, best = rfe(m, target, cfg.negated, cfg.transforms)
         payload[target_name] = {
             "trajectory": [

@@ -18,11 +18,23 @@ Both training loops reuse what they already know instead of rebuilding
 it.  The edge-split phase keeps its index of candidate affixes and host
 words up to date across moves and caches each candidate's segment-count
 changes, as in Morfessor Baseline's incremental bookkeeping (Creutz &
-Lagus 2002); each EM pass decodes every word against one table of
-log-probabilities.  Every candidate is still scored with the same float
+Lagus 2002).  Every candidate is still scored with the same float
 operations in the same order as a rebuild from scratch would use, and
 ties are broken on a key unique per candidate, so the segmentations are
 bit-for-bit those of the plain algorithm.
+
+Decoding is batched (``_Lattice``).  The substrings of a word list are
+numbered once, and the ids of every word's candidate segments are laid
+out as ``int32`` arrays, one per end position; that id table is also
+the smoothing event space.  One numpy dynamic program then decodes every
+word at once, with the subtraction ``score[i] - log p(word[i:j])`` of the
+per-word recursion, and picks the minimum of (score, segment count,
+segment tuple).  Of two segmentations of one string, the smaller tuple
+is the one with the earliest first differing cut, so a segmentation is
+kept as a cut bitmask in which the cut at position ``p`` sets bit
+``64 - p`` (one 64-bit column per 64 positions) and the larger mask
+wins.  An EM pass stops when no word's mask changes; otherwise only the
+words whose mask changed are re-counted.
 """
 
 from __future__ import annotations
@@ -31,7 +43,10 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +80,7 @@ class SegmentModel:
     segmentations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # training facts, set by train_segmenter
     edge_split_moves: int = field(default=0, init=False)
+    edge_split_capped: bool = field(default=False, init=False)
     em_passes: int = field(default=0, init=False)
     converged: bool = field(default=True, init=False)
 
@@ -109,31 +125,155 @@ def _log_prob_table(model) -> tuple[dict[str, float], float | None]:
     return {s: math.log(p) for s, p in model.items() if p > 0.0}, None
 
 
-def _viterbi(table, default, word: str, max_segment_len: int | None):
-    """Best ``(-log-prob, segment count, segments)`` for ``word``, or None
-    when no segmentation is admissible.  Minimising the tuple maximises the
-    log-probability, then prefers fewer segments, then the smallest list."""
-    n = len(word)
-    best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
-    for j in range(1, n + 1):
-        top = None
-        for i in range(0 if max_segment_len is None else max(0, j - max_segment_len), j):
-            prev = best[i]
-            if prev is None:
-                continue
-            segment = word[i:j]
-            lp = table.get(segment, default)
-            if lp is None:
-                continue
-            score = prev[0] - lp
-            if top is not None and score > top[0]:
-                continue
-            cand = (score, prev[1] + 1, prev[2] + (segment,))
-            if top is None or cand < top:
-                top = cand
-        best[j] = top
-    return best[n]
+#: Cut positions per mask column: the cut at position ``p`` of a word
+#: sets bit ``64 - p`` of column 0, the cut at ``64 + p`` the same bit of
+#: column 1, and so on.
+_MASK_BITS = 64
+
+
+def _cut_bit(p: int) -> tuple[int, int]:
+    """Column and bit value of the cut before character ``p`` (``p >= 1``)."""
+    col, r = divmod(p - 1, _MASK_BITS)
+    return col, 1 << (_MASK_BITS - 1 - r)
+
+
+class _Lattice:
+    """Every segment of a word list, as substring ids, and a batched
+    Viterbi decoder over them.
+
+    The id table ``segments`` numbers each distinct substring of at most
+    ``max_segment_len`` characters (``None``: no cap); it is the smoothing
+    event space of a model trained on the words.  Words are kept longest
+    first, so the words at least ``j`` characters long are a prefix of
+    that order.  ``ids[j - 1]`` is an ``int32`` array with one column for
+    each of them and one row per segment length: row ``k`` holds the id of
+    the segment that ends at ``j`` and starts at ``j - len(ids[j - 1]) + k``.
+
+    A segmentation is stored as a cut mask (see ``_cut_bit``).  Of two
+    segmentations of the same string, the smaller segment tuple is the one
+    with a cut at the first position where their cuts differ, because a
+    segment sorts before every longer segment it starts; so it is the one
+    with the larger mask, compared column by column.
+    """
+
+    def __init__(self, words, max_segment_len: int | None):
+        self.words = list(words)
+        lengths = np.array([len(w) for w in self.words])
+        n = int(lengths.max())
+        if max_segment_len is not None and max_segment_len < 1:
+            raise ValueError("max_segment_len must be at least 1")
+        cap = n if max_segment_len is None else min(max_segment_len, n)
+        self.order = np.argsort(-lengths, kind="stable")
+        self.lengths = lengths[self.order]
+        # the number of words at least j characters long, for j = 0..n
+        active = np.cumsum(np.bincount(self.lengths, minlength=n + 1)[::-1])[::-1].tolist()
+        self.columns = max(1, -(-(n - 1) // _MASK_BITS))
+
+        # the ids of all segments, end by end, start by start, word by word
+        by_length = [self.words[w] for w in self.order.tolist()]
+        starts = [range(max(0, j - cap), j) for j in range(n + 1)]
+        sizes = [len(starts[j]) * active[j] for j in range(1, n + 1)]
+        segments: dict[str, int] = {}
+        intern = segments.setdefault
+        flat = np.fromiter(
+            (
+                intern(word[i:j], len(segments))
+                for j in range(1, n + 1)
+                for i in starts[j]
+                for word in by_length[: active[j]]
+            ),
+            dtype=np.int32,
+            count=sum(sizes),
+        )
+        self.segments = segments
+        self.ids = [
+            block.reshape(len(starts[j]), active[j])
+            for j, block in zip(range(1, n + 1), np.split(flat, np.cumsum(sizes)[:-1]))
+        ]
+        # row i: the cut at position i (none at 0)
+        self.bits = np.zeros((n + 1, self.columns), dtype=np.uint64)
+        for p in range(1, n):
+            col, bit = _cut_bit(p)
+            self.bits[p, col] = bit
+
+    def decode(self, model) -> tuple[np.ndarray, np.ndarray]:
+        """Best score (``-log-prob``; ``inf`` when no segmentation is
+        admissible) and cut mask of every word under ``model``, in
+        ``words`` order.
+
+        Each id's log-probability is ``_log_prob_table``'s ``math.log``
+        value (``-inf`` for a segment a plain mapping does not list).  One
+        dynamic program then runs over all words at once.  For each end
+        position it picks, per word, the minimum of (score, segment count,
+        segment tuple) over the candidate last segments, as the scalar
+        recursion ``score[i] - lp(word[i:j])`` would, with the same IEEE
+        subtraction: the least score, then among equal scores the fewest
+        segments, then the largest mask, column by column.  Candidates of
+        one word differ in their last cut, so the winner is unique.  Equal
+        scores are rare, so the last two keys are only compared at end
+        positions where some word has them."""
+        table, default = _log_prob_table(model)
+        lp = np.full(len(self.segments), -math.inf if default is None else default)
+        hits = [(i, v) for s, v in table.items() if (i := self.segments.get(s)) is not None]
+        if hits:
+            index, values = zip(*hits)
+            lp[list(index)] = values
+
+        n, num = len(self.ids), len(self.words)
+        # row i: the best segmentation of each word's prefix of length i
+        score = np.full((n + 1, num), math.inf)
+        score[0] = 0.0
+        count = np.zeros((n + 1, num), dtype=np.int32)
+        mask = np.zeros((n + 1, num, self.columns), dtype=np.uint64)
+        cols = np.arange(num)
+        for j, ids in enumerate(self.ids, start=1):
+            width, a = ids.shape
+            rows = slice(j - width, j)
+            cand = score[rows, :a] - lp[ids]
+            best = cand.min(axis=0)
+            tied = cand == best
+            if np.count_nonzero(tied) > a:
+                segs = np.where(tied, count[rows, :a], n)
+                tied &= segs == segs.min(axis=0)
+                cand_mask = mask[rows, :a] | self.bits[rows, None, :]
+                for col in range(self.columns):
+                    m = np.where(tied, cand_mask[:, :, col], 0)
+                    tied &= m == m.max(axis=0)
+            pick = j - width + tied.argmax(axis=0)
+            score[j, :a] = best
+            count[j, :a] = count[pick, cols[:a]] + 1
+            mask[j, :a] = mask[pick, cols[:a]] | self.bits[pick]
+        scores = np.empty(num)
+        masks = np.empty((num, self.columns), dtype=np.uint64)
+        scores[self.order] = score[self.lengths, cols]
+        masks[self.order] = mask[self.lengths, cols]
+        return scores, masks
+
+    def masks_of(self, analyses) -> np.ndarray:
+        """Cut masks of one segmentation per word, in ``words`` order."""
+        out = np.zeros((len(self.words), self.columns), dtype=np.uint64)
+        for w, segs in enumerate(analyses):
+            row = [0] * self.columns
+            p = 0
+            for s in segs[:-1]:
+                p += len(s)
+                col, bit = _cut_bit(p)
+                row[col] |= bit
+            out[w] = row
+        return out
+
+    def split(self, w: int, mask: list[int]) -> tuple[str, ...]:
+        """The segments of word ``w`` that a cut mask row (as Python ints)
+        encodes."""
+        word = self.words[w]
+        cuts = [0]
+        for col, v in enumerate(mask):
+            while v:
+                b = v.bit_length() - 1
+                cuts.append(_MASK_BITS * col + _MASK_BITS - b)
+                v ^= 1 << b
+        cuts.append(len(word))
+        return tuple(word[i:j] for i, j in zip(cuts, cuts[1:]))
 
 
 def viterbi_segment(model, word: str, max_segment_len: int | None = None) -> Segmentation:
@@ -147,22 +287,14 @@ def viterbi_segment(model, word: str, max_segment_len: int | None = None) -> Seg
     """
     if not word:
         raise ValueError("word must be non-empty")
-    found = _viterbi(*_log_prob_table(model), word, max_segment_len)
-    if found is None:
+    lattice = _Lattice([word], max_segment_len)
+    scores, masks = lattice.decode(model)
+    score = float(scores[0])
+    if score == math.inf:
         raise ValueError(f"no admissible segmentation for {word!r}")
-    score, _, segments = found
+    segments = lattice.split(0, masks[0].tolist())
     # 0.0 - score rather than -score: a zero sum stays +0.0
     return Segmentation(word=word, segments=segments, log_prob=0.0 - score)
-
-
-def _substring_vocab(types, max_len: int) -> frozenset[str]:
-    vocab = set()
-    for w in types:
-        n = len(w)
-        for i in range(n):
-            for j in range(i + 1, min(n, i + max_len) + 1):
-                vocab.add(w[i:j])
-    return frozenset(vocab)
 
 
 def _edge_keys(position: str, edge: str):
@@ -336,8 +468,8 @@ def train_segmenter(
     re-segmentation, then count re-estimation) runs until segmentations
     stop changing or ``max_iters`` passes.  The result depends only on
     the multiset of input words, not their order.  The model records the
-    edge-split moves, the EM passes and whether EM converged; hitting
-    either cap is logged as a warning.
+    edge-split moves and whether their cap stopped them, the EM passes and
+    whether EM converged; hitting either cap is logged as a warning.
     """
     words = list(words)
     if not words:
@@ -378,33 +510,42 @@ def train_segmenter(
         for w, segs in analyses.items()
     }
 
-    vocab = _substring_vocab(types, max_segment_len)
+    lattice = _Lattice(types, max_segment_len)
     model = SegmentModel(
         language=language,
         alpha=alpha,
-        vocab=vocab,
+        vocab=frozenset(lattice.segments),
         max_segment_len=max_segment_len,
     )
     model.edge_split_moves = moves
+    model.edge_split_capped = capped
+    counts = model.counts
+    for w, segs in analyses.items():
+        for s in segs:
+            counts[s] += freqs[w]
+    model.total = sum(counts.values())
 
-    def recount(analyses):
-        counts: Counter = Counter()
-        for w, segs in analyses.items():
-            for s in segs:
-                counts[s] += freqs[w]
-        return counts
-
-    model.counts = recount(analyses)
-    model.total = sum(model.counts.values())
-
+    # Each pass decodes every word in one batch; only the words whose cuts
+    # changed are re-counted.
+    masks = lattice.masks_of(analyses.values())
     for passes in range(1, max_iters + 1):
-        table, default = _log_prob_table(model)
-        new_analyses = {w: _viterbi(table, default, w, max_segment_len)[2] for w in types}
-        if new_analyses == analyses:
+        _, new_masks = lattice.decode(model)
+        changed = np.flatnonzero((new_masks != masks).any(axis=1))
+        if not changed.size:
             break
-        analyses = new_analyses
-        model.counts = recount(analyses)
-        model.total = sum(model.counts.values())
+        masks = new_masks
+        for k, row in zip(changed.tolist(), masks[changed].tolist()):
+            w = types[k]
+            f = freqs[w]
+            old, new = analyses[w], lattice.split(k, row)
+            analyses[w] = new
+            for s in old:
+                counts[s] -= f
+                if not counts[s]:
+                    del counts[s]
+            for s in new:
+                counts[s] += f
+            model.total += f * (len(new) - len(old))
     else:
         model.converged = False
         log.warning(
@@ -445,8 +586,11 @@ class Affix:
     affix_class: str  # "color-specific" | "general-derivational" | "neither"
 
 
-def _contains_in_position(word: str, form: str, position: str) -> bool:
-    return word.endswith(form) if position == "suffix" else word.startswith(form)
+def _count_in_position(words, form: str, position: str) -> int:
+    """How many of ``words`` carry ``form`` in ``position``, by plain
+    string match."""
+    match = str.endswith if position == "suffix" else str.startswith
+    return sum(map(match, words, repeat(form)))
 
 
 def classify_affix(color_coverage: float, global_coverage: float,
@@ -481,11 +625,11 @@ def discover_affixes(
         return []
 
     support: Counter = Counter()
-    table, default = _log_prob_table(model)
-    for w in color_types:
-        segs = _viterbi(table, default, w, model.max_segment_len)[2]
-        if len(segs) < 2:
-            continue
+    lattice = _Lattice(color_types, model.max_segment_len)
+    _, masks = lattice.decode(model)
+    multi = np.flatnonzero(masks.any(axis=1))  # the words cut at least once
+    for k, row in zip(multi.tolist(), masks[multi].tolist()):
+        segs = lattice.split(k, row)
         support[("prefix", segs[0])] += 1
         support[("suffix", segs[-1])] += 1
 
@@ -493,12 +637,9 @@ def discover_affixes(
     for (position, form), count in support.items():
         if count < thresholds.min_support:
             continue
-        cc = sum(
-            1 for w in color_types if _contains_in_position(w, form, position)
-        ) / len(color_types)
+        cc = _count_in_position(color_types, form, position) / len(color_types)
         gc = (
-            sum(1 for w in all_types if _contains_in_position(w, form, position))
-            / len(all_types)
+            _count_in_position(all_types, form, position) / len(all_types)
             if all_types
             else 0.0
         )

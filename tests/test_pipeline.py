@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 
 import pytest
@@ -9,6 +10,7 @@ from colorbasis.cli import main
 from colorbasis.config import load_config
 from colorbasis.demo import write_demo
 from colorbasis.errors import ConfigError, DependencyError, StageError
+from colorbasis import segmentation
 from colorbasis.pipeline import STAGE_ORDER, run_pipeline, run_stage
 
 OUTPUT_FILES = [
@@ -249,6 +251,21 @@ def test_segment_counts_report_em_cap(tmp_path, caplog):
     assert "nld: hard EM stopped at max_iters=1" in caplog.text
 
 
+def test_segment_counts_report_edge_split_cap(demo_run, tmp_path, monkeypatch, caplog):
+    _, manifest = demo_run
+    assert manifest["stages"]["segment"]["counts"]["edge_split_capped"] == []
+    cfg = load_config(write_demo(tmp_path))
+    monkeypatch.setattr(segmentation, "MAX_EDGE_SPLIT_MOVES", 1)
+    with caplog.at_level("WARNING"):
+        manifest = run_pipeline(cfg)
+    counts = manifest["stages"]["segment"]["counts"]
+    # the languages with more than one improving move, sorted
+    assert counts["edge_split_capped"] == ["deu", "ita", "nld", "spa"]
+    assert counts["edge_split_moves"] == 6  # one per language
+    for lang in counts["edge_split_capped"]:
+        assert f"{lang}: edge-split phase stopped at its cap of 1 moves" in caplog.text
+
+
 def test_summary_report_sections(demo_run):
     cfg, _ = demo_run
     text = (cfg.output_dir / "summary.md").read_text(encoding="utf-8")
@@ -297,6 +314,42 @@ def test_cli_reserved_sentinel_in_lexicon_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"lexicon.tsv:{rows + 1}" in err
     assert "reserved word-boundary character" in err
+
+
+def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
+    # every basic color at stage 1 and only basic colors in the sequence
+    # target: that target is constant, so every gamma against it is undefined
+    config_path = write_demo(tmp_path)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(re.sub(r"@\d", "@1", seeds.read_text(encoding="utf-8")), encoding="utf-8")
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["parameters"]["sequence_scope"] = "basic-only"
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    payload = json.loads((tmp_path / "out" / "rfe.json").read_text(encoding="utf-8"))
+    assert payload["sequence"] == {"best_features": [], "best_gamma": None, "trajectory": []}
+    assert payload["basic"]["best_gamma"] is not None
+    gamma_rows = (tmp_path / "out" / "gamma.csv").read_text(encoding="utf-8")
+    assert "aggregate," in gamma_rows
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("vermilion*", "basic color 'vermilion' needs a stage"),
+        ("vermilion*@8", "stage out of range for 'vermilion'"),
+        ("vermilion@2", "secondary color 'vermilion' must not carry a stage"),
+    ],
+)
+def test_cli_invalid_seed_stage_is_data_error(tmp_path, capsys, row, message):
+    config_path = write_demo(tmp_path)
+    seeds = tmp_path / "seeds.txt"
+    rows = len(seeds.read_text(encoding="utf-8").splitlines())
+    with seeds.open("a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    assert main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"seeds.txt:{rows + 1}: {message}" in err
 
 
 def test_cli_stage_refuses_changed_inputs(tmp_path, capsys):

@@ -173,7 +173,7 @@ def _random_prob_table(rng, word, style):
 
 @pytest.mark.parametrize("style", ["uniform", "dyadic", "random", "sparse"])
 def test_viterbi_matches_exhaustive_enumeration(style):
-    rng = random.Random(hash(style) % 1000)
+    rng = random.Random(f"viterbi-{style}")
     for _ in range(40):
         n = rng.randint(1, 10)
         word = "".join(rng.choice("ab") for _ in range(n))
@@ -205,6 +205,112 @@ def test_viterbi_concatenation_invariant(word):
     seg = viterbi_segment(model, word)
     assert "".join(seg.segments) == word
     assert all(seg.segments)
+
+
+# ---------------------------------------------------------------------------
+# the batched decoder against the scalar Viterbi recursion
+
+
+def scalar_viterbi(table, default, word, max_segment_len):
+    """Best ``(-log-prob, segment count, segments)`` for ``word``, or None
+    when no segmentation is admissible: the per-word decoder the batched
+    one replaced, over the same ``_log_prob_table`` values."""
+    n = len(word)
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, ())
+    for j in range(1, n + 1):
+        top = None
+        for i in range(0 if max_segment_len is None else max(0, j - max_segment_len), j):
+            prev = best[i]
+            if prev is None:
+                continue
+            segment = word[i:j]
+            lp = table.get(segment, default)
+            if lp is None:
+                continue
+            score = prev[0] - lp
+            if top is not None and score > top[0]:
+                continue
+            cand = (score, prev[1] + 1, prev[2] + (segment,))
+            if top is None or cand < top:
+                top = cand
+        best[j] = top
+    return best[n]
+
+
+def _random_decoder_model(rng, words, kind):
+    """A SegmentModel over the words' short substrings, or a plain mapping
+    that leaves some of them out (inadmissible); "dyadic" draws from a few
+    powers of two, so that equal scores are common."""
+    subs = sorted({
+        w[i:j] for w in words for i in range(len(w)) for j in range(i + 1, min(len(w), i + 8) + 1)
+    })
+    if kind == "model":
+        counts = Counter({s: rng.randint(1, 6) for s in subs if rng.random() < 0.3})
+        return _model(counts, subs, alpha=rng.choice([0.01, 0.5, 2.0]))
+    table = {}
+    for s in subs:
+        if len(s) > 1 and rng.random() < 0.3:
+            continue
+        if kind == "dyadic":
+            table[s] = rng.choice([0.5, 0.25, 0.125, 1.0])
+        else:
+            table[s] = rng.uniform(0.01, 0.99)
+    return table
+
+
+decoder_words = st.lists(
+    st.one_of(st.text("ab", min_size=1, max_size=12), st.text("abc", min_size=65, max_size=200)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(
+    decoder_words,
+    st.integers(0, 2**30 - 1),
+    st.sampled_from(["model", "mapping", "dyadic"]),
+    st.sampled_from([None, 1, 8]),
+)
+def test_batched_decoder_matches_scalar_viterbi(words, seed, kind, cap):
+    model = _random_decoder_model(random.Random(seed), words, kind)
+    table, default = segmentation._log_prob_table(model)
+    lattice = segmentation._Lattice(words, cap)
+    scores, masks = lattice.decode(model)
+    for k, word in enumerate(words):
+        expected = scalar_viterbi(table, default, word, cap)
+        if expected is None:
+            assert scores[k] == math.inf
+            with pytest.raises(ValueError):
+                viterbi_segment(model, word, cap)
+            continue
+        assert float(scores[k]).hex() == expected[0].hex()
+        assert lattice.split(k, masks[k].tolist()) == expected[2]
+        seg = viterbi_segment(model, word, cap)
+        assert seg.segments == expected[2]
+        assert seg.log_prob.hex() == (0.0 - expected[0]).hex()
+
+
+def test_batched_decoder_breaks_ties_past_64_characters():
+    # every segmentation scores 0.0; the fewest segments put one "a" among
+    # the "aa"s, and the earliest first cut puts it first, at position 70
+    word = "x" * 70 + "a" * 11
+    probs = {"x": 1.0, "a": 1.0, "aa": 1.0}
+    expected = ("x",) * 70 + ("a",) + ("aa",) * 5
+    assert scalar_viterbi(*segmentation._log_prob_table(probs), word, None)[2] == expected
+    seg = viterbi_segment(probs, word)
+    assert seg.segments == expected
+    assert seg.log_prob.hex() == (0.0).hex()
+
+
+def test_train_matches_reference_with_words_past_64_characters():
+    long_words = ["kalo" * 20 + "ish", "re" + "mirantal" * 16, "kalo" * 20 + "ish"]
+    words = _golden_words(60, seed=7) + long_words
+    model = train_segmenter(words)
+    assert model.segmentations == reference_train(words)
+    assert model.vocab == _substring_vocab(sorted(set(words)), 8)
+    segs = model.segmentations["re" + "mirantal" * 16]
+    assert len("".join(segs[:-1])) > 64  # the last cut lies past position 64
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +498,16 @@ def reference_viterbi(model, word, max_segment_len):
     return best[n][2]
 
 
+def _substring_vocab(types, max_len):
+    vocab = set()
+    for w in types:
+        n = len(w)
+        for i in range(n):
+            for j in range(i + 1, min(n, i + max_len) + 1):
+                vocab.add(w[i:j])
+    return frozenset(vocab)
+
+
 def reference_train(words, alpha=0.01, max_iters=20, max_segment_len=8):
     freqs = Counter(words)
     types = sorted(freqs)
@@ -401,7 +517,7 @@ def reference_train(words, alpha=0.01, max_iters=20, max_segment_len=8):
         w: tuple(p for s in segs for p in (s[i:i + max_segment_len] for i in range(0, len(s), max_segment_len)))
         for w, segs in analyses.items()
     }
-    model = SegmentModel(alpha=alpha, vocab=segmentation._substring_vocab(types, max_segment_len))
+    model = SegmentModel(alpha=alpha, vocab=_substring_vocab(types, max_segment_len))
 
     def recount(analyses):
         model.counts = Counter()
