@@ -140,24 +140,6 @@ def _support_map(candidates, table) -> dict[tuple[str, str], set[str]]:
     return langs
 
 
-def build_recipes(candidates, table: TranslationTable) -> list[Recipe]:
-    """Group candidates by component concept pair; support counts the
-    distinct languages attesting the pair.  Ordered by support descending,
-    then by concept pair."""
-    langs = _support_map(candidates, table)
-    recipes = [
-        Recipe(
-            left_concept=pair[0],
-            right_concept=pair[1],
-            support=len(ls),
-            example_languages=frozenset(ls),
-        )
-        for pair, ls in langs.items()
-    ]
-    recipes.sort(key=lambda r: (-r.support, r.left_concept, r.right_concept))
-    return recipes
-
-
 def score_and_filter(
     candidates,
     table: TranslationTable,

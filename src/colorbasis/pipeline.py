@@ -55,6 +55,7 @@ from .lexicon import (
     round_trip,
 )
 from .segmentation import (
+    PRESENCE_TOP_COLORS,
     affix_presence_feature,
     discover_affixes,
     train_segmenter,
@@ -447,6 +448,12 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         log.info(
             "dropped colors (too many missing features): %s",
             ", ".join(f"{c} ({n}/14)" for c, n in matrix.dropped),
+        )
+    if len(matrix.colors) < PRESENCE_TOP_COLORS:
+        raise DataError(
+            f"only {len(matrix.colors)} colors survive the missing-value filter "
+            f"(drop_threshold {cfg.drop_threshold}); the affix-presence feature "
+            f"needs at least {PRESENCE_TOP_COLORS}"
         )
 
     def affix_fn(top10):

@@ -16,11 +16,14 @@ segmentations are stable.
 
 Both training loops reuse what they already know instead of rebuilding
 it.  The edge-split phase keeps its index of candidate affixes and host
-words up to date across moves and caches each candidate's segment-count
-changes, as in Morfessor Baseline's incremental bookkeeping (Creutz &
-Lagus 2002).  Every candidate is still scored with the same float
-operations in the same order as a rebuild from scratch would use, and
-ties are broken on a key unique per candidate, so the segmentations are
+words up to date across moves, and each candidate's segment-count
+changes as an order-free map that a move updates in place, as in
+Morfessor Baseline's incremental bookkeeping (Creutz & Lagus 2002).  A
+move is found by filter-then-verify (Shewchuk 1997): one numpy pass
+scores every candidate from those maps with a proven error bound, and
+only the candidates the bound cannot rule out are scored exactly, with
+the same float operations in the same order as a rebuild from scratch.
+Ties are broken on a key unique per candidate, so the segmentations are
 bit-for-bit those of the plain algorithm.
 
 Decoding is batched (``_Lattice``).  The substrings of a word list are
@@ -43,7 +46,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -58,6 +62,8 @@ DEFAULT_MAX_ITERS = 20
 DEFAULT_MAX_SEGMENT_LEN = 8
 #: Cap on edge-split moves per language; reaching it is logged.
 MAX_EDGE_SPLIT_MOVES = 10000
+#: How many top-ranked colors define the affix-presence feature's suffixes.
+PRESENCE_TOP_COLORS = 10
 
 
 @dataclass
@@ -297,21 +303,19 @@ def viterbi_segment(model, word: str, max_segment_len: int | None = None) -> Seg
     return Segmentation(word=word, segments=segments, log_prob=0.0 - score)
 
 
-def _edge_keys(position: str, edge: str):
+def _edge_affixes(position: str, edge: str) -> list[str]:
     """The candidate affixes an edge segment hosts, shortest first: its
     proper suffixes (last segment) or proper prefixes (first segment)."""
     if position == "suffix":
-        return [(position, edge[-k:]) for k in range(1, len(edge))]
-    return [(position, edge[:k]) for k in range(1, len(edge))]
+        return [edge[-k:] for k in range(1, len(edge))]
+    return [edge[:k] for k in range(1, len(edge))]
 
 
 def _split_changes(position, affix, words, analyses, freqs):
     """Segment-count changes of splitting ``affix`` off every host word,
     in ``words`` order: the total added, then the segments and their count
     deltas as two parallel lists, in first-touch order with the zero deltas
-    dropped.  Parallel lists keep the cache compact, and unlike small
-    tuples their storage is not held back by CPython's per-size free lists
-    once the cache is dropped, which measurably raised peak RSS."""
+    dropped."""
     changes: dict[str, int] = {}
     get = changes.get
     for w in words:
@@ -354,20 +358,319 @@ def _split_delta(added, segments, deltas, counts, total, char_cost, xlogx) -> fl
     return d
 
 
-def _rewrite_edge(hosts, cached, w, position, old_edge, new_edge):
-    """Re-index host word ``w`` whose ``position`` edge became ``new_edge``,
-    a prefix or suffix of ``old_edge`` on the same side: ``w`` keeps the
-    keys shorter than ``new_edge`` and leaves the longer ones, and every
-    key of ``old_edge`` loses its cached change list."""
-    for k, key in enumerate(_edge_keys(position, old_edge), start=1):
-        words = hosts.get(key)
-        if words is None:
-            continue
-        cached.pop(key, None)
-        if k >= len(new_edge):
-            words.remove(w)
-            if len(words) < 2:
-                del hosts[key]
+#: Unit roundoff of IEEE double precision, the scale of the filter's bound.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+class _SegmentIds(dict):
+    """Segment ids, handed out in order of first lookup; ``names[i]`` is
+    the segment with id ``i``."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, segment: str) -> int:
+        i = self[segment] = len(self.names)
+        self.names.append(segment)
+        return i
+
+
+class _EdgeCandidates:
+    """The candidate affixes of the edge-split phase, each with an
+    order-free change map that is updated rather than rebuilt, and a
+    filter that scores them all at once.
+
+    Candidate ``c`` is the key ``keys[c]`` (``(position, affix)``) with
+    host words ``hosts[c]`` in ``analyses`` order; ``index[position]``
+    maps the affix of every live candidate (at least two hosts) to ``c``.
+    Its change map ``{segment id: count delta}`` of splitting the affix
+    off every host, without zero entries, and ``added[c]``, the map's
+    total, hold the same changes as ``_split_changes`` in another order.
+
+    The maps live as rows ``(candidate, segment id, delta)`` of one
+    append-only table.  ``maps[c]`` is ``None`` until one of the
+    candidate's hosts changes its edge; the map is then loaded from the
+    rows and kept as a dict (``{}`` once the candidate dies).  ``flush``
+    writes the maps changed since the last flush: their old rows are
+    tombstoned (moved to the unused candidate bin ``dead``, with delta 0)
+    and new ones appended, and the table is compacted once fewer than half
+    of its rows are live.  Segment counts are kept by id in an ``int64``
+    vector, so ``shortlist`` scores every candidate with a few numpy
+    passes over the table and no Python loop over candidates.
+    """
+
+    def __init__(self, analyses, freqs, char_cost):
+        self.freqs = freqs
+        self.char_cost = char_cost
+        self.ids = ids = _SegmentIds()
+        # by segment id, grown lazily up to len(ids)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.cost = np.zeros(0)  # (len + 1) * char_cost
+        self.synced = 0
+        # x log x of every count and total a split can reach: each word
+        # has at most as many segments as characters
+        reach = np.arange(sum(freqs[w] * len(w) for w in analyses) + 1)
+        self.xlogx = reach * np.log(np.maximum(reach, 1))
+
+        self.keys: list[tuple[str, str]] = []
+        self.hosts: list[list[str]] = []
+        self.index: dict[str, dict[str, int]] = {}
+        for position in ("suffix", "prefix"):
+            found: dict[str, list[str]] = {}
+            for w, segs in analyses.items():
+                for affix in _edge_affixes(position, segs[-1] if position == "suffix" else segs[0]):
+                    words = found.get(affix)
+                    if words is None:
+                        found[affix] = [w]
+                    else:
+                        words.append(w)
+            # a key never gains hosts, so one with a single host is never a candidate
+            self.index[position] = index = {}
+            for affix, words in found.items():
+                if len(words) > 1:
+                    index[affix] = len(self.keys)
+                    self.keys.append((position, affix))
+                    self.hosts.append(words)
+            del found
+
+        self.added: list[int] = []
+        sizes: list[int] = []
+        segments: list[int] = []
+        deltas: list[int] = []
+        for (position, affix), words in zip(self.keys, self.hosts):
+            k = len(affix)
+            if position == "suffix":
+                edges = [analyses[w][-1] for w in words]
+                stems = [edge[:-k] for edge in edges]
+            else:
+                edges = [analyses[w][0] for w in words]
+                stems = [edge[k:] for edge in edges]
+            fs = [freqs[w] for w in words]
+            added = sum(fs)
+            # each host: edge -f, stem +f, affix +f
+            m_segs = [ids[s] for s in edges] + [ids[s] for s in stems] + [ids[affix]]
+            m_deltas = [-f for f in fs] + fs + [added]
+            if len(set(m_segs)) < len(m_segs):
+                # a segment is met twice (a stem that is another host's
+                # edge, or the affix): add up, and drop the zeros
+                m: dict[int, int] = {}
+                for i, dc in zip(m_segs, m_deltas):
+                    m[i] = m.get(i, 0) + dc
+                m_segs = [i for i, dc in m.items() if dc]
+                m_deltas = [dc for dc in m.values() if dc]
+            sizes.append(len(m_segs))
+            segments += m_segs
+            deltas += m_deltas
+            self.added.append(added)
+
+        num = len(self.keys)
+        self.maps: list[dict[int, int] | None] = [None] * num
+        self.dead = num
+        self.penalty = np.zeros(num)  # inf once dead
+        self.factor = np.zeros(num)  # 8 u (n_c + 4) of the error bound
+        self.added_now = np.zeros(num, dtype=np.int64)
+        self.start = np.zeros(num, dtype=np.int64)
+        self.size = np.zeros(num, dtype=np.int64)
+        self.cand = np.zeros(0, dtype=np.int64)
+        self.seg = np.zeros(0, dtype=np.int64)
+        self.delta = np.zeros(0, dtype=np.int64)
+        self.rows = self.live_rows = 0
+        self.dirty: set[int] = set()
+        self._append(np.arange(num), np.array(sizes, dtype=np.int64), segments, deltas)
+
+    def rewrite(self, w, position, old_edge, new_edge):
+        """Update the maps of every live key of ``old_edge`` after host
+        word ``w``'s ``position`` edge became ``new_edge``, a prefix or
+        suffix of ``old_edge`` on the same side.  The word keeps the keys
+        shorter than ``new_edge`` and leaves the longer ones; a key left
+        with fewer than two hosts dies.
+
+        A key's hosts are the words whose edge is longer than it and ends
+        (suffix) or starts (prefix) with it, so a longer key of the same
+        edge has a subset of them: the keys past the first dead one are
+        dead too.  The one exception is the key a move splits off: the
+        move kills it before rewriting its hosts, whose new edge it then
+        is, so the dead key as long as the new edge is passed over."""
+        f = self.freqs[w]
+        ids, index, maps = self.ids, self.index[position], self.maps
+        suffix = position == "suffix"
+        old_id, new_id, kept = ids[old_edge], ids[new_edge], len(new_edge)
+        for k in range(1, len(old_edge)):
+            affix = old_edge[-k:] if suffix else old_edge[:k]
+            c = index.get(affix)
+            if c is None:
+                if k == kept:
+                    continue
+                break
+            self.dirty.add(c)
+            # the host's old changes were: edge -f, stem +f, affix +f
+            if k < kept:
+                # out with the old ones, in with the new; the affix's +f stays
+                changes = (
+                    (old_id, f),
+                    (ids[old_edge[:-k] if suffix else old_edge[k:]], -f),
+                    (new_id, -f),
+                    (ids[new_edge[:-k] if suffix else new_edge[k:]], f),
+                )
+            else:
+                words = self.hosts[c]
+                words.remove(w)
+                self.added[c] -= f
+                if len(words) < 2:
+                    self.kill(c)
+                    continue
+                changes = ((old_id, f), (ids[old_edge[:-k] if suffix else old_edge[k:]], -f), (ids[affix], -f))
+            m = maps[c]
+            if m is None:
+                start, stop = int(self.start[c]), int(self.start[c] + self.size[c])
+                m = maps[c] = dict(zip(self.seg[start:stop].tolist(), self.delta[start:stop].tolist()))
+            for i, dc in changes:
+                v = m.get(i, 0) + dc
+                if v:
+                    m[i] = v
+                else:
+                    del m[i]
+
+    def kill(self, c):
+        """Take candidate ``c`` out of play."""
+        position, affix = self.keys[c]
+        del self.index[position][affix]
+        self.maps[c] = {}
+        self.added[c] = 0
+        self.penalty[c] = math.inf
+        self.dirty.add(c)
+
+    def add_counts(self, changes: Mapping[str, int]):
+        """Apply segment-count changes to the count vector."""
+        ids = [self.ids[s] for s in changes]
+        self._sync()
+        self.counts[ids] += np.fromiter(changes.values(), dtype=np.int64, count=len(ids))
+
+    def _sync(self):
+        """Grow the vectors by segment id to every id handed out so far."""
+        n = len(self.ids)
+        if n == self.synced:
+            return
+        if n > len(self.counts):
+            size = max(n, 2 * len(self.counts))
+            self.counts = np.concatenate([self.counts, np.zeros(size - len(self.counts), dtype=np.int64)])
+            self.cost = np.concatenate([self.cost, np.zeros(size - len(self.cost))])
+        self.cost[self.synced : n] = [(len(s) + 1) * self.char_cost for s in self.ids.names[self.synced : n]]
+        self.synced = n
+
+    def flush(self):
+        """Write the maps of the candidates changed since the last flush
+        into the table."""
+        if not self.dirty:
+            return
+        cands = np.fromiter(self.dirty, dtype=np.int64, count=len(self.dirty))
+        self.dirty.clear()
+        sizes = self.size[cands]
+        stale = int(sizes.sum())
+        if stale:
+            rows = np.repeat(self.start[cands] - np.cumsum(sizes) + sizes, sizes) + np.arange(stale)
+            self.cand[rows] = self.dead
+            self.delta[rows] = 0
+            self.size[cands] = 0
+            self.live_rows -= stale
+        if 2 * self.live_rows < self.rows:
+            keep = self.cand[: self.rows] != self.dead
+            held = np.flatnonzero(self.size)
+            self.start[held] = (np.cumsum(keep) - 1)[self.start[held]]
+            for table in (self.cand, self.seg, self.delta):
+                table[: self.live_rows] = table[: self.rows][keep]
+            self.rows = self.live_rows
+
+        maps = [self.maps[c] for c in cands.tolist()]
+        sizes = np.array([len(m) for m in maps], dtype=np.int64)
+        n = int(sizes.sum())
+        self._append(
+            cands,
+            sizes,
+            np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=n),
+            np.fromiter(chain.from_iterable([m.values() for m in maps]), dtype=np.int64, count=n),
+        )
+
+    def _append(self, cands, sizes, segments, deltas):
+        """Append the rows of candidates ``cands``: ``sizes[i]`` rows for
+        ``cands[i]``, with ``segments`` and ``deltas`` in that order."""
+        end = self.rows + int(sizes.sum())
+        if end > len(self.cand):
+            size = max(end, 2 * len(self.cand))
+            for name in ("cand", "seg", "delta"):
+                grown = np.empty(size, dtype=np.int64)
+                grown[: self.rows] = getattr(self, name)[: self.rows]
+                setattr(self, name, grown)
+        self.cand[self.rows : end] = np.repeat(cands, sizes)
+        self.seg[self.rows : end] = segments
+        self.delta[self.rows : end] = deltas
+        self.start[cands] = self.rows + np.cumsum(sizes) - sizes
+        self.size[cands] = sizes
+        self.factor[cands] = 8.0 * _UNIT_ROUNDOFF * (sizes + 4)
+        self.added_now[cands] = [self.added[c] for c in cands.tolist()]
+        self.live_rows += end - self.rows
+        self.rows = end
+
+    def scores(self, total: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate's approximate delta given the segment ``total``,
+        and a bound ``E_c`` on its distance from the exact
+        ``_split_delta``; both are meaningful for live candidates only.
+
+        The approximation works from the candidate's rows, with ``np.log``
+        where ``_split_delta`` uses ``math.log`` and another summation
+        order.  Let ``u = 2**-53`` and ``M_c`` be the sum of every ``x log
+        x`` value (old and new count of each of the ``n_c`` segments, old
+        and new total) and lexicon cost involved.  Higham, *Accuracy and
+        Stability of Numerical Algorithms* (2002), ch. 4, bounds the
+        rounding error of a sum of ``m`` terms by ``(m - 1) u`` times the
+        sum of their magnitudes.  ``_split_delta`` adds at most ``2 n_c +
+        2`` terms, each within ``3 u`` of its share of ``M_c``, so it is
+        within ``(2 n_c + 4) u M_c`` of the real delta; the approximation,
+        with ``n_c`` rows summed and logarithms a few ulps off, within
+        ``(n_c + 8) u M_c``.  ``E_c = 8 (n_c + 4) u M_c`` covers both with
+        room to spare.
+        """
+        self._sync()
+        rows = slice(0, self.rows)
+        cand, seg = self.cand[rows], self.seg[rows]
+        xlogx = self.xlogx
+        old = self.counts[seg]
+        new = old + self.delta[rows]
+        cost = self.cost[seg]
+        # +cost where a segment enters the lexicon, -cost where one leaves it
+        lexicon = cost * ((old == 0).view(np.int8) - (new == 0).view(np.int8))
+        x_old, x_new = xlogx[old], xlogx[new]
+        # in place, to keep the temporaries few: the table can be long
+        bins = self.dead + 1
+        cost += x_old
+        cost += x_new
+        scale = np.bincount(cand, cost, bins)[:-1]
+        x_new -= x_old
+        x_new -= lexicon
+        terms = np.bincount(cand, x_new, bins)[:-1]
+        x_total = xlogx[total]
+        x_after = xlogx[total + self.added_now]
+        return x_after - x_total - terms, self.factor * (scale + x_after + x_total)
+
+    def shortlist(self, total: int) -> list[int]:
+        """The live candidates whose exact ``_split_delta`` may be the
+        smallest one below ``-1e-9``: those with ``approx_c - E_c <
+        -1e-9`` and ``approx_c - E_c <= min(approx + E)``.
+
+        The exact winner ``w`` is always among them.  Its exact delta is
+        below ``-1e-9`` and at least ``approx_w - E_w``.  It is also at
+        most the exact delta of the candidate with the least ``approx +
+        E`` when that one is below ``-1e-9``, and below that candidate's
+        when not, so ``approx_w - E_w <= min(approx + E)`` either way.
+        """
+        if not (self.index["suffix"] or self.index["prefix"]):
+            return []
+        approx, bound = self.scores(total)
+        low = approx - bound + self.penalty
+        least = (approx + bound + self.penalty).min()
+        # low <= least < -1e-9, or low < -1e-9 <= least
+        return np.flatnonzero(low <= least if least < -1e-9 else low < -1e-9).tolist()
 
 
 def _edge_split_phase(analyses, freqs, char_cost):
@@ -380,43 +683,40 @@ def _edge_split_phase(analyses, freqs, char_cost):
     application is what lets shared affixes pay for themselves on small
     corpora.
 
-    The bookkeeping is incremental.  The host index ``{(position, affix):
-    [host words]}`` is built once, in ``analyses`` order, and only ever
-    shrinks: a move replaces a word's edge by that edge's own prefix or
-    suffix on the same side, so the word keeps the keys shorter than its
-    new edge and leaves the longer ones.  Each candidate's change list is
-    cached and dropped only when one of its hosts' edges is rewritten,
-    because the list depends on those edges and never on the counts.
-    Every move re-scores every candidate from its list against the
-    current counts, with the same float operations in the same order as
-    a rebuild from scratch.  The move taken is the smallest ``(delta,
-    position rank, affix)``, a key unique per candidate, so the order in
-    which candidates are visited cannot change a tie-break.
+    The move taken is the smallest ``(_split_delta, position rank,
+    affix)`` with a delta below ``-1e-9``, a key unique per candidate.  It
+    is found by filter-then-verify, the floating-point filter of Shewchuk
+    ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+    Geometric Predicates", 1997): ``_EdgeCandidates.shortlist`` scores
+    every candidate approximately, with a proven error bound, and only
+    the shortlisted ones, which always include the winner, get their
+    ordered ``_split_changes`` list and exact ``_split_delta``.  The
+    approximate side is incremental: the host index ``{(position, affix):
+    [host words]}`` is built once and only ever shrinks, because a move
+    replaces a word's edge by that edge's own prefix or suffix on the same
+    side, so the word keeps the keys shorter than its new edge and leaves
+    the longer ones; each rewritten edge moves its old contribution out of
+    the change maps of its keys and its new one in.
 
     Rewrites ``analyses`` in place and returns the number of moves made
     and whether ``MAX_EDGE_SPLIT_MOVES`` stopped it with a move left.
     """
     counts: dict[str, int] = {}
-    hosts: dict[tuple[str, str], list[str]] = {}
     for w, segs in analyses.items():
         for s in segs:
             counts[s] = counts.get(s, 0) + freqs[w]
-        for key in _edge_keys("suffix", segs[-1]) + _edge_keys("prefix", segs[0]):
-            hosts.setdefault(key, []).append(w)
-    # a key never gains hosts, so one with a single host is never a candidate
-    hosts = {key: words for key, words in hosts.items() if len(words) > 1}
     total = sum(counts.values())
-    cached: dict[tuple[str, str], tuple[int, list[str], list[int]]] = {}
+    candidates = _EdgeCandidates(analyses, freqs, char_cost)
+    candidates.add_counts(counts)
     xlogx = _XLogX()
 
     moves = 0
     while True:
         best_key = None
-        for key, words in hosts.items():
-            entry = cached.get(key)
-            if entry is None:
-                entry = cached[key] = _split_changes(*key, words, analyses, freqs)
-            d = _split_delta(*entry, counts, total, char_cost, xlogx)
+        for c in candidates.shortlist(total):
+            key = candidates.keys[c]
+            changes = _split_changes(*key, candidates.hosts[c], analyses, freqs)
+            d = _split_delta(*changes, counts, total, char_cost, xlogx)
             if d >= -1e-9:
                 continue
             candidate = (d, 0 if key[0] == "suffix" else 1, key[1])
@@ -429,28 +729,35 @@ def _edge_split_phase(analyses, freqs, char_cost):
         moves += 1
 
         _, pos_rank, affix = best_key
-        for w in list(hosts[("suffix" if pos_rank == 0 else "prefix", affix)]):
+        # every host leaves the key the move splits off, so it dies now
+        winner = candidates.index["suffix" if pos_rank == 0 else "prefix"][affix]
+        candidates.kill(winner)
+        changed: dict[str, int] = {}
+        for w in candidates.hosts[winner]:
             f = freqs[w]
             segs = analyses[w]
             if pos_rank == 0:
                 edge = segs[-1]
                 stem = edge[: -len(affix)]
                 analyses[w] = segs[:-1] + (stem, affix)
-                _rewrite_edge(hosts, cached, w, "suffix", edge, affix)
+                candidates.rewrite(w, "suffix", edge, affix)
                 if len(segs) == 1:
-                    _rewrite_edge(hosts, cached, w, "prefix", edge, stem)
+                    candidates.rewrite(w, "prefix", edge, stem)
             else:
                 edge = segs[0]
                 stem = edge[len(affix):]
                 analyses[w] = (affix, stem) + segs[1:]
-                _rewrite_edge(hosts, cached, w, "prefix", edge, affix)
+                candidates.rewrite(w, "prefix", edge, affix)
                 if len(segs) == 1:
-                    _rewrite_edge(hosts, cached, w, "suffix", edge, stem)
+                    candidates.rewrite(w, "suffix", edge, stem)
             for s, dc in ((edge, -f), (stem, f), (affix, f)):
                 counts[s] = counts.get(s, 0) + dc
                 if not counts[s]:
                     del counts[s]
+                changed[s] = changed.get(s, 0) + dc
             total += f
+        candidates.add_counts(changed)
+        candidates.flush()
 
 
 def train_segmenter(
@@ -586,11 +893,15 @@ class Affix:
     affix_class: str  # "color-specific" | "general-derivational" | "neither"
 
 
-def _count_in_position(words, form: str, position: str) -> int:
-    """How many of ``words`` carry ``form`` in ``position``, by plain
-    string match."""
-    match = str.endswith if position == "suffix" else str.startswith
-    return sum(map(match, words, repeat(form)))
+def _edge_counts(words, keys) -> dict[tuple[str, int], Counter]:
+    """For each ``(position, n)`` of ``keys``, how many of ``words``
+    start (``"prefix"``) or end (``"suffix"``) with each string of ``n``
+    characters.  A word shorter than ``n`` is counted under itself, which
+    no string of ``n`` characters matches."""
+    return {
+        (position, n): Counter(map(itemgetter(slice(None, n) if position == "prefix" else slice(-n, None)), words))
+        for position, n in keys
+    }
 
 
 def classify_affix(color_coverage: float, global_coverage: float,
@@ -614,8 +925,10 @@ def discover_affixes(
 
     A candidate is the first (prefix) or last (suffix) segment of a
     multi-segment decoding of at least ``min_support`` distinct color
-    words.  Coverage is then counted by brute-force positional string
-    match over word types, so it can be re-checked without the model.
+    words.  Coverage is then the number of word types that start or end
+    with the form (plain string match, so it can be re-checked without
+    the model), counted from one pass over every type's prefixes and
+    suffixes of the forms' lengths.
     """
     if not model.counts:
         raise ValueError("model is untrained")
@@ -633,16 +946,14 @@ def discover_affixes(
         support[("prefix", segs[0])] += 1
         support[("suffix", segs[-1])] += 1
 
+    found = [key for key, count in support.items() if count >= thresholds.min_support]
+    lengths = {(position, len(form)) for position, form in found}
+    color_edges = _edge_counts(color_types, lengths)
+    all_edges = _edge_counts(all_types, lengths)
     affixes = []
-    for (position, form), count in support.items():
-        if count < thresholds.min_support:
-            continue
-        cc = _count_in_position(color_types, form, position) / len(color_types)
-        gc = (
-            _count_in_position(all_types, form, position) / len(all_types)
-            if all_types
-            else 0.0
-        )
+    for position, form in found:
+        cc = color_edges[position, len(form)][form] / len(color_types)
+        gc = all_edges[position, len(form)][form] / len(all_types) if all_types else 0.0
         affixes.append(
             Affix(
                 form=form,
@@ -686,16 +997,16 @@ def affix_presence_feature(
     min_support: int = 2,
 ) -> tuple[dict[str, float], set[str]]:
     """Fraction of each color's translations that end in a suffix
-    strongly associated with the ten top-ranked colors.
+    strongly associated with the ``PRESENCE_TOP_COLORS`` top-ranked colors.
 
     Returns (scores, missing): colors without any translation pair score
-    0.0 and are flagged missing.  Raises when the bootstrap ranking has
-    fewer than ten entries.
+    0.0 and are flagged missing.  Raises ValueError when the bootstrap
+    ranking has fewer entries than that.
     """
     ranking = list(bootstrap_ranking)
-    if len(ranking) < 10:
-        raise ValueError("bootstrap ranking must contain at least 10 colors")
-    strong = strong_suffixes(translations, segmentations, ranking[:10], min_support)
+    if len(ranking) < PRESENCE_TOP_COLORS:
+        raise ValueError(f"bootstrap ranking must contain at least {PRESENCE_TOP_COLORS} colors")
+    strong = strong_suffixes(translations, segmentations, ranking[:PRESENCE_TOP_COLORS], min_support)
 
     scores: dict[str, float] = {}
     missing: set[str] = set()

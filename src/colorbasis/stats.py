@@ -166,9 +166,9 @@ def aggregate(
         for i, s in enumerate(scaled):
             sums[i] += s
     means = [s / len(columns) for s in sums]
+    # every column scales to [0, 1] with 1.0 reached (or is a flat 0.5),
+    # so the top mean is at least 0.5 / len(columns)
     top = max(means)
-    if top <= 0:
-        raise ValueError("aggregate scores are not positive; cannot rescale")
     rescaled = [m / top for m in means]
     order = sorted(range(n), key=lambda i: (-rescaled[i], i))
     return AggregateRanking(

@@ -7,7 +7,6 @@ from colorbasis.compounds import (
     CompoundAnalysis,
     Recipe,
     SplitCandidate,
-    build_recipes,
     compound_counts,
     enumerate_splits,
     extract_candidates,
@@ -139,12 +138,19 @@ def _dark_red_fixture():
     return _table(rows)
 
 
+def _recipes(candidates, table):
+    """The distinct recipes ``score_and_filter`` attaches to candidates,
+    by support descending, then by concept pair."""
+    found = {a.recipe for a in score_and_filter(candidates, table, threshold=1) if a.recipe}
+    return sorted(found, key=lambda r: (-r.support, r.left_concept, r.right_concept))
+
+
 def test_recipe_support_counts_languages():
     table = _dark_red_fixture()
     candidates = []
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
-    recipes = build_recipes(candidates, table)
+    recipes = _recipes(candidates, table)
     assert recipes[0] == Recipe(
         left_concept="dark",
         right_concept="red",
@@ -157,7 +163,7 @@ def test_recipe_single_language():
     table = _table(
         [("deu", "dunkel", "dark"), ("deu", "rot", "red"), ("deu", "dunkelrot", "crimson")]
     )
-    recipes = build_recipes(extract_candidates(table, "deu"), table)
+    recipes = _recipes(extract_candidates(table, "deu"), table)
     assert recipes[0].support == 1
 
 
@@ -173,7 +179,7 @@ def test_recipe_sick_house_motif():
     candidates = []
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
-    recipes = build_recipes(candidates, table)
+    recipes = _recipes(candidates, table)
     motif = [r for r in recipes if (r.left_concept, r.right_concept) == ("sick", "house")]
     assert motif[0].support == 3
 
@@ -183,8 +189,8 @@ def test_recipe_support_invariant_under_permutation():
     candidates = []
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
-    r1 = build_recipes(candidates, table)
-    r2 = build_recipes(list(reversed(candidates)), table)
+    r1 = _recipes(candidates, table)
+    r2 = _recipes(list(reversed(candidates)), table)
     assert r1 == r2
 
 

@@ -352,6 +352,20 @@ def test_cli_invalid_seed_stage_is_data_error(tmp_path, capsys, row, message):
     assert f"seeds.txt:{rows + 1}: {message}" in err
 
 
+def test_cli_too_few_surviving_colors_is_data_error(tmp_path, capsys):
+    # with drop_threshold 0.0 a color missing any feature is dropped, and
+    # without concreteness rows eleven colors miss one: nine survive
+    raw, config_path = _demo_config_dict(tmp_path)
+    raw["parameters"]["drop_threshold"] = 0.0
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    concreteness = tmp_path / "concreteness.tsv"
+    rows = concreteness.read_text(encoding="utf-8").splitlines(keepends=True)
+    concreteness.write_text("".join(rows[11:]), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "only 9 colors survive the missing-value filter (drop_threshold 0.0)" in err
+
+
 def test_cli_stage_refuses_changed_inputs(tmp_path, capsys):
     config_path = write_demo(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0

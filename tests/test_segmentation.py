@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -603,6 +604,79 @@ def test_edge_split_matches_reference(words):
     assert analyses == expected
     assert list(analyses) == types
     assert (moves, capped) == (expected_moves, False)
+
+
+def _char_cost(types):
+    return math.log(len(set().union(*types)) + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # stems kalo x1, miran x2, kal x2 and sut x1
+        "xykalo olakyx xymiran xymiran narimyx narimyx xykal xykal lakyx lakyx xysut tusyx",
+        # stems st x2, ioaku x1 and mkrnn x1
+        "xyst xyst tsyx tsyx xyioaku ukaoiyx xymkrnn nnrkmyx",
+    ],
+)
+def test_edge_split_breaks_exact_ties_by_position(text):
+    # each stem with the prefix xy and mirrored with the suffix yx:
+    # splitting off xy or yx has the same delta to the last bit, and the
+    # suffix wins on position rank
+    freqs = Counter(text.split())
+    types = sorted(freqs)
+    analyses = {w: (w,) for w in types}
+    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types)) == (1, False)
+    assert analyses == {w: (w[:-2], "yx") if w.endswith("yx") else (w,) for w in types}
+
+
+# each stem once with the prefix xy and once mirrored with the suffix yx,
+# both with the same power-of-two frequency
+mirrored_words = st.lists(
+    st.tuples(st.text("kalmoirnsut", min_size=1, max_size=5), st.integers(0, 3)),
+    min_size=1,
+    max_size=6,
+).map(lambda stems: [w for stem, e in stems for w in ("xy" + stem, stem[::-1] + "yx") for _ in range(2**e)])
+
+
+@given(mirrored_words)
+def test_edge_split_matches_reference_on_mirrored_words(words):
+    freqs = Counter(words)
+    types = sorted(freqs)
+    analyses = {w: (w,) for w in types}
+    expected, expected_moves = reference_edge_split(dict(analyses), freqs, _char_cost(types))
+    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types)) == (expected_moves, False)
+    assert analyses == expected
+
+
+@given(edge_affixed_words | mirrored_words)
+def test_filter_bound_holds_for_every_candidate_on_every_move(words):
+    freqs = Counter(words)
+    types = sorted(freqs)
+    char_cost = _char_cost(types)
+    analyses = {w: (w,) for w in types}
+    shortlist = segmentation._EdgeCandidates.shortlist
+    calls = []
+
+    def checked_shortlist(self, total):
+        counts = Counter()
+        for w, segs in analyses.items():
+            for s in segs:
+                counts[s] += freqs[w]
+        assert sum(counts.values()) == total
+        approx, bound = self.scores(total)
+        for c, key in enumerate(self.keys):
+            if key[1] not in self.index[key[0]]:
+                continue
+            changes = segmentation._split_changes(*key, self.hosts[c], analyses, freqs)
+            exact = segmentation._split_delta(*changes, counts, total, char_cost, segmentation._XLogX())
+            assert abs(approx[c] - exact) <= bound[c]
+        calls.append(total)
+        return shortlist(self, total)
+
+    with mock.patch.object(segmentation._EdgeCandidates, "shortlist", checked_shortlist):
+        moves, _ = segmentation._edge_split_phase(analyses, freqs, char_cost)
+    assert len(calls) == moves + 1
 
 
 @given(edge_affixed_words)
