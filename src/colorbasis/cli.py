@@ -79,25 +79,16 @@ def main(argv=None) -> int:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete; outputs in {cfg.output_dir}")
         return EXIT_OK
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StageError as e:
-        cause = e.cause
+    except Exception as e:
+        cause = e.cause if isinstance(e, StageError) else e
         if isinstance(cause, ConfigError):
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        if isinstance(cause, (DataError, OSError)):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (DataError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as e:  # pragma: no cover - last resort
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+            kind, code = "config error", EXIT_CONFIG
+        elif isinstance(cause, (DataError, OSError)):
+            kind, code = "data error", EXIT_DATA
+        else:
+            kind, code = "internal error", EXIT_INTERNAL
+        print(f"{kind}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

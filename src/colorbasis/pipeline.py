@@ -14,18 +14,23 @@ only after the stage has returned.  Hence:
   a different configuration or from inputs that have changed since;
 - a failed stage re-run leaves the earlier artifacts and the manifest
   untouched;
-- a failed full run (``run_pipeline``) removes every file it wrote,
-  ``manifest.json`` included.  The manifest is written once, at the end.
+- a full run (``run_pipeline``) writes every artifact into a staging
+  directory inside the output directory and moves them into place,
+  ``manifest.json`` last, only after every stage has succeeded, so a
+  failed full run leaves the output directory as it was.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import logging
+import os
 import statistics
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -61,6 +66,7 @@ from .segmentation import (
     train_segmenter,
 )
 from .stats import (
+    AFFIX_COLUMN,
     FEATURE_COLUMNS,
     aggregate,
     bootstrap_then_full_aggregate,
@@ -84,7 +90,7 @@ STAGE_ORDER = (
     "report",
 )
 
-NON_AFFIX_COLUMNS = tuple(c for c in FEATURE_COLUMNS if c != "affix-presence")
+NON_AFFIX_COLUMNS = tuple(c for c in FEATURE_COLUMNS if c != AFFIX_COLUMN)
 
 #: What a stage returns: its counts for the manifest, and its artifacts as
 #: ``{path relative to the output directory: text}``.
@@ -440,7 +446,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     # a placeholder that only contributes its missingness (colors without
     # translations can never receive a score) to the drop rule.
     maps = dict(maps)
-    maps["affix-presence"] = {
+    maps[AFFIX_COLUMN] = {
         c: 0.0 if has_translations.get(c) else None for c in colors
     }
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
@@ -456,12 +462,12 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
             f"needs at least {PRESENCE_TOP_COLORS}"
         )
 
-    def affix_fn(top10):
+    def affix_fn(bootstrap_ranking):
         scores, missing = affix_presence_feature(
             matrix.colors,
             translations,
             segmentations,
-            top10,
+            bootstrap_ranking,
             min_support=cfg.affix_min_support,
         )
         present = [scores[c] for c in matrix.colors if c not in missing]
@@ -678,17 +684,16 @@ def _store_manifest(out: Path, manifest: dict):
     )
 
 
-def _step(cfg: PipelineConfig, stage: str, manifest: dict, written: list[Path]) -> dict:
-    """Run one stage, write the artifacts it returns and record it in
-    ``manifest``; every path about to be written is appended to
-    ``written`` first.  Any failure is raised as a StageError."""
+def _step(cfg: PipelineConfig, stage: str, manifest: dict) -> dict:
+    """Run one stage, write the artifacts it returns into
+    ``cfg.output_dir`` and record it in ``manifest``.  Any failure is
+    raised as a StageError."""
     started = time.perf_counter()
     try:
         counts, artifacts = STAGE_FUNCS[stage](cfg)
         for rel, text in artifacts.items():
             path = cfg.output_dir / rel
             path.parent.mkdir(parents=True, exist_ok=True)
-            written.append(path)
             path.write_text(text, encoding="utf-8", newline="")
     except Exception as e:
         raise StageError(stage, e) from e
@@ -728,7 +733,7 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
         )
     manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
     manifest.setdefault("stages", {})
-    counts = _step(cfg, stage, manifest, [])
+    counts = _step(cfg, stage, manifest)
     _store_manifest(out, manifest)
     return counts
 
@@ -736,8 +741,10 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every stage in dependency order and write the manifest.
 
-    On failure, every file this run wrote, and ``manifest.json``, is
-    removed before the error propagates.
+    The stages write into a staging directory inside the output
+    directory; their artifacts, then ``manifest.json``, are moved into
+    place only once every stage has succeeded.  On failure the staging
+    directory is removed and the output directory is left as it was.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -748,14 +755,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": {},
         "dropped_colors": [],
     }
-    written: list[Path] = []
-    try:
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        staging = Path(staging)
+        staged = dataclasses.replace(cfg, output_dir=staging)
         for stage in STAGE_ORDER:
-            counts = _step(cfg, stage, manifest, written)
+            counts = _step(staged, stage, manifest)
             log.info("stage %s done: %s", stage, counts)
-        _store_manifest(out, manifest)
-    except Exception:
-        for path in [*written, out / "manifest.json"]:
-            path.unlink(missing_ok=True)
-        raise
+        for path in sorted(p for p in staging.rglob("*") if p.is_file()):
+            target = out / path.relative_to(staging)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(path, target)
+        _store_manifest(staging, manifest)
+        os.replace(staging / "manifest.json", out / "manifest.json")
     return manifest

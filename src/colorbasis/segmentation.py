@@ -70,11 +70,11 @@ PRESENCE_TOP_COLORS = 10
 class SegmentModel:
     """Per-language segment statistics with Dirichlet-smoothed lookups.
 
-    ``counts`` holds segment token counts from the converged training
-    segmentations; ``vocab_size`` is the size of the fixed event space
-    (every distinct substring of the training words up to
-    ``max_segment_len``), which keeps the smoothed estimates a proper
-    distribution.
+    ``segmentations`` holds each training word's final segmentation and
+    ``counts`` the segment token counts over them; ``vocab_size`` is the
+    size of the fixed event space (every distinct substring of the
+    training words up to ``max_segment_len``), which keeps the smoothed
+    estimates a proper distribution.
     """
 
     language: str = ""
@@ -82,7 +82,6 @@ class SegmentModel:
     counts: Counter = field(default_factory=Counter)
     total: int = 0
     vocab: frozenset[str] = frozenset()
-    max_segment_len: int = DEFAULT_MAX_SEGMENT_LEN
     segmentations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # training facts, set by train_segmenter
     edge_split_moves: int = field(default=0, init=False)
@@ -386,7 +385,8 @@ class _EdgeCandidates:
     maps the affix of every live candidate (at least two hosts) to ``c``.
     Its change map ``{segment id: count delta}`` of splitting the affix
     off every host, without zero entries, and ``added[c]``, the map's
-    total, hold the same changes as ``_split_changes`` in another order.
+    total, start as ``_split_changes`` gives them; after that they hold
+    the same changes as it would, in another order.
 
     The maps live as rows ``(candidate, segment id, delta)`` of one
     append-only table.  ``maps[c]`` is ``None`` until one of the
@@ -439,28 +439,9 @@ class _EdgeCandidates:
         segments: list[int] = []
         deltas: list[int] = []
         for (position, affix), words in zip(self.keys, self.hosts):
-            k = len(affix)
-            if position == "suffix":
-                edges = [analyses[w][-1] for w in words]
-                stems = [edge[:-k] for edge in edges]
-            else:
-                edges = [analyses[w][0] for w in words]
-                stems = [edge[k:] for edge in edges]
-            fs = [freqs[w] for w in words]
-            added = sum(fs)
-            # each host: edge -f, stem +f, affix +f
-            m_segs = [ids[s] for s in edges] + [ids[s] for s in stems] + [ids[affix]]
-            m_deltas = [-f for f in fs] + fs + [added]
-            if len(set(m_segs)) < len(m_segs):
-                # a segment is met twice (a stem that is another host's
-                # edge, or the affix): add up, and drop the zeros
-                m: dict[int, int] = {}
-                for i, dc in zip(m_segs, m_deltas):
-                    m[i] = m.get(i, 0) + dc
-                m_segs = [i for i, dc in m.items() if dc]
-                m_deltas = [dc for dc in m.values() if dc]
+            added, m_segs, m_deltas = _split_changes(position, affix, words, analyses, freqs)
             sizes.append(len(m_segs))
-            segments += m_segs
+            segments += [ids[s] for s in m_segs]
             deltas += m_deltas
             self.added.append(added)
 
@@ -822,7 +803,6 @@ def train_segmenter(
         language=language,
         alpha=alpha,
         vocab=frozenset(lattice.segments),
-        max_segment_len=max_segment_len,
     )
     model.edge_split_moves = moves
     model.edge_split_capped = capped
@@ -872,7 +852,6 @@ class AffixThresholds:
     color_coverage_min: float = 0.2
     specificity_ratio: float = 5.0
     general_global_min: float = 0.1
-    epsilon: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -907,7 +886,7 @@ def _edge_counts(words, keys) -> dict[tuple[str, int], Counter]:
 def classify_affix(color_coverage: float, global_coverage: float,
                    thresholds: AffixThresholds) -> str:
     if color_coverage >= thresholds.color_coverage_min:
-        ratio = color_coverage / max(global_coverage, thresholds.epsilon)
+        ratio = color_coverage / max(global_coverage, 1e-9)
         if ratio >= thresholds.specificity_ratio:
             return "color-specific"
         if global_coverage >= thresholds.general_global_min:
@@ -923,12 +902,14 @@ def discover_affixes(
 ) -> list[Affix]:
     """Affixes attested at the edges of color-word segmentations.
 
-    A candidate is the first (prefix) or last (suffix) segment of a
-    multi-segment decoding of at least ``min_support`` distinct color
-    words.  Coverage is then the number of word types that start or end
-    with the form (plain string match, so it can be re-checked without
-    the model), counted from one pass over every type's prefixes and
-    suffixes of the forms' lengths.
+    A candidate is the first (prefix) or last (suffix) segment of the
+    multi-segment training segmentation (``model.segmentations``) of at
+    least ``min_support`` distinct color words.  Coverage is then the
+    number of word types that start or end with the form (plain string
+    match, so it can be re-checked without the model), counted from one
+    pass over every type's prefixes and suffixes of the forms' lengths.
+    Raises ValueError for an untrained model or a color word the model
+    was not trained on.
     """
     if not model.counts:
         raise ValueError("model is untrained")
@@ -936,15 +917,19 @@ def discover_affixes(
     all_types = sorted(set(all_words))
     if not color_types:
         return []
+    unknown = [w for w in color_types if w not in model.segmentations]
+    if unknown:
+        raise ValueError(
+            f"color words not among the training words of {model.language or '<unnamed>'}: "
+            + ", ".join(map(repr, unknown))
+        )
 
     support: Counter = Counter()
-    lattice = _Lattice(color_types, model.max_segment_len)
-    _, masks = lattice.decode(model)
-    multi = np.flatnonzero(masks.any(axis=1))  # the words cut at least once
-    for k, row in zip(multi.tolist(), masks[multi].tolist()):
-        segs = lattice.split(k, row)
-        support[("prefix", segs[0])] += 1
-        support[("suffix", segs[-1])] += 1
+    for word in color_types:
+        segs = model.segmentations[word]
+        if len(segs) > 1:
+            support[("prefix", segs[0])] += 1
+            support[("suffix", segs[-1])] += 1
 
     found = [key for key, count in support.items() if count >= thresholds.min_support]
     lengths = {(position, len(form)) for position, form in found}

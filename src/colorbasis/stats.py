@@ -10,7 +10,7 @@ elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,9 @@ FEATURE_COLUMNS = (
     "inheritance",
     "word-length",
 )
+
+#: The column bootstrapped from the ranking of all the others.
+AFFIX_COLUMN = "affix-presence"
 
 #: Columns whose raw values point away from basicness; they are flipped
 #: after scaling so that larger always means more basic.
@@ -130,12 +133,7 @@ class AggregateRanking:
 
     colors: list[str]
     scores: list[float]  # aligned to .colors, non-increasing
-    features_used: tuple[str, ...]
-    negated_used: frozenset[str]
-    scores_by_color: dict[str, float] = field(default_factory=dict)
-
-    def top(self, k: int) -> list[str]:
-        return self.colors[:k]
+    scores_by_color: dict[str, float]
 
 
 def aggregate(
@@ -174,8 +172,6 @@ def aggregate(
     return AggregateRanking(
         colors=[matrix.colors[i] for i in order],
         scores=[rescaled[i] for i in order],
-        features_used=columns,
-        negated_used=negated,
         scores_by_color={matrix.colors[i]: rescaled[i] for i in range(n)},
     )
 
@@ -185,24 +181,24 @@ def bootstrap_then_full_aggregate(
     negated=DEFAULT_NEGATED,
     transforms=DEFAULT_TRANSFORMS,
     affix_fn=None,
-    affix_column: str = "affix-presence",
 ):
     """Two-pass aggregation around the affix-presence feature.
 
-    Pass one averages every column except affix-presence; its top ten
-    colors parameterize the affix feature.  When ``affix_fn`` is given it
-    is called with that top-ten list and must return a value per color,
-    which replaces the affix column.  Pass two averages all columns.
-    Returns (bootstrap_ranking, final_ranking, matrix) where the matrix
-    carries the possibly recomputed affix column.
+    Pass one averages every column except affix-presence.  When
+    ``affix_fn`` is given it is called with that bootstrap ranking's
+    colors, best first (the affix feature reads its top colors from it),
+    and must return a value per color, which replaces the affix column.
+    Pass two averages all columns.  Returns (bootstrap_ranking,
+    final_ranking, matrix) where the matrix carries the possibly
+    recomputed affix column.
     """
-    if affix_column not in matrix.columns:
-        raise ValueError(f"matrix lacks the {affix_column!r} column")
-    others = tuple(c for c in matrix.columns if c != affix_column)
+    if AFFIX_COLUMN not in matrix.columns:
+        raise ValueError(f"matrix lacks the {AFFIX_COLUMN!r} column")
+    others = tuple(c for c in matrix.columns if c != AFFIX_COLUMN)
     boot = aggregate(matrix, negated, others, transforms)
     if affix_fn is not None:
-        new_values = affix_fn(boot.top(10))
-        matrix = matrix.with_column(affix_column, [new_values[c] for c in matrix.colors])
+        new_values = affix_fn(boot.colors)
+        matrix = matrix.with_column(AFFIX_COLUMN, [new_values[c] for c in matrix.colors])
     final = aggregate(matrix, negated, tuple(matrix.columns), transforms)
     return boot, final, matrix
 

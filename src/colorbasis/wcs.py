@@ -151,37 +151,38 @@ def _shade(fraction: float) -> str:
     return f"rgb(235,{g},{g})"
 
 
-def heterogeneity_svg(
-    summaries,
-    cell_width: int = 14,
-    cell_height: int = 7,
-    gap: int = 4,
-    margin: int = 20,
-) -> str:
+#: Layout of the heterogeneity chart, in SVG user units.
+CELL_WIDTH = 14
+CELL_HEIGHT = 7
+GAP = 4
+MARGIN = 20
+
+
+def heterogeneity_svg(summaries) -> str:
     """Stacked-column chart: one column per language, one cell per term,
     column height showing the distinct-term count and cell shade showing
     speaker consensus."""
     summaries = list(summaries)
     max_terms = max((s.total_terms for s in summaries), default=0)
-    width = margin * 2 + max(0, len(summaries) * (cell_width + gap) - gap)
-    height = margin * 2 + max_terms * cell_height + 14
+    width = MARGIN * 2 + max(0, len(summaries) * (CELL_WIDTH + GAP) - GAP)
+    height = MARGIN * 2 + max_terms * CELL_HEIGHT + 14
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    base_y = margin + max_terms * cell_height
+    base_y = MARGIN + max_terms * CELL_HEIGHT
     for i, s in enumerate(summaries):
-        x = margin + i * (cell_width + gap)
+        x = MARGIN + i * (CELL_WIDTH + GAP)
         for j, (term, frac) in enumerate(s.consensus):
-            y = base_y - (j + 1) * cell_height
+            y = base_y - (j + 1) * CELL_HEIGHT
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_width}" height="{cell_height}" '
+                f'<rect x="{x}" y="{y}" width="{CELL_WIDTH}" height="{CELL_HEIGHT}" '
                 f'fill="{_shade(frac)}" stroke="#888" stroke-width="0.5">'
                 f"<title>{_escape(s.language)}: {_escape(term)} ({frac:.4f})</title></rect>"
             )
         parts.append(
-            f'<text x="{x + cell_width / 2:.1f}" y="{base_y + 11}" font-size="6" '
+            f'<text x="{x + CELL_WIDTH / 2:.1f}" y="{base_y + 11}" font-size="6" '
             f'text-anchor="middle" font-family="sans-serif">{_escape(s.language)}</text>'
         )
     parts.append("</svg>")

@@ -9,8 +9,8 @@ import yaml
 from colorbasis.cli import main
 from colorbasis.config import load_config
 from colorbasis.demo import write_demo
-from colorbasis.errors import ConfigError, DependencyError, StageError
-from colorbasis import segmentation
+from colorbasis.errors import ConfigError, DataError, DependencyError, StageError
+from colorbasis import pipeline, segmentation
 from colorbasis.pipeline import STAGE_ORDER, run_pipeline, run_stage
 
 OUTPUT_FILES = [
@@ -211,6 +211,38 @@ def test_failed_run_removes_partial_outputs(tmp_path):
     assert not (cfg.output_dir / "manifest.json").exists()
 
 
+def _snapshot(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def _fail_gamma(cfg):
+    raise RuntimeError("gamma broke")
+
+
+def test_failed_run_keeps_previous_good_run(tmp_path, monkeypatch):
+    cfg = load_config(write_demo(tmp_path))
+    run_pipeline(cfg)
+    before = _snapshot(cfg.output_dir)
+    assert len(before) == 17
+    with cfg.lexicon.open("a", encoding="utf-8") as fh:
+        fh.write("deu\tblutrot\tred\n")
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", _fail_gamma)
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "gamma"
+    assert _snapshot(cfg.output_dir) == before
+
+
+def test_no_staging_directory_left_behind(tmp_path, monkeypatch):
+    cfg = load_config(write_demo(tmp_path))
+    run_pipeline(cfg)
+    assert not list(cfg.output_dir.glob(".staging-*"))
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", _fail_gamma)
+    with pytest.raises(StageError):
+        run_pipeline(cfg)
+    assert not list(cfg.output_dir.glob(".staging-*"))
+
+
 def test_dropped_colors_reported(tmp_path):
     config_path = write_demo(tmp_path)
     dropped = ("tan", "bronze")  # seed order
@@ -296,6 +328,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("inputs: {}\noutput_dir: out\n", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code, kind",
+    [(ConfigError, 2, "config error"), (DataError, 3, "data error"),
+     (OSError, 3, "data error"), (RuntimeError, 4, "internal error")],
+)
+def test_cli_stage_failure_exit_codes(tmp_path, capsys, monkeypatch, error, code, kind):
+    config_path = write_demo(tmp_path)
+
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", fail)
+    assert main(["run", "--config", str(config_path)]) == code
+    assert capsys.readouterr().err == f"{kind}: stage 'gamma' failed: boom\n"
 
 
 def test_cli_dependency_error_exit_code(tmp_path, capsys):

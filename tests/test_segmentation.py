@@ -782,6 +782,30 @@ def test_untrained_model_rejected():
         discover_affixes(SegmentModel(), ["a"], ["a"])
 
 
+def test_affixes_come_from_training_segmentations():
+    # the counts alone decode both color words whole; only the recorded
+    # training segmentations split -tic off them
+    colors = ["iztic", "xoxoctic"]
+    model = SegmentModel(
+        language="nci",
+        counts=Counter({"iztic": 1, "xoxoctic": 1}),
+        total=2,
+        vocab=frozenset({"iztic", "xoxoctic", "iz", "xoxoc", "tic"}),
+        segmentations={"iztic": ("iz", "tic"), "xoxoctic": ("xoxoc", "tic")},
+    )
+    assert viterbi_segment(model, "iztic").segments == ("iztic",)
+    affixes = discover_affixes(model, colors, colors + ["calli", "atl"])
+    assert [(a.form, a.position) for a in affixes] == [("tic", "suffix")]
+    assert affixes[0].color_coverage == 1.0
+    assert affixes[0].global_coverage == 0.5
+
+
+def test_color_word_outside_training_words_rejected():
+    model = train_segmenter(["katic", "ketl", "setl"])
+    with pytest.raises(ValueError, match="'zotic'"):
+        discover_affixes(model, ["katic", "zotic"], ["katic", "ketl", "setl"])
+
+
 # ---------------------------------------------------------------------------
 # affix presence
 

@@ -255,6 +255,14 @@ def test_bootstrap_affix_fn_receives_top_colors():
     bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={}, affix_fn=affix_fn)
     assert seen["top"] == ["w", "b", "r", "g", "y", "u"]
 
+    # more colors than the affix feature's top ten: all of them arrive,
+    # in bootstrap order
+    colors = [f"c{i}" for i in range(12)]
+    f1 = [5, 11, 0, 7, 2, 9, 1, 10, 4, 8, 3, 6]
+    m = _matrix(colors, ["f1", "affix-presence"], [[v, 0.0] for v in f1])
+    bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={}, affix_fn=affix_fn)
+    assert seen["top"] == sorted(colors, key=lambda c: -f1[colors.index(c)])
+
 
 # ---------------------------------------------------------------------------
 # sequence target
