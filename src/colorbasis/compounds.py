@@ -132,10 +132,10 @@ def _concept_pairs(cand: SplitCandidate, table: TranslationTable) -> list[tuple[
     return [(l, r) for l in lefts for r in rights]
 
 
-def _support_map(candidates, table) -> dict[tuple[str, str], set[str]]:
+def _support_map(candidates, pairs) -> dict[tuple[str, str], set[str]]:
     langs: dict[tuple[str, str], set[str]] = {}
-    for cand in candidates:
-        for pair in _concept_pairs(cand, table):
+    for cand, cand_pairs in zip(candidates, pairs):
+        for pair in cand_pairs:
             langs.setdefault(pair, set()).add(cand.language)
     return langs
 
@@ -156,19 +156,19 @@ def score_and_filter(
     if threshold < 1:
         raise ConfigError("compound support threshold must be at least 1")
     candidates = list(candidates)
-    support1 = _support_map(candidates, table)
+    pairs = [_concept_pairs(c, table) for c in candidates]
+    support1 = _support_map(candidates, pairs)
 
     # max support wins; ties prefer the lexicographically smallest pair
-    def best_pair(cand, supports):
-        pairs = _concept_pairs(cand, table)
+    def best_pair(cand_pairs, supports):
         best = None
-        for p in pairs:
+        for p in cand_pairs:
             s = len(supports.get(p, ()))
             if best is None or s > best[0] or (s == best[0] and p < best[1]):
                 best = (s, p)
         return best if best else (0, None)
 
-    scored1 = [best_pair(c, support1) for c in candidates]
+    scored1 = [best_pair(p, support1) for p in pairs]
 
     # keep only the best-scoring split of each (language, word)
     kept = [False] * len(candidates)
@@ -182,13 +182,13 @@ def score_and_filter(
 
     accepted1 = [kept[i] and scored1[i][0] >= threshold for i in range(len(candidates))]
     support2 = _support_map(
-        [c for c, a in zip(candidates, accepted1) if a], table
+        [c for c, a in zip(candidates, accepted1) if a], [p for p, a in zip(pairs, accepted1) if a]
     )
 
     analyses = []
     for idx, cand in enumerate(candidates):
         if accepted1[idx]:
-            score, pair = best_pair(cand, support2)
+            score, pair = best_pair(pairs[idx], support2)
             accepted = score >= threshold
             supports = support2
         else:

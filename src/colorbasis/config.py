@@ -18,9 +18,14 @@ import yaml
 
 from .errors import ConfigError
 from .segmentation import AffixThresholds
-from .stats import DEFAULT_NEGATED, DEFAULT_TRANSFORMS, FEATURE_COLUMNS
+from .stats import DEFAULT_NEGATED, DEFAULT_TRANSFORMS, FEATURE_COLUMNS, TRANSFORMS
 
 INPUT_KEYS = ("lexicon", "seeds", "concreteness", "ngram", "treebank", "etymology", "wcs")
+PARAMETER_KEYS = (
+    "alpha", "max_iters", "max_segment_len", "affix_min_support",
+    "affix_color_coverage_min", "affix_specificity_ratio", "affix_general_global_min",
+    "compound_threshold", "negated", "transforms", "drop_threshold", "sequence_scope", "jobs",
+)
 
 
 @dataclass
@@ -84,6 +89,12 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _reject_unknown(mapping: dict, known, context: str):
+    unknown = sorted(set(mapping) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{context}{unknown[0]}: unknown config field")
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping or mapping[key] in (None, ""):
         raise ConfigError(f"missing required config field: {context}{key}")
@@ -93,8 +104,9 @@ def _require(mapping: dict, key: str, context: str):
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse and validate a YAML config file.
 
-    ``overrides`` (e.g. from CLI flags) replace top-level scalar fields
-    such as ``output_dir`` and ``jobs``.
+    ``overrides`` (e.g. from CLI flags) replace ``output_dir`` and
+    ``jobs``.  Unknown keys, in the file or among the overrides, are
+    config errors.
     """
     path = Path(path)
     try:
@@ -110,9 +122,12 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None = None) -> PipelineConfig:
     overrides = dict(overrides or {})
+    _reject_unknown(overrides, ("output_dir", "jobs"), "overrides.")
+    _reject_unknown(raw, ("inputs", "output_dir", "parameters", "rfe"), "")
     inputs = raw.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigError("missing required config field: inputs")
+    _reject_unknown(inputs, INPUT_KEYS, "inputs.")
 
     def resolve(p) -> Path:
         p = Path(str(p))
@@ -136,6 +151,7 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     params = raw.get("parameters", {}) or {}
     if not isinstance(params, dict):
         raise ConfigError("parameters: must be a mapping")
+    _reject_unknown(params, PARAMETER_KEYS, "parameters.")
 
     def num(key, default, lo=None, hi=None, kind=float):
         v = params.get(key, default)
@@ -166,10 +182,19 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     bad = set(transforms) - set(FEATURE_COLUMNS)
     if bad:
         raise ConfigError(f"parameters.transforms: unknown features {sorted(bad)}")
+    for col, name in transforms.items():
+        if not isinstance(name, str) or name not in TRANSFORMS:
+            raise ConfigError(
+                f"parameters.transforms.{col}: unknown transform {name!r} (known: {', '.join(TRANSFORMS)})"
+            )
 
     rfe = raw.get("rfe", {}) or {}
     if not isinstance(rfe, dict):
         raise ConfigError("rfe: must be a mapping")
+    _reject_unknown(rfe, ("enabled", "targets"), "rfe.")
+    enabled = rfe.get("enabled", True)
+    if not isinstance(enabled, bool):
+        raise ConfigError("rfe.enabled: expected true or false")
     targets = tuple(rfe.get("targets", ("basic", "sequence")))
     bad = set(targets) - {"basic", "sequence"}
     if bad:
@@ -203,7 +228,7 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
         negated=frozenset(negated),
         transforms=dict(transforms),
         drop_threshold=num("drop_threshold", 0.5, lo=0.0, hi=1.0),
-        rfe_enabled=bool(rfe.get("enabled", True)),
+        rfe_enabled=enabled,
         rfe_targets=targets,
         sequence_scope=scope,
         jobs=jobs,

@@ -81,17 +81,13 @@ class SegmentModel:
     alpha: float = DEFAULT_ALPHA
     counts: Counter = field(default_factory=Counter)
     total: int = 0
-    vocab: frozenset[str] = frozenset()
+    vocab_size: int = 0
     segmentations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # training facts, set by train_segmenter
     edge_split_moves: int = field(default=0, init=False)
     edge_split_capped: bool = field(default=False, init=False)
     em_passes: int = field(default=0, init=False)
     converged: bool = field(default=True, init=False)
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
 
 
 def segment_probability(model: SegmentModel, segment: str) -> float:
@@ -383,21 +379,19 @@ class _EdgeCandidates:
     Candidate ``c`` is the key ``keys[c]`` (``(position, affix)``) with
     host words ``hosts[c]`` in ``analyses`` order; ``index[position]``
     maps the affix of every live candidate (at least two hosts) to ``c``.
-    Its change map ``{segment id: count delta}`` of splitting the affix
-    off every host, without zero entries, and ``added[c]``, the map's
-    total, start as ``_split_changes`` gives them; after that they hold
-    the same changes as it would, in another order.
+    Its change map ``maps[c]``, ``{segment id: count delta}`` of splitting
+    the affix off every host without zero entries, and ``added[c]``, the
+    map's total, start as ``_split_changes`` gives them; after that they
+    hold the same changes as it would, in another order.  A dead
+    candidate's map is empty and its total 0.
 
-    The maps live as rows ``(candidate, segment id, delta)`` of one
-    append-only table.  ``maps[c]`` is ``None`` until one of the
-    candidate's hosts changes its edge; the map is then loaded from the
-    rows and kept as a dict (``{}`` once the candidate dies).  ``flush``
-    writes the maps changed since the last flush: their old rows are
-    tombstoned (moved to the unused candidate bin ``dead``, with delta 0)
-    and new ones appended, and the table is compacted once fewer than half
-    of its rows are live.  Segment counts are kept by id in an ``int64``
-    vector, so ``shortlist`` scores every candidate with a few numpy
-    passes over the table and no Python loop over candidates.
+    ``flush`` copies the maps into three parallel ``int64`` row arrays
+    ``cand``, ``seg`` and ``delta``, one row ``(candidate, segment id,
+    delta)`` per map entry: it keeps the rows of the candidates unchanged
+    since the last flush and appends those of the changed ones.  Segment
+    counts are kept by id in an ``int64`` vector, so ``shortlist`` scores
+    every candidate with a few numpy passes over the rows and no Python
+    loop over candidates.
     """
 
     def __init__(self, analyses, freqs, char_cost):
@@ -434,31 +428,17 @@ class _EdgeCandidates:
                     self.hosts.append(words)
             del found
 
-        self.added: list[int] = []
-        sizes: list[int] = []
-        segments: list[int] = []
-        deltas: list[int] = []
-        for (position, affix), words in zip(self.keys, self.hosts):
-            added, m_segs, m_deltas = _split_changes(position, affix, words, analyses, freqs)
-            sizes.append(len(m_segs))
-            segments += [ids[s] for s in m_segs]
-            deltas += m_deltas
-            self.added.append(added)
-
         num = len(self.keys)
-        self.maps: list[dict[int, int] | None] = [None] * num
-        self.dead = num
+        self.added = np.zeros(num, dtype=np.int64)
+        self.maps: list[dict[int, int]] = []
+        for c, ((position, affix), words) in enumerate(zip(self.keys, self.hosts)):
+            self.added[c], segments, deltas = _split_changes(position, affix, words, analyses, freqs)
+            self.maps.append(dict(zip([ids[s] for s in segments], deltas)))
         self.penalty = np.zeros(num)  # inf once dead
         self.factor = np.zeros(num)  # 8 u (n_c + 4) of the error bound
-        self.added_now = np.zeros(num, dtype=np.int64)
-        self.start = np.zeros(num, dtype=np.int64)
-        self.size = np.zeros(num, dtype=np.int64)
-        self.cand = np.zeros(0, dtype=np.int64)
-        self.seg = np.zeros(0, dtype=np.int64)
-        self.delta = np.zeros(0, dtype=np.int64)
-        self.rows = self.live_rows = 0
-        self.dirty: set[int] = set()
-        self._append(np.arange(num), np.array(sizes, dtype=np.int64), segments, deltas)
+        self.cand = self.seg = self.delta = np.zeros(0, dtype=np.int64)
+        self.dirty = set(range(num))
+        self.flush()
 
     def rewrite(self, w, position, old_edge, new_edge):
         """Update the maps of every live key of ``old_edge`` after host
@@ -503,9 +483,6 @@ class _EdgeCandidates:
                     continue
                 changes = ((old_id, f), (ids[old_edge[:-k] if suffix else old_edge[k:]], -f), (ids[affix], -f))
             m = maps[c]
-            if m is None:
-                start, stop = int(self.start[c]), int(self.start[c] + self.size[c])
-                m = maps[c] = dict(zip(self.seg[start:stop].tolist(), self.delta[start:stop].tolist()))
             for i, dc in changes:
                 v = m.get(i, 0) + dc
                 if v:
@@ -541,57 +518,26 @@ class _EdgeCandidates:
         self.synced = n
 
     def flush(self):
-        """Write the maps of the candidates changed since the last flush
-        into the table."""
+        """Rebuild the rows: those of the candidates unchanged since the
+        last flush, then the current maps of the changed ones."""
         if not self.dirty:
             return
         cands = np.fromiter(self.dirty, dtype=np.int64, count=len(self.dirty))
         self.dirty.clear()
-        sizes = self.size[cands]
-        stale = int(sizes.sum())
-        if stale:
-            rows = np.repeat(self.start[cands] - np.cumsum(sizes) + sizes, sizes) + np.arange(stale)
-            self.cand[rows] = self.dead
-            self.delta[rows] = 0
-            self.size[cands] = 0
-            self.live_rows -= stale
-        if 2 * self.live_rows < self.rows:
-            keep = self.cand[: self.rows] != self.dead
-            held = np.flatnonzero(self.size)
-            self.start[held] = (np.cumsum(keep) - 1)[self.start[held]]
-            for table in (self.cand, self.seg, self.delta):
-                table[: self.live_rows] = table[: self.rows][keep]
-            self.rows = self.live_rows
-
+        unchanged = np.ones(len(self.keys), dtype=bool)
+        unchanged[cands] = False
+        keep = unchanged[self.cand]
         maps = [self.maps[c] for c in cands.tolist()]
         sizes = np.array([len(m) for m in maps], dtype=np.int64)
         n = int(sizes.sum())
-        self._append(
-            cands,
-            sizes,
-            np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=n),
-            np.fromiter(chain.from_iterable([m.values() for m in maps]), dtype=np.int64, count=n),
+        self.cand = np.concatenate([self.cand[keep], np.repeat(cands, sizes)])
+        self.seg = np.concatenate(
+            [self.seg[keep], np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=n)]
         )
-
-    def _append(self, cands, sizes, segments, deltas):
-        """Append the rows of candidates ``cands``: ``sizes[i]`` rows for
-        ``cands[i]``, with ``segments`` and ``deltas`` in that order."""
-        end = self.rows + int(sizes.sum())
-        if end > len(self.cand):
-            size = max(end, 2 * len(self.cand))
-            for name in ("cand", "seg", "delta"):
-                grown = np.empty(size, dtype=np.int64)
-                grown[: self.rows] = getattr(self, name)[: self.rows]
-                setattr(self, name, grown)
-        self.cand[self.rows : end] = np.repeat(cands, sizes)
-        self.seg[self.rows : end] = segments
-        self.delta[self.rows : end] = deltas
-        self.start[cands] = self.rows + np.cumsum(sizes) - sizes
-        self.size[cands] = sizes
+        self.delta = np.concatenate(
+            [self.delta[keep], np.fromiter(chain.from_iterable([m.values() for m in maps]), dtype=np.int64, count=n)]
+        )
         self.factor[cands] = 8.0 * _UNIT_ROUNDOFF * (sizes + 4)
-        self.added_now[cands] = [self.added[c] for c in cands.tolist()]
-        self.live_rows += end - self.rows
-        self.rows = end
 
     def scores(self, total: int) -> tuple[np.ndarray, np.ndarray]:
         """Every candidate's approximate delta given the segment ``total``,
@@ -613,25 +559,24 @@ class _EdgeCandidates:
         room to spare.
         """
         self._sync()
-        rows = slice(0, self.rows)
-        cand, seg = self.cand[rows], self.seg[rows]
+        cand, seg = self.cand, self.seg
         xlogx = self.xlogx
         old = self.counts[seg]
-        new = old + self.delta[rows]
+        new = old + self.delta
         cost = self.cost[seg]
         # +cost where a segment enters the lexicon, -cost where one leaves it
         lexicon = cost * ((old == 0).view(np.int8) - (new == 0).view(np.int8))
         x_old, x_new = xlogx[old], xlogx[new]
         # in place, to keep the temporaries few: the table can be long
-        bins = self.dead + 1
+        num = len(self.keys)
         cost += x_old
         cost += x_new
-        scale = np.bincount(cand, cost, bins)[:-1]
+        scale = np.bincount(cand, cost, num)
         x_new -= x_old
         x_new -= lexicon
-        terms = np.bincount(cand, x_new, bins)[:-1]
+        terms = np.bincount(cand, x_new, num)
         x_total = xlogx[total]
-        x_after = xlogx[total + self.added_now]
+        x_after = xlogx[total + self.added]
         return x_after - x_total - terms, self.factor * (scale + x_after + x_total)
 
     def shortlist(self, total: int) -> list[int]:
@@ -802,7 +747,7 @@ def train_segmenter(
     model = SegmentModel(
         language=language,
         alpha=alpha,
-        vocab=frozenset(lattice.segments),
+        vocab_size=len(lattice.segments),
     )
     model.edge_split_moves = moves
     model.edge_split_capped = capped

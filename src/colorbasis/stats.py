@@ -49,8 +49,9 @@ DEFAULT_NEGATED = frozenset(
     }
 )
 
-#: Monotone per-column transforms applied before scaling.  Rank-based
-#: statistics are unaffected; only the aggregate mean is.
+#: The monotone transforms a column can take before scaling, by name.
+#: Rank-based statistics are unaffected; only the aggregate mean is.
+TRANSFORMS = {"log1p": math.log1p}
 DEFAULT_TRANSFORMS = {"ngram-frequency": "log1p"}
 
 #: The one tied stage secondary terms share, after every basic stage.
@@ -122,9 +123,7 @@ def normalize_feature(values, direction: str = "positive") -> list[float]:
 def _transform(values, name: str | None):
     if name is None:
         return list(values)
-    if name == "log1p":
-        return [math.log1p(v) for v in values]
-    raise ValueError(f"unknown transform {name!r}")
+    return list(map(TRANSFORMS[name], values))
 
 
 @dataclass

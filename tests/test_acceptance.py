@@ -27,7 +27,7 @@ from colorbasis.segmentation import (
 from colorbasis.stats import aggregate, gamma, rfe
 from colorbasis.wcs import inventory_stats, load_wcs, term_consensus
 
-from test_segmentation import NAHUATL_COLORS, NAHUATL_OTHERS, exhaustive_best
+from test_segmentation import NAHUATL_COLORS, NAHUATL_OTHERS, _substring_vocab, exhaustive_best
 from test_stats import gamma_oracle
 
 
@@ -119,13 +119,14 @@ def test_criterion_04_map_smoothing(criterion):
         alpha=0.01,
         counts=Counter({"a": 3, "b": 1}),
         total=4,
-        vocab=frozenset({"a", "b"}),
+        vocab_size=2,
     )
     assert segment_probability(model, "a") == pytest.approx(3.01 / 4.02, rel=1e-12)
     assert segment_probability(model, "a") == pytest.approx(0.748756218905473, rel=1e-12)
 
-    trained = train_segmenter(NAHUATL_COLORS + NAHUATL_OTHERS)
-    total = sum(segment_probability(trained, s) for s in trained.vocab)
+    words = NAHUATL_COLORS + NAHUATL_OTHERS
+    trained = train_segmenter(words)
+    total = sum(segment_probability(trained, s) for s in _substring_vocab(words, 8))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 

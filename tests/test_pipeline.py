@@ -89,6 +89,27 @@ def test_config_missing_input_file(tmp_path):
         load_config(config_path)
 
 
+@pytest.mark.parametrize(
+    "section, key, value, overrides, field",
+    [
+        (None, None, None, {"max_iters": 1}, "overrides.max_iters"),
+        (None, "outptu_dir", "out", {}, "outptu_dir"),
+        ("inputs", "lexicon2", "lexicon.tsv", {}, "inputs.lexicon2"),
+        ("parameters", "max_iter", 3, {}, "parameters.max_iter"),
+        ("rfe", "enable", False, {}, "rfe.enable"),
+        ("parameters", "transforms", {"ngram-frequency": "sqrt"}, {}, "parameters.transforms.ngram-frequency"),
+        ("rfe", "enabled", "no", {}, "rfe.enabled"),
+    ],
+)
+def test_config_rejects_what_the_loader_does_not_know(tmp_path, section, key, value, overrides, field):
+    raw, config_path = _demo_config_dict(tmp_path)
+    if key is not None:
+        (raw if section is None else raw[section])[key] = value
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_config(config_path, overrides)
+
+
 def test_config_hash_tracks_semantics_only(tmp_path):
     raw, config_path = _demo_config_dict(tmp_path)
     cfg1 = load_config(config_path)

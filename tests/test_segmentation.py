@@ -72,7 +72,7 @@ def exhaustive_best(prob, word):
 def _model(counts, vocab, alpha=0.01):
     c = Counter(counts)
     return SegmentModel(
-        alpha=alpha, counts=c, total=sum(c.values()), vocab=frozenset(vocab)
+        alpha=alpha, counts=c, total=sum(c.values()), vocab_size=len(vocab)
     )
 
 
@@ -101,8 +101,9 @@ def test_map_empty_segment_rejected():
 
 
 def test_map_event_space_sums_to_one():
-    model = train_segmenter(["redish", "bluish", "greenish"])
-    total = sum(segment_probability(model, s) for s in model.vocab)
+    words = ["redish", "bluish", "greenish"]
+    model = train_segmenter(words)
+    total = sum(segment_probability(model, s) for s in _substring_vocab(words, 8))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -309,7 +310,7 @@ def test_train_matches_reference_with_words_past_64_characters():
     words = _golden_words(60, seed=7) + long_words
     model = train_segmenter(words)
     assert model.segmentations == reference_train(words)
-    assert model.vocab == _substring_vocab(sorted(set(words)), 8)
+    assert model.vocab_size == len(_substring_vocab(sorted(set(words)), 8))
     segs = model.segmentations["re" + "mirantal" * 16]
     assert len("".join(segs[:-1])) > 64  # the last cut lies past position 64
 
@@ -364,9 +365,10 @@ def test_train_order_independent():
 
 
 def test_train_long_words_stay_in_event_space():
-    model = train_segmenter(["abcdefghijkl", "zzzzzzzzzzzz"], max_segment_len=8)
+    words = ["abcdefghijkl", "zzzzzzzzzzzz"]
+    model = train_segmenter(words, max_segment_len=8)
     assert all(len(s) <= 8 for s in model.counts)
-    assert set(model.counts) <= set(model.vocab)
+    assert set(model.counts) <= _substring_vocab(words, 8)
 
 
 def test_train_reports_em_cap(caplog):
@@ -518,7 +520,7 @@ def reference_train(words, alpha=0.01, max_iters=20, max_segment_len=8):
         w: tuple(p for s in segs for p in (s[i:i + max_segment_len] for i in range(0, len(s), max_segment_len)))
         for w, segs in analyses.items()
     }
-    model = SegmentModel(alpha=alpha, vocab=_substring_vocab(types, max_segment_len))
+    model = SegmentModel(alpha=alpha, vocab_size=len(_substring_vocab(types, max_segment_len)))
 
     def recount(analyses):
         model.counts = Counter()
@@ -679,6 +681,37 @@ def test_filter_bound_holds_for_every_candidate_on_every_move(words):
     assert len(calls) == moves + 1
 
 
+@given(edge_affixed_words | mirrored_words)
+def test_flushed_rows_hold_the_current_maps(words):
+    freqs = Counter(words)
+    types = sorted(freqs)
+    analyses = {w: (w,) for w in types}
+    flush = segmentation._EdgeCandidates.flush
+    calls = []
+
+    def checked_flush(self):
+        flush(self)
+        rows = {}
+        for c, s, d in zip(self.cand.tolist(), self.seg.tolist(), self.delta.tolist()):
+            assert (c, s) not in rows
+            rows[c, s] = d
+        for c, key in enumerate(self.keys):
+            live = key[1] in self.index[key[0]]
+            got = {s: d for (cc, s), d in rows.items() if cc == c}
+            assert got == self.maps[c]
+            if not live:
+                assert not got and self.added[c] == 0
+                continue
+            added, segments, deltas = segmentation._split_changes(*key, self.hosts[c], analyses, freqs)
+            assert self.maps[c] == {self.ids.get(s): d for s, d in zip(segments, deltas)}
+            assert self.added[c] == added
+        calls.append(len(rows))
+
+    with mock.patch.object(segmentation._EdgeCandidates, "flush", checked_flush):
+        moves, _ = segmentation._edge_split_phase(analyses, freqs, _char_cost(types))
+    assert len(calls) == moves + 1
+
+
 @given(edge_affixed_words)
 def test_train_matches_reference(words):
     assert train_segmenter(words).segmentations == reference_train(words)
@@ -790,7 +823,7 @@ def test_affixes_come_from_training_segmentations():
         language="nci",
         counts=Counter({"iztic": 1, "xoxoctic": 1}),
         total=2,
-        vocab=frozenset({"iztic", "xoxoctic", "iz", "xoxoc", "tic"}),
+        vocab_size=5,
         segmentations={"iztic": ("iz", "tic"), "xoxoctic": ("xoxoc", "tic")},
     )
     assert viterbi_segment(model, "iztic").segments == ("iztic",)
