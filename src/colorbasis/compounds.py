@@ -25,7 +25,7 @@ DER_AFFIX_CONCEPT = "<der.affix>"
 DEFAULT_SUPPORT_THRESHOLD = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitCandidate:
     """One three-way split: left + glue + right reassembles the word."""
 
@@ -42,7 +42,7 @@ class SplitCandidate:
             raise ValueError("left and right components must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Recipe:
     """A cross-lingual compounding pattern over component concepts."""
 
@@ -58,7 +58,7 @@ class Recipe:
             raise ValueError("support must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompoundAnalysis:
     """A scored candidate with its attributed recipe."""
 
@@ -117,27 +117,58 @@ def extract_candidates(
             for j in range(i, n):
                 right = word[j:]
                 if right in words or right in affixes:
-                    out.append(
-                        SplitCandidate(word=word, left=left, glue=word[i:j], right=right, language=lang)
-                    )
+                    out.append(SplitCandidate(word, left, word[i:j], right, lang))
     return out
 
 
-def _concept_pairs(cand: SplitCandidate, table: TranslationTable) -> list[tuple[str, str]]:
-    lefts = sorted(back_translate(table, cand.left, cand.language))
-    if table.has_word(cand.language, cand.right):
-        rights = sorted(back_translate(table, cand.right, cand.language))
-    else:
-        rights = [DER_AFFIX_CONCEPT]
-    return [(l, r) for l in lefts for r in rights]
+def _concept_pairs(table: TranslationTable, keys) -> dict[tuple[str, str, str], list[tuple[str, str]]]:
+    """Concept pairs per (language, left, right) key; each word's glosses
+    are looked up once."""
+    glosses: dict[tuple[str, str], list[str]] = {}
+
+    def concepts(language, word):
+        if (language, word) not in glosses:
+            glosses[language, word] = sorted(back_translate(table, word, language))
+        return glosses[language, word]
+
+    pairs = {}
+    for language, left, right in keys:
+        lefts = concepts(language, left)
+        rights = concepts(language, right) if table.has_word(language, right) else [DER_AFFIX_CONCEPT]
+        pairs[language, left, right] = [(l, r) for l in lefts for r in rights]
+    return pairs
 
 
-def _support_map(candidates, pairs) -> dict[tuple[str, str], set[str]]:
-    langs: dict[tuple[str, str], set[str]] = {}
-    for cand, cand_pairs in zip(candidates, pairs):
-        for pair in cand_pairs:
-            langs.setdefault(pair, set()).add(cand.language)
-    return langs
+def _score(pairs) -> dict[tuple[str, str, str], tuple[int, Recipe | None]]:
+    """Per (language, left, right) key of ``pairs``, the support of its
+    best concept pair and that pair's recipe, with support counted as the
+    languages of the keys in ``pairs``.  Max support wins and ties prefer
+    the lexicographically smallest pair; one Recipe is built per pair."""
+    supports: dict[tuple[str, str], set[str]] = {}
+    for (language, _, _), key_pairs in pairs.items():
+        for pair in key_pairs:
+            supports.setdefault(pair, set()).add(language)
+    recipes: dict[tuple[str, str], Recipe] = {}
+    scored = {}
+    for key, key_pairs in pairs.items():
+        best, best_pair = 0, None
+        for p in key_pairs:
+            s = len(supports[p])
+            if best_pair is None or s > best or (s == best and p < best_pair):
+                best, best_pair = s, p
+        recipe = None
+        if best_pair is not None:
+            if best_pair not in recipes:
+                langs = supports[best_pair]
+                recipes[best_pair] = Recipe(
+                    left_concept=best_pair[0],
+                    right_concept=best_pair[1],
+                    support=len(langs),
+                    example_languages=frozenset(langs),
+                )
+            recipe = recipes[best_pair]
+        scored[key] = (best, recipe)
+    return scored
 
 
 def score_and_filter(
@@ -152,62 +183,36 @@ def score_and_filter(
     the keepers that reach the threshold.  Recipes are then rebuilt from
     accepted candidates only and the survivors re-checked once, so a
     recipe whose support collapses drags its candidates down with it.
+
+    A candidate's concept pairs, and so its score and recipe in either
+    pass, depend only on its (language, left, right) key, so each
+    distinct key is looked up and scored once per pass.
     """
     if threshold < 1:
         raise ConfigError("compound support threshold must be at least 1")
     candidates = list(candidates)
-    pairs = [_concept_pairs(c, table) for c in candidates]
-    support1 = _support_map(candidates, pairs)
+    keys = [(c.language, c.left, c.right) for c in candidates]
+    pairs = _concept_pairs(table, dict.fromkeys(keys))
+    scored1 = _score(pairs)
 
-    # max support wins; ties prefer the lexicographically smallest pair
-    def best_pair(cand_pairs, supports):
-        best = None
-        for p in cand_pairs:
-            s = len(supports.get(p, ()))
-            if best is None or s > best[0] or (s == best[0] and p < best[1]):
-                best = (s, p)
-        return best if best else (0, None)
-
-    scored1 = [best_pair(p, support1) for p in pairs]
-
-    # keep only the best-scoring split of each (language, word)
-    kept = [False] * len(candidates)
+    # keep only the best-scoring split of each (language, word); the
+    # earliest candidate wins a tie
     by_word: dict[tuple[str, str], int] = {}
     for idx, cand in enumerate(candidates):
-        key = (cand.language, cand.word)
-        if key not in by_word or scored1[idx][0] > scored1[by_word[key]][0]:
-            by_word[key] = idx
+        word = (cand.language, cand.word)
+        if word not in by_word or scored1[keys[idx]][0] > scored1[keys[by_word[word]]][0]:
+            by_word[word] = idx
+    accepted1 = [False] * len(candidates)
     for idx in by_word.values():
-        kept[idx] = True
-
-    accepted1 = [kept[i] and scored1[i][0] >= threshold for i in range(len(candidates))]
-    support2 = _support_map(
-        [c for c, a in zip(candidates, accepted1) if a], [p for p, a in zip(pairs, accepted1) if a]
-    )
+        accepted1[idx] = scored1[keys[idx]][0] >= threshold
+    scored2 = _score({keys[i]: pairs[keys[i]] for i, a in enumerate(accepted1) if a})
 
     analyses = []
-    for idx, cand in enumerate(candidates):
-        if accepted1[idx]:
-            score, pair = best_pair(pairs[idx], support2)
-            accepted = score >= threshold
-            supports = support2
-        else:
-            score, pair = scored1[idx]
-            accepted = False
-            supports = support1
-        recipe = None
-        if pair is not None and supports.get(pair):
-            recipe = Recipe(
-                left_concept=pair[0],
-                right_concept=pair[1],
-                support=len(supports[pair]),
-                example_languages=frozenset(supports[pair]),
-            )
-        analyses.append(
-            CompoundAnalysis(candidate=cand, recipe=recipe, score=score, accepted=accepted)
-        )
-    analyses.sort(key=lambda a: (a.candidate.language, a.candidate.word, len(a.candidate.left), len(a.candidate.left) + len(a.candidate.glue)))
-    return analyses
+    for cand, key, second in zip(candidates, keys, accepted1):
+        score, recipe = (scored2 if second else scored1)[key]
+        analyses.append(CompoundAnalysis(cand, recipe, score, second and score >= threshold))
+    position = [(c.language, c.word, len(c.left), len(c.left) + len(c.glue)) for c in candidates]
+    return [analyses[i] for i in sorted(range(len(analyses)), key=position.__getitem__)]
 
 
 def compound_counts(

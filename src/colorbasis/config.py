@@ -152,13 +152,19 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     if not isinstance(params, dict):
         raise ConfigError("parameters: must be a mapping")
     _reject_unknown(params, PARAMETER_KEYS, "parameters.")
+    if overrides.get("jobs") is not None:
+        params = {**params, "jobs": overrides.pop("jobs")}
 
     def num(key, default, lo=None, hi=None, kind=float):
         v = params.get(key, default)
+        expected = "an integer" if kind is int else "a number"
+        # bool is an int subclass, and int() would truncate 2.7 to 2
+        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+            raise ConfigError(f"parameters.{key}: expected {expected}")
         try:
             v = kind(v)
         except (TypeError, ValueError):
-            raise ConfigError(f"parameters.{key}: expected a number")
+            raise ConfigError(f"parameters.{key}: expected {expected}")
         if lo is not None and v < lo:
             raise ConfigError(f"parameters.{key}: must be >= {lo}")
         if hi is not None and v > hi:
@@ -195,7 +201,10 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     enabled = rfe.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ConfigError("rfe.enabled: expected true or false")
-    targets = tuple(rfe.get("targets", ("basic", "sequence")))
+    targets = rfe.get("targets", ["basic", "sequence"])
+    if not isinstance(targets, list):
+        raise ConfigError("rfe.targets: expected a list")
+    targets = tuple(targets)
     bad = set(targets) - {"basic", "sequence"}
     if bad:
         raise ConfigError(f"rfe.targets: unknown targets {sorted(bad)}")
@@ -203,16 +212,6 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
     scope = params.get("sequence_scope", "all")
     if scope not in ("all", "basic-only"):
         raise ConfigError("parameters.sequence_scope: must be 'all' or 'basic-only'")
-
-    jobs = overrides.pop("jobs", None)
-    if jobs is None:
-        jobs = params.get("jobs", 1)
-    try:
-        jobs = int(jobs)
-    except (TypeError, ValueError):
-        raise ConfigError("parameters.jobs: expected an integer")
-    if jobs < 1:
-        raise ConfigError("parameters.jobs: must be >= 1")
 
     cfg = PipelineConfig(
         **paths,
@@ -231,7 +230,7 @@ def build_config(raw: dict, base_dir: Path | None = None, overrides: dict | None
         rfe_enabled=enabled,
         rfe_targets=targets,
         sequence_scope=scope,
-        jobs=jobs,
+        jobs=num("jobs", 1, lo=1, kind=int),
     )
 
     for key, p in cfg.input_paths().items():

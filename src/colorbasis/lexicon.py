@@ -12,7 +12,9 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, EmptyLexiconError
 from .segmentation import RESERVED_SENTINELS
@@ -42,18 +44,24 @@ class TranslationTable:
 
     entries: frozenset[tuple[str, str, str]]
     load_report: LoadReport | None = None
-    _forward: dict[tuple[str, str], set[str]] = field(init=False, repr=False)
     _backward: dict[tuple[str, str], set[str]] = field(init=False, repr=False)
     _by_language: dict[str, set[str]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._forward = {}
         self._backward = {}
         self._by_language = {}
         for lang, word, gloss in self.entries:
-            self._forward.setdefault((lang, gloss), set()).add(word)
             self._backward.setdefault((lang, word), set()).add(gloss)
             self._by_language.setdefault(lang, set()).add(word)
+
+    @cached_property
+    def _forward(self) -> dict[tuple[str, str], set[str]]:
+        """(language, gloss) -> foreign words, built on first use: only
+        ``translate`` reads it, and only the ingest stage translates."""
+        forward: dict[tuple[str, str], set[str]] = {}
+        for lang, word, gloss in self.entries:
+            forward.setdefault((lang, gloss), set()).add(word)
+        return forward
 
     @classmethod
     def from_rows(cls, rows) -> "TranslationTable":
@@ -189,8 +197,7 @@ def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
     return concepts
 
 
-@dataclass(frozen=True)
-class RoundTripRecord:
+class RoundTripRecord(NamedTuple):
     """One forward edge plus everything it leads back to.
 
     ``back_translations`` is the union of glosses of ``foreign_word``

@@ -32,6 +32,7 @@ import os
 import statistics
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -113,7 +114,27 @@ def _read_csv(path: Path):
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        return header, list(reader)
+        rows = list(reader)
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {number} has {len(row)} fields, expected {len(header)}")
+    return header, rows
+
+
+def _json_column(path: Path, cells: list[str]) -> list:
+    """Decode a column of JSON cells with one ``json.loads``.
+
+    Raises DataError naming ``path`` when the column does not decode to
+    exactly one value per cell, so a malformed cell can never shift the
+    values of the rows after it.
+    """
+    try:
+        values = json.loads("[" + ",".join(cells) + "]")
+    except ValueError as e:
+        raise DataError(f"{path}: malformed JSON cell: {e}") from None
+    if len(values) != len(cells):
+        raise DataError(f"{path}: {len(cells)} JSON cells hold {len(values)} values")
+    return values
 
 
 def _need(path: Path) -> Path:
@@ -151,33 +172,36 @@ def _read_lexicon_cache(out: Path) -> TranslationTable:
     return TranslationTable.from_rows(rows)
 
 
-def _read_roundtrips(out: Path) -> dict[str, list[RoundTripRecord]]:
+def _read_roundtrips(out: Path, back_translations: bool = False) -> list[tuple]:
+    """The round-trip cache as (color, language, foreign word) rows.
+
+    With ``back_translations`` the rows are RoundTripRecords, their
+    back-translation sets decoded from the whole JSON column at once;
+    without it the column is not decoded at all.
+    """
     path = _need(out / "cache/roundtrips.csv")
     _, rows = _read_csv(path)
-    records: dict[str, list[RoundTripRecord]] = {}
-    for color, lang, word, bts in rows:
-        records.setdefault(color, []).append(
-            RoundTripRecord(
-                color=color,
-                language=lang,
-                foreign_word=word,
-                back_translations=frozenset(json.loads(bts)),
-            )
-        )
-    return records
+    if not back_translations:
+        return [(color, lang, word) for color, lang, word, _ in rows]
+    decoded = _json_column(path, [row[3] for row in rows])
+    return [
+        RoundTripRecord(color, lang, word, frozenset(bts))
+        for (color, lang, word, _), bts in zip(rows, decoded)
+    ]
 
 
-def _translation_pairs(records: dict[str, list[RoundTripRecord]]) -> dict[str, list[tuple[str, str]]]:
-    return {
-        color: sorted({(r.language, r.foreign_word) for r in recs})
-        for color, recs in records.items()
-    }
+def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
+    pairs: dict[str, set[tuple[str, str]]] = {}
+    for color, lang, word, *_ in roundtrips:
+        pairs.setdefault(color, set()).add((lang, word))
+    return {color: sorted(p) for color, p in pairs.items()}
 
 
 def _read_segmentations(out: Path) -> dict[tuple[str, str], tuple[str, ...]]:
     path = _need(out / "cache/segmentations.csv")
     _, rows = _read_csv(path)
-    return {(lang, word): tuple(json.loads(segs)) for lang, word, segs in rows}
+    decoded = _json_column(path, [row[2] for row in rows])
+    return {(lang, word): tuple(segs) for (lang, word, _), segs in zip(rows, decoded)}
 
 
 def _read_affixes(out: Path) -> list[dict]:
@@ -267,12 +291,9 @@ def _train_language(args):
 def stage_segment(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
-    records = _read_roundtrips(out)
-
     color_words: dict[str, set[str]] = {}
-    for recs in records.values():
-        for rec in recs:
-            color_words.setdefault(rec.language, set()).add(rec.foreign_word)
+    for _, lang, word in _read_roundtrips(out):
+        color_words.setdefault(lang, set()).add(word)
 
     jobs = [
         (lang, sorted(table.words_of(lang)), cfg.alpha, cfg.max_iters, cfg.max_segment_len)
@@ -346,7 +367,7 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
 
     rows = []
     for a in analyses:
-        c = a.candidate
+        c, r = a.candidate, a.recipe
         rows.append(
             (
                 c.language,
@@ -354,9 +375,9 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
                 c.left,
                 c.glue,
                 c.right,
-                a.recipe.left_concept if a.recipe else "",
-                a.recipe.right_concept if a.recipe else "",
-                str(a.recipe.support if a.recipe else 0),
+                r.left_concept if r else "",
+                r.right_concept if r else "",
+                str(r.support if r else 0),
                 "1" if a.accepted else "0",
             )
         )
@@ -374,8 +395,11 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
 def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = _read_seeds_cache(out)
-    records = _read_roundtrips(out)
-    translations = _translation_pairs(records)
+    roundtrips = _read_roundtrips(out, back_translations=True)
+    translations = _translation_pairs(roundtrips)
+    records: dict[str, list[RoundTripRecord]] = {}
+    for rec in roundtrips:
+        records.setdefault(rec.color, []).append(rec)
     accepted = _read_accepted_compounds(out)
 
     conc = ConcretenessLexicon.load(cfg.concreteness)
@@ -438,8 +462,7 @@ def _read_features_base(out: Path):
 def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     colors, has_translations, maps = _read_features_base(out)
-    records = _read_roundtrips(out)
-    translations = _translation_pairs(records)
+    translations = _translation_pairs(_read_roundtrips(out))
     segmentations = _read_segmentations(out)
 
     # The affix column is bootstrap-dependent; before the bootstrap it is
@@ -622,13 +645,10 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
     header, rows = _read_csv(_need(out / "compounds.csv"))
     idx = {name: i for i, name in enumerate(header)}
     accepted = [r for r in rows if r[idx["accepted"]] == "1"]
-    glue_lengths = sorted({len(r[idx["glue"]]) for r in accepted})
-    dist = {
-        gl: sum(1 for r in accepted if len(r[idx["glue"]]) == gl) for gl in glue_lengths
-    }
+    dist = Counter(len(r[idx["glue"]]) for r in accepted)
     lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {len(rows)} candidates", ""]
     if dist:
-        lines.append("glue length distribution: " + ", ".join(f"{k}: {v}" for k, v in dist.items()))
+        lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")
 
     header, rows = _read_csv(_need(out / "affixes.csv"))

@@ -9,6 +9,7 @@ elimination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,10 +89,7 @@ def gamma(x, y) -> GammaResult:
     if np.isnan(xa).any() or np.isnan(ya).any():
         raise ValueError("series must not contain NaN")
 
-    iu = np.triu_indices(n, k=1)
-    sx = np.sign(xa[:, None] - xa[None, :])[iu]
-    sy = np.sign(ya[:, None] - ya[None, :])[iu]
-    prod = sx * sy
+    prod = _pair_signs(xa) * _target_signs(ya.tobytes())
     concordant = int((prod > 0).sum())
     discordant = int((prod < 0).sum())
     tied = int((prod == 0).sum())
@@ -99,6 +97,29 @@ def gamma(x, y) -> GammaResult:
         raise UndefinedGammaError("all index pairs are tied in x or y")
     g = (concordant - discordant) / (concordant + discordant)
     return GammaResult(g, concordant, discordant, tied)
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
+
+
+def _pair_signs(a: np.ndarray) -> np.ndarray:
+    """sign(a[i] - a[j]) for every index pair i < j, in row-major order."""
+    i, j = _pair_index(a.shape[0])
+    return np.sign(a[i] - a[j])
+
+
+@functools.lru_cache(maxsize=2)
+def _target_signs(data: bytes) -> np.ndarray:
+    """Pair signs of a float64 series given as bytes.  Callers correlate
+    many series against one or two fixed targets (each RFE step, every
+    gamma.csv row), so a target's signs are computed once."""
+    signs = _pair_signs(np.frombuffer(data))
+    signs.flags.writeable = False  # shared by every caller
+    return signs
 
 
 def normalize_feature(values, direction: str = "positive") -> list[float]:
@@ -135,6 +156,35 @@ class AggregateRanking:
     scores_by_color: dict[str, float]
 
 
+def _scaled_columns(matrix, columns, negated, transforms) -> dict[str, np.ndarray]:
+    """Each distinct column of ``columns``, transformed and min-max scaled
+    (flipped when negated); a constant column becomes a flat 0.5."""
+    negated = frozenset(negated)
+    n = len(matrix.colors)
+    scaled = {}
+    for col in dict.fromkeys(columns):
+        vals = _transform(matrix.column(col), transforms.get(col))
+        direction = "negated" if col in negated else "positive"
+        try:
+            scaled[col] = np.array(normalize_feature(vals, direction))
+        except DegenerateColumnError:
+            scaled[col] = np.full(n, 0.5)
+    return scaled
+
+
+def _rescaled_means(scaled: dict[str, np.ndarray], columns) -> np.ndarray:
+    """Per row, the mean of the scaled ``columns`` divided by the top
+    mean.  The columns are summed in the order given, as ``aggregate``
+    sums them, so RFE's subset scores equal the aggregate's bit for bit."""
+    sums = np.zeros_like(scaled[columns[0]])
+    for col in columns:
+        sums += scaled[col]
+    means = sums / len(columns)
+    # every column scales to [0, 1] with 1.0 reached (or is a flat 0.5),
+    # so the top mean is at least 0.5 / len(columns)
+    return means / means.max()
+
+
 def aggregate(
     matrix,
     negated=DEFAULT_NEGATED,
@@ -150,23 +200,9 @@ def aggregate(
     columns = tuple(subset) if subset is not None else tuple(matrix.columns)
     if not columns:
         raise ValueError("feature subset must not be empty")
-    negated = frozenset(negated)
-    n = len(matrix.colors)
-    sums = [0.0] * n
-    for col in columns:
-        vals = _transform(matrix.column(col), transforms.get(col))
-        direction = "negated" if col in negated else "positive"
-        try:
-            scaled = normalize_feature(vals, direction)
-        except DegenerateColumnError:
-            scaled = [0.5] * n
-        for i, s in enumerate(scaled):
-            sums[i] += s
-    means = [s / len(columns) for s in sums]
-    # every column scales to [0, 1] with 1.0 reached (or is a flat 0.5),
-    # so the top mean is at least 0.5 / len(columns)
-    top = max(means)
-    rescaled = [m / top for m in means]
+    scaled = _scaled_columns(matrix, columns, negated, transforms)
+    rescaled = _rescaled_means(scaled, columns).tolist()
+    n = len(rescaled)
     order = sorted(range(n), key=lambda i: (-rescaled[i], i))
     return AggregateRanking(
         colors=[matrix.colors[i] for i in order],
@@ -234,10 +270,12 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
     if len(current) < 2:
         raise ValueError("need at least two features")
 
+    # each column is scaled once; a subset's scores are the aggregate's,
+    # float for float, in matrix row order
+    scaled = _scaled_columns(matrix, current, negated, transforms)
+
     def score(subset):
-        ranking = aggregate(matrix, negated, subset, transforms)
-        series = [ranking.scores_by_color[c] for c in matrix.colors]
-        return gamma(series, target).gamma
+        return gamma(_rescaled_means(scaled, subset), target).gamma
 
     g = score(current)
     trajectory = [{"removed": None, "gamma": g, "features": list(current)}]

@@ -106,7 +106,7 @@ def test_extract_affix_route():
     st.lists(
         st.tuples(st.sampled_from(["xx", "yy"]), st.text("ab", min_size=1, max_size=6)),
         min_size=1,
-        max_size=25,
+        max_size=10,
     ),
     st.sets(st.text("ab", min_size=1, max_size=3), max_size=3),
 )
@@ -330,3 +330,116 @@ def test_rejected_compounds_do_not_count():
     analyses = [_analysis("aa", "w1", False)]
     feats, _ = compound_counts(_accepted(analyses), {"red": [("aa", "w1"), ("bb", "w2")]})
     assert feats["red"] == (0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# score_and_filter against a per-candidate oracle
+
+
+def _oracle_score_and_filter(candidates, table, threshold):
+    """The two-pass filter computed candidate by candidate: concept pairs,
+    best pairs and a fresh Recipe for every candidate."""
+    from colorbasis.lexicon import back_translate
+
+    def concept_pairs(c):
+        lefts = sorted(back_translate(table, c.left, c.language))
+        if table.has_word(c.language, c.right):
+            rights = sorted(back_translate(table, c.right, c.language))
+        else:
+            rights = [DER_AFFIX_CONCEPT]
+        return [(l, r) for l in lefts for r in rights]
+
+    def support_map(cands, cand_pairs):
+        langs = {}
+        for c, ps in zip(cands, cand_pairs):
+            for p in ps:
+                langs.setdefault(p, set()).add(c.language)
+        return langs
+
+    def best_pair(ps, supports):
+        best = None
+        for p in ps:
+            s = len(supports.get(p, ()))
+            if best is None or s > best[0] or (s == best[0] and p < best[1]):
+                best = (s, p)
+        return best if best else (0, None)
+
+    pairs = [concept_pairs(c) for c in candidates]
+    support1 = support_map(candidates, pairs)
+    scored1 = [best_pair(p, support1) for p in pairs]
+    by_word = {}
+    for idx, c in enumerate(candidates):
+        key = (c.language, c.word)
+        if key not in by_word or scored1[idx][0] > scored1[by_word[key]][0]:
+            by_word[key] = idx
+    kept = set(by_word.values())
+    accepted1 = [i in kept and scored1[i][0] >= threshold for i in range(len(candidates))]
+    support2 = support_map(
+        [c for c, a in zip(candidates, accepted1) if a], [p for p, a in zip(pairs, accepted1) if a]
+    )
+    analyses = []
+    for idx, c in enumerate(candidates):
+        if accepted1[idx]:
+            score, pair = best_pair(pairs[idx], support2)
+            accepted, supports = score >= threshold, support2
+        else:
+            (score, pair), accepted, supports = scored1[idx], False, support1
+        recipe = None
+        if pair is not None and supports.get(pair):
+            recipe = Recipe(pair[0], pair[1], len(supports[pair]), frozenset(supports[pair]))
+        analyses.append(CompoundAnalysis(c, recipe, score, accepted))
+    analyses.sort(key=lambda a: (a.candidate.language, a.candidate.word, len(a.candidate.left), len(a.candidate.left) + len(a.candidate.glue)))
+    return analyses
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["l1", "l2"]),
+            st.text("ab", min_size=1, max_size=4),
+            st.sampled_from(["dark", "red", "blue"]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sets(st.text("ab", min_size=1, max_size=2), max_size=2),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_score_and_filter_matches_per_candidate_oracle(rows, affixes, threshold, rng):
+    # short words over two letters share (language, left, right) keys
+    # across words and glues and tie between splits of one word;
+    # unlisted right sides match the affixes
+    table = _table(rows)
+    candidates = []
+    for lang in table.languages():
+        candidates.extend(extract_candidates(table, lang, affixes))
+    rng.shuffle(candidates)
+    assert score_and_filter(candidates, table, threshold) == _oracle_score_and_filter(
+        candidates, table, threshold
+    )
+
+
+def test_score_and_filter_oracle_sees_shared_keys_and_affixes():
+    table = _table(
+        [("l1", "ab", "dark"), ("l1", "a", "red"), ("l1", "b", "blue"), ("l1", "acb", "x"),
+         ("l2", "ab", "dark"), ("l2", "a", "red"), ("l2", "b", "blue"), ("l2", "ad", "y")]
+    )
+    candidates = extract_candidates(table, "l1") + extract_candidates(table, "l2", {"d"})
+    keys = [(c.language, c.left, c.right) for c in candidates]
+    assert len(set(keys)) < len(keys)  # "ab" and "acb" share (l1, a, b)
+    assert ("l2", "a", "d") in keys  # right side matched by the affix
+    for order in (candidates, candidates[::-1]):
+        assert score_and_filter(order, table, 2) == _oracle_score_and_filter(order, table, 2)
+
+
+def test_score_and_filter_oracle_sees_tied_splits_of_one_word():
+    # "aaba" splits as a + aba and as a + glue ab + a with the same
+    # score; the earlier split must be the one the word keeps
+    table = _table(
+        [("l2", "aba", "blue"), ("l2", "a", "red"), ("l1", "a", "red"),
+         ("l1", "aaba", "red"), ("l1", "aba", "red")]
+    )
+    candidates = extract_candidates(table, "l1") + extract_candidates(table, "l2")
+    for order in (candidates, candidates[::-1]):
+        assert score_and_filter(order, table, 2) == _oracle_score_and_filter(order, table, 2)

@@ -2,9 +2,13 @@ import dataclasses
 import json
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorbasis.cli import main
 from colorbasis.config import load_config
@@ -108,6 +112,35 @@ def test_config_rejects_what_the_loader_does_not_know(tmp_path, section, key, va
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(field)):
         load_config(config_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("parameters", "max_iters", 2.7, "parameters.max_iters: expected an integer"),
+        ("parameters", "max_iters", True, "parameters.max_iters: expected an integer"),
+        ("parameters", "jobs", True, "parameters.jobs: expected an integer"),
+        ("parameters", "jobs", 1.5, "parameters.jobs: expected an integer"),
+        ("parameters", "alpha", True, "parameters.alpha: expected a number"),
+        ("rfe", "targets", "basic", "rfe.targets: expected a list"),
+    ],
+)
+def test_config_rejects_values_it_would_otherwise_coerce(tmp_path, capsys, section, key, value, message):
+    raw, config_path = _demo_config_dict(tmp_path)
+    raw[section][key] = value
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(config_path)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_accepts_an_integral_float_for_an_integer_field(tmp_path):
+    raw, config_path = _demo_config_dict(tmp_path)
+    raw["parameters"]["max_iters"] = 3.0
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    cfg = load_config(config_path, {"jobs": 2})
+    assert (cfg.max_iters, type(cfg.max_iters), cfg.jobs) == (3, int, 2)
 
 
 def test_config_hash_tracks_semantics_only(tmp_path):
@@ -452,3 +485,68 @@ def test_cli_stage_subcommand(tmp_path):
     assert main(["ingest", "--config", str(config_path)]) == 0
     assert main(["segment", "--config", str(config_path)]) == 0
     assert (tmp_path / "out" / "affixes.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# bulk-decoded cache readers
+
+_cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size=6)
+
+
+@settings(max_examples=25)
+@given(
+    st.lists(
+        st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3)),
+        max_size=8,
+    )
+)
+def test_bulk_readers_match_per_row_json(rows):
+    # commas, quotes, backslashes, brackets, non-ASCII text, empty lists
+    # and zero rows all decode exactly as one json.loads per row does
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "cache").mkdir()
+        roundtrips = pipeline._csv_text(
+            ["color", "language", "foreign_word", "back_translations"],
+            [(c, l, w, json.dumps(sorted(set(b)))) for c, l, w, b in rows],
+        )
+        (out / "cache/roundtrips.csv").write_text(roundtrips, encoding="utf-8", newline="")
+        segmentations = pipeline._csv_text(
+            ["language", "word", "segments"], [(l, w, json.dumps(b)) for _, l, w, b in rows]
+        )
+        (out / "cache/segmentations.csv").write_text(segmentations, encoding="utf-8", newline="")
+
+        _, cells = pipeline._read_csv(out / "cache/roundtrips.csv")
+        assert pipeline._read_roundtrips(out, back_translations=True) == [
+            (c, l, w, frozenset(json.loads(b))) for c, l, w, b in cells
+        ]
+        assert pipeline._read_roundtrips(out) == [(c, l, w) for c, l, w, _ in cells]
+        _, cells = pipeline._read_csv(out / "cache/segmentations.csv")
+        expected = {(l, w): tuple(json.loads(s)) for l, w, s in cells}
+        assert pipeline._read_segmentations(out) == expected
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (['["a"]', '["b"], ["c"]'], "2 JSON cells hold 3 values"),  # two values in one cell
+        (['["a"]', '["b"'], "malformed JSON cell"),
+        (['["a"]', ""], "malformed JSON cell"),
+    ],
+)
+def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, message):
+    (tmp_path / "cache").mkdir()
+    text = pipeline._csv_text(["language", "word", "segments"], [("l1", f"w{i}", c) for i, c in enumerate(cells)])
+    (tmp_path / "cache/segmentations.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(message)):
+        pipeline._read_segmentations(tmp_path)
+
+
+def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache/roundtrips.csv").write_text(
+        'color,language,foreign_word,back_translations\nred,l1,w1,"[""red""]"\nred,l1\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="row 2 has 2 fields, expected 4"):
+        pipeline._read_roundtrips(tmp_path)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorbasis.errors import DegenerateColumnError, UndefinedGammaError
@@ -387,3 +387,107 @@ def test_rfe_requires_two_features():
     m = _matrix(["a", "b"], ["f1"], [[1], [2]])
     with pytest.raises(ValueError):
         rfe(m, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the column-by-column implementation
+
+
+def _old_gamma(x, y):
+    """gamma as computed before pair indices and target signs were
+    reused: the full sign matrices on every call."""
+    import numpy as np
+
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    iu = np.triu_indices(xa.shape[0], k=1)
+    prod = np.sign(xa[:, None] - xa[None, :])[iu] * np.sign(ya[:, None] - ya[None, :])[iu]
+    concordant, discordant = int((prod > 0).sum()), int((prod < 0).sum())
+    if concordant + discordant == 0:
+        raise UndefinedGammaError("all index pairs are tied in x or y")
+    return (concordant - discordant) / (concordant + discordant)
+
+
+def _old_aggregate_scores(matrix, negated, subset, transforms):
+    """Aggregate scores in matrix row order, every column re-normalized
+    and summed with Python floats."""
+    n = len(matrix.colors)
+    sums = [0.0] * n
+    for col in subset:
+        vals = matrix.column(col)
+        if col in transforms:
+            vals = [math.log1p(v) for v in vals]
+        try:
+            scaled = normalize_feature(vals, "negated" if col in negated else "positive")
+        except DegenerateColumnError:
+            scaled = [0.5] * n
+        for i, s in enumerate(scaled):
+            sums[i] += s
+    means = [s / len(subset) for s in sums]
+    top = max(means)
+    return [m / top for m in means]
+
+
+def _old_rfe(matrix, target, negated, transforms):
+    def score(subset):
+        return _old_gamma(_old_aggregate_scores(matrix, negated, subset, transforms), target)
+
+    current = tuple(matrix.columns)
+    g = score(current)
+    trajectory = [(None, g)]
+    while len(current) > 1:
+        best_feature, best_gamma = None, g
+        for f in sorted(current):
+            cg = score(tuple(c for c in current if c != f))
+            if cg > best_gamma:
+                best_feature, best_gamma = f, cg
+        if best_feature is None:
+            break
+        current = tuple(c for c in current if c != best_feature)
+        g = best_gamma
+        trajectory.append((best_feature, g))
+    return trajectory, current
+
+
+_cell = st.one_of(st.integers(0, 4), st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _stats_case(draw):
+    n = draw(st.integers(3, 9))
+    k = draw(st.integers(2, 5))
+    columns = [f"f{k - j}" for j in range(k)]  # not in sorted order
+    rows = [[draw(_cell) for _ in columns] for _ in range(n)]
+    target = [draw(st.integers(0, 3)) for _ in range(n)]
+    target[0], target[1] = 0, 4  # the target is never constant
+    negated = frozenset(draw(st.sets(st.sampled_from(columns))))
+    transforms = {c: "log1p" for c in draw(st.sets(st.sampled_from(columns)))}
+    return _matrix([f"c{i}" for i in range(n)], columns, rows), target, negated, transforms
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UndefinedGammaError:
+        return "undefined"
+
+
+@settings(max_examples=25)
+@given(_stats_case())
+def test_rfe_and_gamma_match_the_column_by_column_code_bit_for_bit(case):
+    m, target, negated, transforms = case
+    scores = _old_aggregate_scores(m, negated, m.columns, transforms)
+    ranking = aggregate(m, negated, transforms=transforms)
+    assert [ranking.scores_by_color[c].hex() for c in m.colors] == [s.hex() for s in scores]
+    assert _outcome(lambda: gamma(scores, target).gamma.hex()) == _outcome(
+        lambda: _old_gamma(scores, target).hex()
+    )
+
+    def new_rfe():
+        trajectory, remaining = rfe(m, target, negated, transforms)
+        return [(s["removed"], s["gamma"].hex()) for s in trajectory], remaining
+
+    def old_rfe():
+        trajectory, remaining = _old_rfe(m, target, negated, transforms)
+        return [(f, g.hex()) for f, g in trajectory], remaining
+
+    assert _outcome(new_rfe) == _outcome(old_rfe)
