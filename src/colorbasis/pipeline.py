@@ -29,6 +29,7 @@ import io
 import json
 import logging
 import os
+import re
 import statistics
 import tempfile
 import time
@@ -121,19 +122,32 @@ def _read_csv(path: Path):
     return header, rows
 
 
-def _json_column(path: Path, cells: list[str]) -> list:
-    """Decode a column of JSON cells with one ``json.loads``.
+# A cell as the stages write it: ``json.dumps`` of a list of strings.
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"'
+_JSON_STRING_LIST = rf"\[(?:{_JSON_STRING}(?:, {_JSON_STRING})*)?\]"
+_JSON_STRING_LISTS = re.compile(rf"{_JSON_STRING_LIST}(?:\n{_JSON_STRING_LIST})*")
 
-    Raises DataError naming ``path`` when the column does not decode to
-    exactly one value per cell, so a malformed cell can never shift the
-    values of the rows after it.
+
+def _json_column(path: Path, cells: list[str]) -> list:
+    """Decode a column of JSON cells, one value per cell.
+
+    When every cell is a list of strings written as the stages write it,
+    each cell is one JSON value and the column is decoded with a single
+    ``json.loads``.  Otherwise each cell is decoded on its own, and a cell
+    that is not exactly one JSON value raises DataError naming ``path`` and
+    its row, so a malformed cell can never shift the values of other rows.
     """
-    try:
-        values = json.loads("[" + ",".join(cells) + "]")
-    except ValueError as e:
-        raise DataError(f"{path}: malformed JSON cell: {e}") from None
-    if len(values) != len(cells):
-        raise DataError(f"{path}: {len(cells)} JSON cells hold {len(values)} values")
+    if _JSON_STRING_LISTS.fullmatch("\n".join(cells)):
+        try:
+            return json.loads("[" + ",".join(cells) + "]")
+        except ValueError:
+            pass
+    values = []
+    for number, cell in enumerate(cells, 1):
+        try:
+            values.append(json.loads(cell))
+        except ValueError as e:
+            raise DataError(f"{path}: row {number}: malformed JSON cell: {e}") from None
     return values
 
 

@@ -106,7 +106,7 @@ def test_extract_affix_route():
     st.lists(
         st.tuples(st.sampled_from(["xx", "yy"]), st.text("ab", min_size=1, max_size=6)),
         min_size=1,
-        max_size=10,
+        max_size=25,
     ),
     st.sets(st.text("ab", min_size=1, max_size=3), max_size=3),
 )

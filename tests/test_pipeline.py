@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import shutil
@@ -498,21 +499,23 @@ _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size
     st.lists(
         st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3)),
         max_size=8,
-    )
+    ),
+    st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
 )
-def test_bulk_readers_match_per_row_json(rows):
-    # commas, quotes, backslashes, brackets, non-ASCII text, empty lists
-    # and zero rows all decode exactly as one json.loads per row does
+def test_bulk_readers_match_per_row_json(rows, dump):
+    # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
+    # zero rows and cells not written by json.dumps' defaults all decode
+    # exactly as one json.loads per row does
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "cache").mkdir()
         roundtrips = pipeline._csv_text(
             ["color", "language", "foreign_word", "back_translations"],
-            [(c, l, w, json.dumps(sorted(set(b)))) for c, l, w, b in rows],
+            [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
         )
         (out / "cache/roundtrips.csv").write_text(roundtrips, encoding="utf-8", newline="")
         segmentations = pipeline._csv_text(
-            ["language", "word", "segments"], [(l, w, json.dumps(b)) for _, l, w, b in rows]
+            ["language", "word", "segments"], [(l, w, dump(b)) for _, l, w, b in rows]
         )
         (out / "cache/segmentations.csv").write_text(segmentations, encoding="utf-8", newline="")
 
@@ -529,9 +532,11 @@ def test_bulk_readers_match_per_row_json(rows):
 @pytest.mark.parametrize(
     "cells, message",
     [
-        (['["a"]', '["b"], ["c"]'], "2 JSON cells hold 3 values"),  # two values in one cell
-        (['["a"]', '["b"'], "malformed JSON cell"),
-        (['["a"]', ""], "malformed JSON cell"),
+        (['["a"]', '["b"], ["c"]'], "row 2: malformed JSON cell: Extra data"),  # two values in one cell
+        (['["a"], ["b"', '"c"]'], "row 1: malformed JSON cell: Extra data"),  # two cells balance
+        (['["a"]', '["b"'], "row 2: malformed JSON cell"),
+        (['["a"]', ""], "row 2: malformed JSON cell"),
+        (['["a"]', '["\\x"]'], "row 2: malformed JSON cell: Invalid \\escape"),
     ],
 )
 def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, message):
