@@ -9,14 +9,22 @@ into recipes, concept pairs such as (dark, red), supported by however
 many distinct languages exhibit them; recipe support scores the
 candidates, low scorers are filtered, and recipes are rebuilt once from
 the survivors.
+
+A split is a plain ``(language, word, left, glue, right)`` tuple with
+``left + glue + right == word``, and ``score_and_filter`` turns each one
+into the ``compounds.csv`` row it becomes, so no per-candidate object is
+built in between.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ConfigError
-from .lexicon import TranslationTable, back_translate
+from .lexicon import TranslationTable
 
 #: Placeholder concept for a right component matched against the
 #: per-language derivational-affix list rather than the lexicon.
@@ -24,77 +32,52 @@ DER_AFFIX_CONCEPT = "<der.affix>"
 
 DEFAULT_SUPPORT_THRESHOLD = 2
 
+#: (language, word, left, glue, right)
+Split = tuple[str, str, str, str, str]
 
-@dataclass(frozen=True, slots=True)
-class SplitCandidate:
-    """One three-way split: left + glue + right reassembles the word."""
 
+class CompoundRow(NamedTuple):
+    """A scored split: one row of ``compounds.csv``.
+
+    ``left_concept`` and ``right_concept`` name the split's best recipe
+    and ``support`` its number of languages.
+    """
+
+    language: str
     word: str
     left: str
     glue: str
     right: str
-    language: str = ""
-
-    def __post_init__(self):
-        if self.left + self.glue + self.right != self.word:
-            raise ValueError("split does not reassemble the word")
-        if not self.left or not self.right:
-            raise ValueError("left and right components must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
-class Recipe:
-    """A cross-lingual compounding pattern over component concepts."""
-
     left_concept: str
     right_concept: str
     support: int
-    example_languages: frozenset[str]
-
-    def __post_init__(self):
-        if self.support != len(self.example_languages):
-            raise ValueError("support must equal the number of languages")
-        if self.support < 1:
-            raise ValueError("support must be at least 1")
-
-
-@dataclass(frozen=True, slots=True)
-class CompoundAnalysis:
-    """A scored candidate with its attributed recipe."""
-
-    candidate: SplitCandidate
-    recipe: Recipe | None
-    score: int
     accepted: bool
 
 
-def enumerate_splits(word: str, language: str = "") -> list[SplitCandidate]:
+# (language, word, left, glue): split position order, since a shorter left
+# (or glue) of the same word is a prefix of the longer one
+_POSITION = itemgetter(0, 1, 2, 3)
+
+
+def enumerate_splits(word: str, language: str = "") -> list[Split]:
     """All (left, glue, right) splits with non-empty outer components.
 
     For a word of length K there are exactly K*(K-1)/2 of them; words
     shorter than two characters yield none.
     """
     n = len(word)
-    out = []
-    for i in range(1, n):
-        for j in range(i, n):
-            out.append(
-                SplitCandidate(
-                    word=word,
-                    left=word[:i],
-                    glue=word[i:j],
-                    right=word[j:],
-                    language=language,
-                )
-            )
-    return out
+    return [
+        (language, word, word[:i], word[i:j], word[j:])
+        for i in range(1, n)
+        for j in range(i, n)
+    ]
 
 
 def extract_candidates(
     table: TranslationTable,
     lang: str,
     derivational_affixes=(),
-) -> list[SplitCandidate]:
+) -> list[Split]:
     """Splits of every word of ``lang`` whose components check out.
 
     The left component must be a word of the language; the right may be a
@@ -106,68 +89,61 @@ def extract_candidates(
     words = table.words_of(lang)
     affixes = set(derivational_affixes)
     out = []
+    # In sorted order, every word that is a proper prefix of a word comes
+    # before it, and every word in between has that prefix too; so after
+    # popping the entries that are not prefixes of the current word, the
+    # stack holds exactly its proper prefixes that are words, shortest
+    # first.  These are the left parts enumerate_splits would keep.
+    prefixes: list[str] = []
     for word in sorted(words):
+        while prefixes and not word.startswith(prefixes[-1]):
+            prefixes.pop()
         n = len(word)
-        # the same splits as enumerate_splits, skipping left parts that are
-        # not words before any candidate is built
-        for i in range(1, n):
-            left = word[:i]
-            if left not in words:
-                continue
+        for left in prefixes:
+            i = len(left)
             for j in range(i, n):
                 right = word[j:]
                 if right in words or right in affixes:
-                    out.append(SplitCandidate(word, left, word[i:j], right, lang))
+                    out.append((lang, word, left, word[i:j], right))
+        prefixes.append(word)
     return out
 
 
-def _concept_pairs(table: TranslationTable, keys) -> dict[tuple[str, str, str], list[tuple[str, str]]]:
-    """Concept pairs per (language, left, right) key; each word's glosses
-    are looked up once."""
-    glosses: dict[tuple[str, str], list[str]] = {}
-
-    def concepts(language, word):
-        if (language, word) not in glosses:
-            glosses[language, word] = sorted(back_translate(table, word, language))
-        return glosses[language, word]
-
+def _concept_pairs(
+    table: TranslationTable, candidates
+) -> dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Per (language, left, right) key of ``candidates``, the sorted
+    concepts of its left and of its right side; the key's concept pairs
+    are their product, in ascending order."""
     pairs = {}
-    for language, left, right in keys:
-        lefts = concepts(language, left)
-        rights = concepts(language, right) if table.has_word(language, right) else [DER_AFFIX_CONCEPT]
-        pairs[language, left, right] = [(l, r) for l in lefts for r in rights]
+    for language, _, left, _, right in candidates:
+        key = language, left, right
+        if key not in pairs:
+            # a right side that is not a word was matched as an affix
+            rights = table.glosses(language, right) or (DER_AFFIX_CONCEPT,)
+            pairs[key] = (table.glosses(language, left), rights)
     return pairs
 
 
-def _score(pairs) -> dict[tuple[str, str, str], tuple[int, Recipe | None]]:
-    """Per (language, left, right) key of ``pairs``, the support of its
-    best concept pair and that pair's recipe, with support counted as the
-    languages of the keys in ``pairs``.  Max support wins and ties prefer
-    the lexicographically smallest pair; one Recipe is built per pair."""
-    supports: dict[tuple[str, str], set[str]] = {}
-    for (language, _, _), key_pairs in pairs.items():
-        for pair in key_pairs:
-            supports.setdefault(pair, set()).add(language)
-    recipes: dict[tuple[str, str], Recipe] = {}
+def _score(pairs) -> dict[tuple[str, str, str], tuple[str, str, int]]:
+    """Per (language, left, right) key of ``pairs``, its best concept pair
+    and that pair's support, counted as the languages of the keys in
+    ``pairs``.  Max support wins and ties prefer the lexicographically
+    smallest pair, which comes first in the product of the sorted concepts."""
+    by_language: dict[str, set[tuple[str, str]]] = {}
+    for (language, _, _), (lefts, rights) in pairs.items():
+        by_language.setdefault(language, set()).update(product(lefts, rights))
+    support: Counter = Counter()
+    for attested in by_language.values():
+        support.update(attested)
     scored = {}
-    for key, key_pairs in pairs.items():
-        best, best_pair = 0, None
-        for p in key_pairs:
-            s = len(supports[p])
-            if best_pair is None or s > best or (s == best and p < best_pair):
-                best, best_pair = s, p
-        recipe = None
-        if best_pair is not None:
-            if best_pair not in recipes:
-                langs = supports[best_pair]
-                recipes[best_pair] = Recipe(
-                    left_concept=best_pair[0],
-                    right_concept=best_pair[1],
-                    support=len(langs),
-                    example_languages=frozenset(langs),
-                )
-            recipe = recipes[best_pair]
-        scored[key] = (best, recipe)
+    for key, (lefts, rights) in pairs.items():
+        if len(lefts) == len(rights) == 1:
+            # most keys have a single pair, which max() would only slow down
+            scored[key] = (lefts[0], rights[0], support[lefts[0], rights[0]])
+        else:
+            best = max(product(lefts, rights), key=support.__getitem__)
+            scored[key] = (*best, support[best])
     return scored
 
 
@@ -175,44 +151,49 @@ def score_and_filter(
     candidates,
     table: TranslationTable,
     threshold: int = DEFAULT_SUPPORT_THRESHOLD,
-) -> list[CompoundAnalysis]:
-    """Score candidates by recipe support and run the two-pass filter.
+) -> list[CompoundRow]:
+    """Score splits by recipe support and run the two-pass filter.
 
-    Pass one scores every candidate by the best support among its concept
+    Pass one scores every split by the best support among its concept
     pairs, keeps only the best split per (language, word), and accepts
     the keepers that reach the threshold.  Recipes are then rebuilt from
-    accepted candidates only and the survivors re-checked once, so a
-    recipe whose support collapses drags its candidates down with it.
+    accepted splits only and the survivors re-checked once, so a recipe
+    whose support collapses drags its splits down with it.
 
-    A candidate's concept pairs, and so its score and recipe in either
-    pass, depend only on its (language, left, right) key, so each
-    distinct key is looked up and scored once per pass.
+    ``candidates`` are splits as ``extract_candidates`` gives them for
+    ``table``, so every left part is a word with at least one gloss and
+    every split has a concept pair.  A split's concept pairs, and so its
+    row in either pass, depend only on its (language, left, right) key,
+    so each distinct key is looked up and scored once per pass.  Returns
+    one row per split, in split position order.
     """
     if threshold < 1:
         raise ConfigError("compound support threshold must be at least 1")
     candidates = list(candidates)
-    keys = [(c.language, c.left, c.right) for c in candidates]
-    pairs = _concept_pairs(table, dict.fromkeys(keys))
-    scored1 = _score(pairs)
+    pairs = _concept_pairs(table, candidates)
+    first = _score(pairs)
 
     # keep only the best-scoring split of each (language, word); the
     # earliest candidate wins a tie
-    by_word: dict[tuple[str, str], int] = {}
-    for idx, cand in enumerate(candidates):
-        word = (cand.language, cand.word)
-        if word not in by_word or scored1[keys[idx]][0] > scored1[keys[by_word[word]]][0]:
-            by_word[word] = idx
-    accepted1 = [False] * len(candidates)
-    for idx in by_word.values():
-        accepted1[idx] = scored1[keys[idx]][0] >= threshold
-    scored2 = _score({keys[i]: pairs[keys[i]] for i, a in enumerate(accepted1) if a})
+    best: dict[tuple[str, str], tuple[int, int]] = {}
+    for idx, (language, word, left, _, right) in enumerate(candidates):
+        support = first[language, left, right][2]
+        kept = best.get((language, word))
+        if kept is None or support > kept[1]:
+            best[language, word] = (idx, support)
+    survivors = {idx for idx, support in best.values() if support >= threshold}
+    keys = {(c[0], c[2], c[4]) for c in map(candidates.__getitem__, survivors)}
+    second = _score({key: pairs[key] for key in keys})
 
-    analyses = []
-    for cand, key, second in zip(candidates, keys, accepted1):
-        score, recipe = (scored2 if second else scored1)[key]
-        analyses.append(CompoundAnalysis(cand, recipe, score, second and score >= threshold))
-    position = [(c.language, c.word, len(c.left), len(c.left) + len(c.glue)) for c in candidates]
-    return [analyses[i] for i in sorted(range(len(analyses)), key=position.__getitem__)]
+    rows = []
+    for idx, c in enumerate(candidates):
+        if idx in survivors:
+            scored = second[c[0], c[2], c[4]]
+            rows.append(CompoundRow._make((*c, *scored, scored[2] >= threshold)))
+        else:
+            rows.append(CompoundRow._make((*c, *first[c[0], c[2], c[4]], False)))
+    rows.sort(key=_POSITION)
+    return rows
 
 
 def compound_counts(

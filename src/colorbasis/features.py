@@ -10,11 +10,11 @@ are filled with the column median, and rows keep seed-list order.
 from __future__ import annotations
 
 import statistics
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
+from .lexicon import normalize_term
 from .stats import FEATURE_COLUMNS
 
 ETYMOLOGY_PROCESSES = (
@@ -28,10 +28,6 @@ ETYMOLOGY_PROCESSES = (
 _VALID_PROCESSES = set(ETYMOLOGY_PROCESSES) | {"none"}
 
 
-def _nfc_lower(s: str) -> str:
-    return unicodedata.normalize("NFC", s.strip()).lower()
-
-
 class ConcretenessLexicon:
     """Word -> human concreteness rating on the 1..5 scale."""
 
@@ -39,7 +35,7 @@ class ConcretenessLexicon:
         for w, r in ratings.items():
             if not 1.0 <= r <= 5.0:
                 raise DataError(f"concreteness rating out of range for {w!r}: {r}")
-        self._ratings = {_nfc_lower(w): float(r) for w, r in ratings.items()}
+        self._ratings = {normalize_term(w): float(r) for w, r in ratings.items()}
 
     @classmethod
     def load(cls, path) -> "ConcretenessLexicon":
@@ -57,7 +53,7 @@ class ConcretenessLexicon:
         return cls(ratings)
 
     def rating(self, word: str) -> float | None:
-        return self._ratings.get(_nfc_lower(word))
+        return self._ratings.get(normalize_term(word))
 
     def __len__(self) -> int:
         return len(self._ratings)
@@ -105,7 +101,7 @@ class CorpusSummary:
         for word, (total, adj, noun) in rows.items():
             if min(total, adj, noun) < 0 or adj + noun > total:
                 raise DataError(f"inconsistent counts for {word!r}")
-            self._rows[_nfc_lower(word)] = (total, adj, noun)
+            self._rows[normalize_term(word)] = (total, adj, noun)
 
     @classmethod
     def load(cls, path, source: str) -> "CorpusSummary":
@@ -124,7 +120,7 @@ class CorpusSummary:
         return cls(source, rows)
 
     def lookup(self, word: str) -> tuple[int, int, int] | None:
-        return self._rows.get(_nfc_lower(word))
+        return self._rows.get(normalize_term(word))
 
 
 def pos_features(color: str, corpus: CorpusSummary) -> tuple[float | None, float | None]:
@@ -159,7 +155,7 @@ class EtymologyTable:
                 raise DataError(
                     f"{path}:{lineno}: expected color<TAB>process<TAB>count<TAB>total"
                 )
-            color = _nfc_lower(parts[0])
+            color = normalize_term(parts[0])
             process = parts[1].strip()
             if process not in _VALID_PROCESSES:
                 raise DataError(f"{path}:{lineno}: unknown process {process!r}")
@@ -174,7 +170,7 @@ class EtymologyTable:
         return table
 
     def add(self, color: str, process: str, count: int, total: int):
-        color = _nfc_lower(color)
+        color = normalize_term(color)
         key = (color, process)
         prior_total = self._totals.get(color)
         if prior_total is not None and prior_total != total:
@@ -193,10 +189,10 @@ class EtymologyTable:
                 )
 
     def count(self, color: str, process: str) -> int:
-        return self._counts.get((_nfc_lower(color), process), 0)
+        return self._counts.get((normalize_term(color), process), 0)
 
     def total(self, color: str) -> int:
-        return self._totals.get(_nfc_lower(color), 0)
+        return self._totals.get(normalize_term(color), 0)
 
 
 def etymology_features(

@@ -26,6 +26,15 @@ def nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
+def normalize_term(s: str) -> str:
+    """An English term (gloss, seed color, table key) as it is compared
+    everywhere: stripped, lowercased, then NFC-normalized.  Lowercasing
+    first makes the rule idempotent; NFC first is not (``J\u030c``
+    would lowercase to ``j\u030c``, which NFC then composes to
+    ``\u01f0``)."""
+    return unicodedata.normalize("NFC", s.strip().lower())
+
+
 @dataclass(frozen=True)
 class LoadReport:
     rows_read: int
@@ -37,22 +46,26 @@ class LoadReport:
 class TranslationTable:
     """Immutable-after-load store of (language, foreign word, gloss) edges.
 
-    Glosses are lowercased and NFC-normalized; foreign-word case is
-    preserved since capitalization can be contrastive in some scripts.
+    Glosses are normalized by ``normalize_term``; foreign words are only
+    stripped and NFC-normalized, keeping their case since capitalization
+    can be contrastive in some scripts.
     All query methods are read-only and safe to call concurrently.
     """
 
     entries: frozenset[tuple[str, str, str]]
     load_report: LoadReport | None = None
-    _backward: dict[tuple[str, str], set[str]] = field(init=False, repr=False)
-    _by_language: dict[str, set[str]] = field(init=False, repr=False)
+    _glosses: dict[str, dict[str, tuple[str, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._backward = {}
-        self._by_language = {}
+        # language -> word -> sorted glosses, in tuples, which the cyclic
+        # garbage collector stops tracking
+        self._glosses = {}
         for lang, word, gloss in self.entries:
-            self._backward.setdefault((lang, word), set()).add(gloss)
-            self._by_language.setdefault(lang, set()).add(word)
+            words = self._glosses.get(lang)
+            if words is None:
+                words = self._glosses[lang] = {}
+            glosses = words.get(word)
+            words[word] = (gloss,) if glosses is None else tuple(sorted((*glosses, gloss)))
 
     @cached_property
     def _forward(self) -> dict[tuple[str, str], set[str]]:
@@ -69,19 +82,25 @@ class TranslationTable:
         for lang, word, gloss in rows:
             lang = nfc(lang.strip())
             word = nfc(word.strip())
-            gloss = nfc(gloss.strip()).lower()
+            gloss = normalize_term(gloss)
             if lang and word and gloss:
                 normalized.add((lang, word, gloss))
         return cls(entries=frozenset(normalized))
 
     def languages(self) -> list[str]:
-        return sorted(self._by_language)
+        return sorted(self._glosses)
 
     def words_of(self, lang: str) -> set[str]:
-        return set(self._by_language.get(lang, ()))
+        return set(self._glosses.get(lang, ()))
 
     def has_word(self, lang: str, word: str) -> bool:
-        return word in self._by_language.get(lang, ())
+        return word in self._glosses.get(lang, ())
+
+    def glosses(self, lang: str, word: str) -> tuple[str, ...]:
+        """The sorted glosses of (lang, word), which must be normalized
+        already; empty for a pair the table does not hold."""
+        words = self._glosses.get(lang)
+        return words.get(word, ()) if words else ()
 
 
 def load_lexicon(path) -> TranslationTable:
@@ -132,12 +151,12 @@ def load_lexicon(path) -> TranslationTable:
 
 def translate(table: TranslationTable, color: str, lang: str) -> set[str]:
     """All foreign words of ``lang`` glossed as ``color`` (possibly empty)."""
-    return set(table._forward.get((lang, nfc(color.strip()).lower()), ()))
+    return set(table._forward.get((lang, normalize_term(color)), ()))
 
 
 def back_translate(table: TranslationTable, word: str, lang: str) -> set[str]:
     """All English glosses attached to (lang, word) (possibly empty)."""
-    return set(table._backward.get((lang, nfc(word.strip())), ()))
+    return set(table.glosses(lang, nfc(word.strip())))
 
 
 @dataclass(frozen=True)
@@ -181,7 +200,7 @@ def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
         is_basic = line.endswith("*")
         if is_basic:
             line = line[:-1]
-        term = nfc(line.strip()).lower()
+        term = normalize_term(line)
         if not term:
             raise DataError(f"{path}:{lineno}: empty color term")
         if term in seen:

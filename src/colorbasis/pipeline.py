@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .compounds import compound_counts, extract_candidates, score_and_filter
+from .compounds import CompoundRow, compound_counts, extract_candidates, score_and_filter
 from .config import PipelineConfig
 from .errors import DataError, DependencyError, StageError, UndefinedGammaError
 from .features import (
@@ -103,7 +103,33 @@ StageResult = tuple[dict, dict[str, str]]
 # artifact I/O helpers
 
 
+# besides a comma or a line break, a character that makes csv.writer quote
+# a field or that it might treat specially
+_CSV_SPECIAL = re.compile('["\r\x00]')
+
+
 def _csv_text(header, rows) -> str:
+    """``header`` and ``rows`` (of strings) as ``csv.writer`` writes them,
+    one ``\n``-terminated line per row.
+
+    When every row is as wide as the header, no field holds a comma, a
+    quote, a line break or a NUL, and there are two columns or more (the
+    writer quotes an empty field that is alone on its row), csv.writer
+    would quote nothing, so the fields are joined directly; otherwise
+    csv.writer writes the text.
+    """
+    rows = list(rows)
+    width = len(header)
+    lines = [",".join(header), *map(",".join, rows)]
+    text = "\n".join(lines) + "\n"
+    if (
+        width > 1
+        and set(map(len, rows)) <= {width}
+        and text.count(",") == (width - 1) * len(lines)
+        and text.count("\n") == len(lines)
+        and _CSV_SPECIAL.search(text) is None
+    ):
+        return text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -111,15 +137,26 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _read_csv(path: Path):
+def _csv_rows(path: Path):
+    """Yield the header, then each row, of a cached CSV artifact.  A row
+    whose field count differs from the header's raises DataError naming
+    the file and row."""
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    for number, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {number} has {len(row)} fields, expected {len(header)}")
-    return header, rows
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        yield header
+        for number, row in enumerate(reader, 1):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {number} has {len(row)} fields, expected {len(header)}")
+            yield row
+
+
+def _read_csv(path: Path):
+    rows = _csv_rows(path)
+    header = next(rows)
+    return header, list(rows)
 
 
 # A cell as the stages write it: ``json.dumps`` of a list of strings.
@@ -181,9 +218,16 @@ def _read_seeds_cache(out: Path) -> list[ColorConcept]:
 
 
 def _read_lexicon_cache(out: Path) -> TranslationTable:
+    """The ingested lexicon, built from its cached entries as they stand:
+    ingest wrote them normalized, and normalizing is idempotent.  Lines
+    end only at ``\n``; a word may hold any other line separator."""
     path = _need(out / "cache/lexicon_normalized.tsv")
-    rows = [tuple(line.split("\t")) for line in path.read_text(encoding="utf-8").splitlines()]
-    return TranslationTable.from_rows(rows)
+    text = path.read_text(encoding="utf-8")
+    entries = [tuple(line.split("\t")) for line in text.split("\n") if line]
+    for number, entry in enumerate(entries, 1):
+        if len(entry) != 3:
+            raise DataError(f"{path}: line {number} has {len(entry)} fields, expected 3")
+    return TranslationTable(entries=frozenset(entries))
 
 
 def _read_roundtrips(out: Path, back_translations: bool = False) -> list[tuple]:
@@ -218,10 +262,15 @@ def _read_segmentations(out: Path) -> dict[tuple[str, str], tuple[str, ...]]:
     return {(lang, word): tuple(segs) for (lang, word, _), segs in zip(rows, decoded)}
 
 
-def _read_affixes(out: Path) -> list[dict]:
-    path = _need(out / "affixes.csv")
-    header, rows = _read_csv(path)
-    return [dict(zip(header, row)) for row in rows]
+def _read_suffixes(out: Path) -> dict[str, set[str]]:
+    """The suffixes of ``affixes.csv``, by language."""
+    header, rows = _read_csv(_need(out / "affixes.csv"))
+    language, affix, position = map(header.index, ("language", "affix", "position"))
+    suffixes: dict[str, set[str]] = {}
+    for row in rows:
+        if row[position] == "suffix":
+            suffixes.setdefault(row[language], set()).add(row[affix])
+    return suffixes
 
 
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
@@ -236,15 +285,19 @@ def _read_feature_matrix(out: Path) -> FeatureMatrix:
     return FeatureMatrix(colors=colors, columns=columns, values=values)
 
 
-def _read_accepted_compounds(out: Path) -> set[tuple[str, str]]:
-    path = _need(out / "compounds.csv")
-    header, rows = _read_csv(path)
-    idx = {name: i for i, name in enumerate(header)}
-    return {
-        (row[idx["language"]], row[idx["word"]])
-        for row in rows
-        if row[idx["accepted"]] == "1"
-    }
+def _read_accepted_compounds(out: Path) -> tuple[list[tuple[str, str, str]], int]:
+    """The accepted rows of ``compounds.csv`` as (language, word, glue),
+    and the number of rows.  Every row is checked as it is read, but only
+    the accepted ones are kept."""
+    rows = _csv_rows(_need(out / "compounds.csv"))
+    header = next(rows)
+    language, word, glue, accepted = map(header.index, ("language", "word", "glue", "accepted"))
+    kept = []
+    total = 0
+    for total, row in enumerate(rows, 1):
+        if row[accepted] == "1":
+            kept.append((row[language], row[word], row[glue]))
+    return kept, total
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +343,11 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
 
 
 def _train_language(args):
-    """Worker for per-language training; top-level for picklability."""
-    lang, words, alpha, max_iters, max_segment_len = args
+    """Worker for one language: train its segmenter and discover its
+    affixes.  Returns the language, its ``cache/segmentations.csv`` rows,
+    its ``affixes.csv`` rows and its training facts; top-level for
+    picklability."""
+    lang, words, color_words, alpha, max_iters, max_segment_len, thresholds = args
     model = train_segmenter(
         words,
         alpha=alpha,
@@ -299,7 +355,24 @@ def _train_language(args):
         language=lang,
         max_segment_len=max_segment_len,
     )
-    return lang, model
+    seg_rows = [
+        (lang, word, json.dumps(list(model.segmentations[word])))
+        for word in sorted(model.segmentations)
+    ]
+    affix_rows = sorted(
+        (
+            (lang, a.form, a.position, a.affix_class, _fmt(a.color_coverage), _fmt(a.global_coverage))
+            for a in discover_affixes(model, color_words, words, thresholds)
+        ),
+        key=lambda r: (r[2], r[1]),
+    )
+    facts = {
+        "edge_split_moves": model.edge_split_moves,
+        "em_passes": model.em_passes,
+        "converged": model.converged,
+        "edge_split_capped": model.edge_split_capped,
+    }
+    return lang, seg_rows, affix_rows, facts
 
 
 def stage_segment(cfg: PipelineConfig) -> StageResult:
@@ -309,8 +382,17 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
     for _, lang, word in _read_roundtrips(out):
         color_words.setdefault(lang, set()).add(word)
 
+    thresholds = cfg.affix_thresholds()
     jobs = [
-        (lang, sorted(table.words_of(lang)), cfg.alpha, cfg.max_iters, cfg.max_segment_len)
+        (
+            lang,
+            sorted(table.words_of(lang)),
+            sorted(color_words.get(lang, ())),
+            cfg.alpha,
+            cfg.max_iters,
+            cfg.max_segment_len,
+            thresholds,
+        )
         for lang in table.languages()
     ]
     if cfg.jobs > 1 and len(jobs) > 1:
@@ -320,38 +402,16 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         results = [_train_language(j) for j in jobs]
     results.sort(key=lambda r: r[0])  # canonical merge order
 
-    seg_rows = []
-    affix_rows = []
-    thresholds = cfg.affix_thresholds()
-    for lang, model in results:
-        for word in sorted(model.segmentations):
-            seg_rows.append((lang, word, json.dumps(list(model.segmentations[word]))))
-        affixes = discover_affixes(
-            model,
-            sorted(color_words.get(lang, ())),
-            sorted(table.words_of(lang)),
-            thresholds,
-        )
-        for a in affixes:
-            affix_rows.append(
-                (
-                    lang,
-                    a.form,
-                    a.position,
-                    a.affix_class,
-                    _fmt(a.color_coverage),
-                    _fmt(a.global_coverage),
-                )
-            )
-    affix_rows.sort(key=lambda r: (r[0], r[2], r[1]))
-
+    seg_rows = [row for _, rows, _, _ in results for row in rows]
+    affix_rows = [row for _, _, rows, _ in results for row in rows]
+    facts = {lang: facts for lang, _, _, facts in results}
     counts = {
         "languages_trained": len(results),
         "affixes": len(affix_rows),
-        "edge_split_moves": sum(model.edge_split_moves for _, model in results),
-        "em_passes": sum(model.em_passes for _, model in results),
-        "em_not_converged": [lang for lang, model in results if not model.converged],
-        "edge_split_capped": [lang for lang, model in results if model.edge_split_capped],
+        "edge_split_moves": sum(f["edge_split_moves"] for f in facts.values()),
+        "em_passes": sum(f["em_passes"] for f in facts.values()),
+        "em_not_converged": [lang for lang, f in facts.items() if not f["converged"]],
+        "edge_split_capped": [lang for lang, f in facts.items() if f["edge_split_capped"]],
     }
     return counts, {
         "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
@@ -365,43 +425,18 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
 def stage_compounds(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
-    affixes = _read_affixes(out)
-
-    suffixes_by_lang: dict[str, set[str]] = {}
-    for row in affixes:
-        if row["position"] == "suffix":
-            suffixes_by_lang.setdefault(row["language"], set()).add(row["affix"])
-
+    suffixes = _read_suffixes(out)
     candidates = []
     for lang in table.languages():
-        candidates.extend(
-            extract_candidates(table, lang, suffixes_by_lang.get(lang, ()))
-        )
-    analyses = score_and_filter(candidates, table, cfg.compound_threshold)
-
-    rows = []
-    for a in analyses:
-        c, r = a.candidate, a.recipe
-        rows.append(
-            (
-                c.language,
-                c.word,
-                c.left,
-                c.glue,
-                c.right,
-                r.left_concept if r else "",
-                r.right_concept if r else "",
-                str(r.support if r else 0),
-                "1" if a.accepted else "0",
-            )
-        )
+        candidates.extend(extract_candidates(table, lang, suffixes.get(lang, ())))
+    rows = score_and_filter(candidates, table, cfg.compound_threshold)
     return {
-        "candidates": len(analyses),
-        "accepted": sum(1 for a in analyses if a.accepted),
+        "candidates": len(rows),
+        "accepted": sum(row.accepted for row in rows),
     }, {
         "compounds.csv": _csv_text(
-            ["language", "word", "left", "glue", "right", "left_concept", "right_concept", "support", "accepted"],
-            rows,
+            CompoundRow._fields,
+            ((*row[:7], str(row.support), "1" if row.accepted else "0") for row in rows),
         ),
     }
 
@@ -414,7 +449,7 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     records: dict[str, list[RoundTripRecord]] = {}
     for rec in roundtrips:
         records.setdefault(rec.color, []).append(rec)
-    accepted = _read_accepted_compounds(out)
+    accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
 
     conc = ConcretenessLexicon.load(cfg.concreteness)
     ngram = CorpusSummary.load(cfg.ngram, "ngram")
@@ -656,11 +691,9 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
         lines.append(f"| {row[0]} | {row[1]} | {row[2]} |")
     lines.append("")
 
-    header, rows = _read_csv(_need(out / "compounds.csv"))
-    idx = {name: i for i, name in enumerate(header)}
-    accepted = [r for r in rows if r[idx["accepted"]] == "1"]
-    dist = Counter(len(r[idx["glue"]]) for r in accepted)
-    lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {len(rows)} candidates", ""]
+    accepted, candidates = _read_accepted_compounds(out)
+    dist = Counter(len(glue) for _, _, glue in accepted)
+    lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {candidates} candidates", ""]
     if dist:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")

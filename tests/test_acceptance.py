@@ -138,7 +138,7 @@ def test_criterion_05_split_enumeration(criterion):
         word = "".join(rng.choice("abcdef") for _ in range(k))
         splits = enumerate_splits(word)
         assert len(splits) == k * (k - 1) // 2
-        all_triples = {(c.left, c.glue, c.right) for c in splits}
+        all_triples = {(left, glue, right) for _, _, left, glue, right in splits}
         baseline = {t for t in all_triples if len(t[1]) <= 1}
         assert baseline <= all_triples
         if k >= 4:

@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from colorbasis.compounds import (
     DER_AFFIX_CONCEPT,
-    CompoundAnalysis,
-    Recipe,
-    SplitCandidate,
+    CompoundRow,
     compound_counts,
     enumerate_splits,
     extract_candidates,
@@ -16,20 +14,14 @@ from colorbasis.errors import ConfigError
 from colorbasis.lexicon import TranslationTable
 
 
-def test_split_candidate_must_reassemble():
-    with pytest.raises(ValueError):
-        SplitCandidate(word="abc", left="a", glue="x", right="c")
-    with pytest.raises(ValueError):
-        SplitCandidate(word="ab", left="ab", glue="", right="")
-
-
 def test_enumerate_splits_abc():
-    splits = [(c.left, c.glue, c.right) for c in enumerate_splits("abc")]
+    splits = [s[2:] for s in enumerate_splits("abc")]
     assert splits == [("a", "", "bc"), ("a", "b", "c"), ("ab", "", "c")]
+    assert enumerate_splits("ab", "xx") == [("xx", "ab", "a", "", "b")]
 
 
 def test_enumerate_splits_two_chars():
-    splits = [(c.left, c.glue, c.right) for c in enumerate_splits("ab")]
+    splits = [s[2:] for s in enumerate_splits("ab")]
     assert splits == [("a", "", "b")]
 
 
@@ -44,13 +36,14 @@ def test_enumerate_splits_count_formula(word):
     k = len(word)
     splits = enumerate_splits(word)
     assert len(splits) == k * (k - 1) // 2
-    for c in splits:
-        assert c.left + c.glue + c.right == word
+    for _, whole, left, glue, right in splits:
+        assert whole == word
+        assert left + glue + right == word
 
 
 @given(st.text("abcd", min_size=4, max_size=20))
 def test_arbitrary_glue_strictly_contains_short_glue_baseline(word):
-    all_splits = {(c.left, c.glue, c.right) for c in enumerate_splits(word)}
+    all_splits = {s[2:] for s in enumerate_splits(word)}
     baseline = {s for s in all_splits if len(s[1]) <= 1}
     assert baseline < all_splits  # strict superset for length >= 4
 
@@ -71,17 +64,15 @@ def test_extract_german_adjective_color():
             ("deu", "dunkelrot", "crimson"),
         ]
     )
-    found = [
-        (c.word, c.left, c.glue, c.right) for c in extract_candidates(table, "deu")
-    ]
-    assert ("dunkelrot", "dunkel", "", "rot") in found
+    found = extract_candidates(table, "deu")
+    assert ("deu", "dunkelrot", "dunkel", "", "rot") in found
 
 
 def test_extract_single_character_components():
     table = _table(
         [("cmn", "橙", "orange"), ("cmn", "色", "color"), ("cmn", "橙色", "orange")]
     )
-    found = [(c.left, c.glue, c.right) for c in extract_candidates(table, "cmn")]
+    found = [s[2:] for s in extract_candidates(table, "cmn")]
     assert ("橙", "", "色") in found
 
 
@@ -95,11 +86,8 @@ def test_extract_affix_route():
         [("spa", "anaranja", "orange"), ("spa", "anaranjado", "orange")]
     )
     assert extract_candidates(table, "spa") == []
-    found = [
-        (c.left, c.glue, c.right)
-        for c in extract_candidates(table, "spa", derivational_affixes={"do"})
-    ]
-    assert found == [("anaranja", "", "do")]
+    found = extract_candidates(table, "spa", derivational_affixes={"do"})
+    assert found == [("spa", "anaranjado", "anaranja", "", "do")]
 
 
 @given(
@@ -114,13 +102,35 @@ def test_extract_matches_filtered_enumeration(rows, affixes):
     table = _table([(lang, word, "gloss") for lang, word in rows])
     for lang in table.languages():
         expected = [
-            c
+            split
             for word in sorted(table.words_of(lang))
-            for c in enumerate_splits(word, lang)
-            if table.has_word(lang, c.left)
-            and (table.has_word(lang, c.right) or c.right in affixes)
+            for split in enumerate_splits(word, lang)
+            if table.has_word(lang, split[2])
+            and (table.has_word(lang, split[4]) or split[4] in affixes)
         ]
         assert extract_candidates(table, lang, affixes) == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["xx", "yy"]), st.text("ab", min_size=1, max_size=6)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.sets(st.text("ab", min_size=1, max_size=3), max_size=3),
+)
+def test_extracted_splits_reassemble(rows, affixes):
+    # the invariant a split has to keep: it is a plain five-string tuple
+    # of its own language whose non-empty outer components and glue
+    # reassemble its word
+    table = _table([(lang, word, "gloss") for lang, word in rows])
+    for lang in table.languages():
+        for split in extract_candidates(table, lang, affixes):
+            assert type(split) is tuple and len(split) == 5
+            language, word, left, glue, right = split
+            assert language == lang
+            assert left and right
+            assert left + glue + right == word
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +150,14 @@ def _dark_red_fixture():
 
 def _recipes(candidates, table):
     """The distinct recipes ``score_and_filter`` attaches to candidates,
+    as (left concept, right concept, support, languages of their rows),
     by support descending, then by concept pair."""
-    found = {a.recipe for a in score_and_filter(candidates, table, threshold=1) if a.recipe}
-    return sorted(found, key=lambda r: (-r.support, r.left_concept, r.right_concept))
+    languages = {}
+    for row in score_and_filter(candidates, table, threshold=1):
+        recipe = (row.left_concept, row.right_concept, row.support)
+        languages.setdefault(recipe, set()).add(row.language)
+    found = [(*recipe, frozenset(langs)) for recipe, langs in languages.items()]
+    return sorted(found, key=lambda r: (-r[2], r[0], r[1]))
 
 
 def test_recipe_support_counts_languages():
@@ -151,12 +166,7 @@ def test_recipe_support_counts_languages():
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
     recipes = _recipes(candidates, table)
-    assert recipes[0] == Recipe(
-        left_concept="dark",
-        right_concept="red",
-        support=3,
-        example_languages=frozenset({"deu", "nld", "swe"}),
-    )
+    assert recipes[0] == ("dark", "red", 3, frozenset({"deu", "nld", "swe"}))
 
 
 def test_recipe_single_language():
@@ -164,7 +174,7 @@ def test_recipe_single_language():
         [("deu", "dunkel", "dark"), ("deu", "rot", "red"), ("deu", "dunkelrot", "crimson")]
     )
     recipes = _recipes(extract_candidates(table, "deu"), table)
-    assert recipes[0].support == 1
+    assert recipes[0][2] == 1
 
 
 def test_recipe_sick_house_motif():
@@ -180,8 +190,8 @@ def test_recipe_sick_house_motif():
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
     recipes = _recipes(candidates, table)
-    motif = [r for r in recipes if (r.left_concept, r.right_concept) == ("sick", "house")]
-    assert motif[0].support == 3
+    motif = [r for r in recipes if r[:2] == ("sick", "house")]
+    assert motif[0][2:] == (3, frozenset({"aaa", "bbb", "ccc"}))
 
 
 def test_recipe_support_invariant_under_permutation():
@@ -205,8 +215,8 @@ def test_scoring_threshold():
         candidates.extend(extract_candidates(table, lang))
     analyses = score_and_filter(candidates, table, threshold=2)
     accepted = [a for a in analyses if a.accepted]
-    assert {a.candidate.word for a in accepted} == {"dunkelrot", "donkerrood", "morkrod"}
-    assert all(a.score == 3 for a in accepted)
+    assert {a.word for a in accepted} == {"dunkelrot", "donkerrood", "morkrod"}
+    assert all(a.support == 3 for a in accepted)
 
 
 def test_scoring_rejects_low_support():
@@ -215,7 +225,7 @@ def test_scoring_rejects_low_support():
     )
     analyses = score_and_filter(extract_candidates(table, "deu"), table, threshold=2)
     assert analyses[0].accepted is False
-    assert analyses[0].score == 1
+    assert analyses[0].support == 1
 
 
 def test_scoring_threshold_validation():
@@ -243,18 +253,18 @@ def test_second_pass_collapse():
     analyses = score_and_filter(candidates, table, threshold=2)
     by_word = {}
     for a in analyses:
-        by_word.setdefault(a.candidate.word, []).append(a)
+        by_word.setdefault(a.word, []).append(a)
 
     # pass 1 gave (pa, qa) support 2 via l1+l2; the l2 split lost the
     # per-word selection to the support-3 (ca, da) split
-    pqr = {(a.candidate.left, a.candidate.right): a for a in by_word["pqr"]}
+    pqr = {(a.left, a.right): a for a in by_word["pqr"]}
     assert pqr[("pq", "r")].accepted is True
     assert pqr[("p", "qr")].accepted is False
 
     xy = by_word["xy"][0]
     assert xy.accepted is False
-    assert xy.score == 1  # collapsed from 2 after the second pass
-    assert xy.recipe.support == 1
+    assert (xy.left_concept, xy.right_concept) == ("pa", "qa")
+    assert xy.support == 1  # collapsed from 2 after the second pass
 
 
 def test_accepted_analyses_reassemble():
@@ -263,8 +273,7 @@ def test_accepted_analyses_reassemble():
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang))
     for a in score_and_filter(candidates, table, threshold=2):
-        c = a.candidate
-        assert c.left + c.glue + c.right == c.word
+        assert a.left + a.glue + a.right == a.word
 
 
 def test_affix_route_recipe_concept():
@@ -279,8 +288,8 @@ def test_affix_route_recipe_concept():
     )
     analyses = score_and_filter(candidates, table, threshold=2)
     assert all(a.accepted for a in analyses)
-    assert all(a.recipe.right_concept == DER_AFFIX_CONCEPT for a in analyses)
-    assert all(a.recipe.support == 2 for a in analyses)
+    assert all(a.right_concept == DER_AFFIX_CONCEPT for a in analyses)
+    assert all(a.support == 2 for a in analyses)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +297,11 @@ def test_affix_route_recipe_concept():
 
 
 def _analysis(lang, word, accepted):
-    cand = SplitCandidate(word=word, left=word[:1], glue="", right=word[1:], language=lang)
-    recipe = Recipe(
-        left_concept="x", right_concept="y", support=2, example_languages=frozenset({lang, "zz"})
-    )
-    return CompoundAnalysis(candidate=cand, recipe=recipe, score=2, accepted=accepted)
+    return CompoundRow(lang, word, word[:1], "", word[1:], "x", "y", 2, accepted)
 
 
 def _accepted(analyses):
-    return {(a.candidate.language, a.candidate.word) for a in analyses if a.accepted}
+    return {(a.language, a.word) for a in analyses if a.accepted}
 
 
 def test_compounding_features_counts_and_fraction():
@@ -338,13 +343,15 @@ def test_rejected_compounds_do_not_count():
 
 def _oracle_score_and_filter(candidates, table, threshold):
     """The two-pass filter computed candidate by candidate: concept pairs,
-    best pairs and a fresh Recipe for every candidate."""
+    best pairs and the recipe's languages for every candidate, as the
+    ``compounds.csv`` rows."""
     from colorbasis.lexicon import back_translate
 
     def concept_pairs(c):
-        lefts = sorted(back_translate(table, c.left, c.language))
-        if table.has_word(c.language, c.right):
-            rights = sorted(back_translate(table, c.right, c.language))
+        language, _, left, _, right = c
+        lefts = sorted(back_translate(table, left, language))
+        if table.has_word(language, right):
+            rights = sorted(back_translate(table, right, language))
         else:
             rights = [DER_AFFIX_CONCEPT]
         return [(l, r) for l in lefts for r in rights]
@@ -353,7 +360,7 @@ def _oracle_score_and_filter(candidates, table, threshold):
         langs = {}
         for c, ps in zip(cands, cand_pairs):
             for p in ps:
-                langs.setdefault(p, set()).add(c.language)
+                langs.setdefault(p, set()).add(c[0])
         return langs
 
     def best_pair(ps, supports):
@@ -369,7 +376,7 @@ def _oracle_score_and_filter(candidates, table, threshold):
     scored1 = [best_pair(p, support1) for p in pairs]
     by_word = {}
     for idx, c in enumerate(candidates):
-        key = (c.language, c.word)
+        key = (c[0], c[1])
         if key not in by_word or scored1[idx][0] > scored1[by_word[key]][0]:
             by_word[key] = idx
     kept = set(by_word.values())
@@ -377,19 +384,22 @@ def _oracle_score_and_filter(candidates, table, threshold):
     support2 = support_map(
         [c for c, a in zip(candidates, accepted1) if a], [p for p, a in zip(pairs, accepted1) if a]
     )
-    analyses = []
+    rows = []
     for idx, c in enumerate(candidates):
         if accepted1[idx]:
             score, pair = best_pair(pairs[idx], support2)
             accepted, supports = score >= threshold, support2
         else:
             (score, pair), accepted, supports = scored1[idx], False, support1
-        recipe = None
-        if pair is not None and supports.get(pair):
-            recipe = Recipe(pair[0], pair[1], len(supports[pair]), frozenset(supports[pair]))
-        analyses.append(CompoundAnalysis(c, recipe, score, accepted))
-    analyses.sort(key=lambda a: (a.candidate.language, a.candidate.word, len(a.candidate.left), len(a.candidate.left) + len(a.candidate.glue)))
-    return analyses
+        rows.append(CompoundRow(*c, *pair, len(supports[pair]), accepted))
+    rows.sort(key=lambda r: (r.language, r.word, len(r.left), len(r.left) + len(r.glue)))
+    return rows
+
+
+def _matches_oracle(candidates, table, threshold):
+    rows = score_and_filter(candidates, table, threshold)
+    assert all(type(r) is CompoundRow and type(r.support) is int and type(r.accepted) is bool for r in rows)
+    return rows == _oracle_score_and_filter(candidates, table, threshold)
 
 
 @given(
@@ -415,9 +425,7 @@ def test_score_and_filter_matches_per_candidate_oracle(rows, affixes, threshold,
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang, affixes))
     rng.shuffle(candidates)
-    assert score_and_filter(candidates, table, threshold) == _oracle_score_and_filter(
-        candidates, table, threshold
-    )
+    assert _matches_oracle(candidates, table, threshold)
 
 
 def test_score_and_filter_oracle_sees_shared_keys_and_affixes():
@@ -426,11 +434,11 @@ def test_score_and_filter_oracle_sees_shared_keys_and_affixes():
          ("l2", "ab", "dark"), ("l2", "a", "red"), ("l2", "b", "blue"), ("l2", "ad", "y")]
     )
     candidates = extract_candidates(table, "l1") + extract_candidates(table, "l2", {"d"})
-    keys = [(c.language, c.left, c.right) for c in candidates]
+    keys = [(language, left, right) for language, _, left, _, right in candidates]
     assert len(set(keys)) < len(keys)  # "ab" and "acb" share (l1, a, b)
     assert ("l2", "a", "d") in keys  # right side matched by the affix
     for order in (candidates, candidates[::-1]):
-        assert score_and_filter(order, table, 2) == _oracle_score_and_filter(order, table, 2)
+        assert _matches_oracle(order, table, 2)
 
 
 def test_score_and_filter_oracle_sees_tied_splits_of_one_word():
@@ -442,4 +450,4 @@ def test_score_and_filter_oracle_sees_tied_splits_of_one_word():
     )
     candidates = extract_candidates(table, "l1") + extract_candidates(table, "l2")
     for order in (candidates, candidates[::-1]):
-        assert score_and_filter(order, table, 2) == _oracle_score_and_filter(order, table, 2)
+        assert _matches_oracle(order, table, 2)

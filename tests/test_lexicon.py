@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorbasis.errors import DataError, EmptyLexiconError
@@ -11,6 +11,7 @@ from colorbasis.lexicon import (
     back_translate,
     load_lexicon,
     load_seeds,
+    normalize_term,
     round_trip,
     translate,
 )
@@ -65,6 +66,33 @@ def test_load_normalizes_nfc_and_case(tmp_path):
     path = write_lexicon(tmp_path, [f"fra\t{decomposed}\tBrown"])
     table = load_lexicon(path)
     assert ("fra", "café", "brown") in table.entries
+
+
+def test_gloss_normalization_lowercases_before_nfc(tmp_path):
+    # NFC before lowercasing left "J\u030c" as "j\u030c", which a second
+    # pass composed to "\u01f0"
+    assert normalize_term(" J\u030c ") == "\u01f0"
+    path = write_lexicon(tmp_path, ["xx\tjo\tJ\u030c", "xx\tja\t\u01f0"])
+    table = load_lexicon(path)
+    assert {gloss for _, _, gloss in table.entries} == {"\u01f0"}
+    assert translate(table, "J\u030c", "xx") == {"jo", "ja"}
+    assert TranslationTable.from_rows(table.entries).entries == table.entries
+
+
+#: cased letters, combining marks (several compose with them under NFC),
+#: case-changing oddities and whitespace
+_term_chars = st.one_of(
+    st.sampled_from("AaJjHhTtWwYyIiSs\u0130\u0131\u00df\u1e9e\u01c5\u2126\u212a \t\u2028"),
+    st.sampled_from("\u0300\u0301\u0307\u030a\u030c\u0308\u0331\u0344\u0345\u0327"),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@settings(max_examples=150)
+@given(st.text(_term_chars, max_size=6))
+def test_normalize_term_is_idempotent(s):
+    once = normalize_term(s)
+    assert normalize_term(once) == once
 
 
 def test_translate():

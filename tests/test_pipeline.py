@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import functools
+import io
 import json
 import re
 import shutil
@@ -419,6 +421,45 @@ def test_cli_reserved_sentinel_in_lexicon_is_data_error(tmp_path, capsys):
     assert "reserved word-boundary character" in err
 
 
+#: characters str.splitlines breaks at besides "\n" and "\r"
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys):
+    # the lexicon is split at newlines only, so the cached lexicon must
+    # be too: a word holding U+2028 once made the segment stage exit 4
+    config_path = write_demo(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    words = [f"we{sep}iss" for sep in LINE_SEPARATORS] + ["dunkel\u2029rot"]
+    with lexicon.open("a", encoding="utf-8", newline="") as fh:
+        for word in words:
+            fh.write(f"deu\t{word}\tpale\n")
+    assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
+    out = load_config(config_path).output_dir
+    segmented = {w for lang, w in pipeline._read_segmentations(out) if lang == "deu"}
+    assert set(words) <= segmented
+    compounds = (out / "compounds.csv").read_text(encoding="utf-8")
+    for stage in ("segment", "compounds"):
+        assert main([stage, "--config", str(config_path)]) == 0, capsys.readouterr().err
+    assert (out / "compounds.csv").read_text(encoding="utf-8") == compounds
+
+
+def test_cached_lexicon_is_the_ingested_one(tmp_path):
+    # the stages after ingest build the table from the cache as it
+    # stands, which holds only while normalizing twice changes nothing
+    config_path = write_demo(tmp_path)
+    lexicon = tmp_path / "lexicon.tsv"
+    with lexicon.open("a", encoding="utf-8") as fh:
+        fh.write("deu\tjot\tJ\u030c\ndeu\tcafe\u0301\t Brown \n")
+    cfg = load_config(config_path)
+    run_stage(cfg, "ingest")
+    cached = pipeline._read_lexicon_cache(cfg.output_dir)
+    ingested = pipeline.load_lexicon(lexicon)
+    assert cached.entries == ingested.entries
+    assert ("deu", "jot", "\u01f0") in cached.entries
+    assert ("deu", "caf\u00e9", "brown") in cached.entries
+
+
 def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
     # every basic color at stage 1 and only basic colors in the sequence
     # target: that target is constant, so every gamma against it is undefined
@@ -555,3 +596,48 @@ def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
     )
     with pytest.raises(DataError, match="row 2 has 2 fields, expected 4"):
         pipeline._read_roundtrips(tmp_path)
+
+
+@pytest.mark.parametrize("resize", [0, -1, 1])
+@pytest.mark.parametrize("special", ["", ",", '"', "\r", "\n", "\x00"])
+@settings(max_examples=8)
+@given(
+    st.integers(1, 4),
+    st.lists(st.lists(st.text("ab \u2028é", max_size=3), min_size=4, max_size=4), min_size=1, max_size=5),
+    st.integers(0, 99),
+)
+def test_csv_text_is_what_csv_writer_writes(special, resize, width, fields, where):
+    # rows as wide as the header, except that one field may hold a comma,
+    # a quote, a line break or a NUL, and a row may be one field short
+    # (with a comma in it the comma count still matches) or long; one
+    # column of empty fields is quoted too.  Either way the text is
+    # csv.writer's byte for byte
+    header = [f"h{i}" for i in range(width)]
+    rows = [row[:width] for row in fields]
+    rows[where % len(rows)][where % width] += special
+    resized = rows[(where + 1) % len(rows)]
+    if resize < 0:
+        del resized[0]
+    elif resize > 0:
+        resized.append("z")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert pipeline._csv_text(header, iter(rows)) == buf.getvalue()
+
+
+def test_compounds_reader_checks_the_rows_it_does_not_keep(tmp_path):
+    # the accepted-compounds reader keeps only accepted rows, but a short
+    # rejected row or an empty file is still a data error
+    header = "language,word,left,glue,right,left_concept,right_concept,support,accepted\n"
+    (tmp_path / "compounds.csv").write_text(
+        header + "l1,ab,a,,b,x,y,2,1\nl1,abc,a,b\n", encoding="utf-8"
+    )
+    with pytest.raises(DataError, match="row 2 has 4 fields, expected 9"):
+        pipeline._read_accepted_compounds(tmp_path)
+    (tmp_path / "compounds.csv").write_text(header + "l1,ab,a,,b,x,y,2,1\nl1,abc,a,b,c,x,y,1,0\n", encoding="utf-8")
+    assert pipeline._read_accepted_compounds(tmp_path) == ([("l1", "ab", "")], 2)
+    (tmp_path / "compounds.csv").write_text("", encoding="utf-8")
+    with pytest.raises(DataError, match="empty file"):
+        pipeline._read_accepted_compounds(tmp_path)

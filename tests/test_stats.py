@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorbasis.errors import DegenerateColumnError, UndefinedGammaError
@@ -117,6 +118,45 @@ def test_gamma_monotone_transform_invariance(pairs):
     assert transformed.gamma == base.gamma
 
 
+#: strictly increasing maps; in floating point one may still merge two
+#: close values, which the test below rules out with ``assume``
+_INCREASING = {
+    "exp": math.exp,
+    "atan": math.atan,
+    "cube": lambda v: v**3,
+    "affine": lambda v: 2.5 * v - 7.0,
+    "squash": lambda v: v / (1.0 + abs(v)),
+}
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-4, 4).map(float), st.floats(-30, 30)),
+            st.integers(0, 3),
+        ),
+        min_size=2,
+        max_size=20,
+    ),
+    st.sampled_from(sorted(_INCREASING)),
+)
+def test_gamma_unchanged_by_an_order_preserving_map(pairs, name):
+    x = [p[0] for p in pairs]
+    y = [p[1] for p in pairs]
+    fx = [_INCREASING[name](v) for v in x]
+    # the map keeps the sample's order and its ties
+    assume(all((a < b) == (fa < fb) and (a == b) == (fa == fb)
+               for a, fa in zip(x, fx) for b, fb in zip(x, fx)))
+    try:
+        base = gamma(x, y)
+    except UndefinedGammaError:
+        with pytest.raises(UndefinedGammaError):
+            gamma(fx, y)
+        return
+    assert gamma(fx, y) == base
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -206,6 +246,38 @@ def test_aggregate_affine_invariance(data):
     r1 = aggregate(m1, negated=frozenset(), transforms={})
     r2 = aggregate(m2, negated=frozenset(), transforms={})
     assert r1.colors == r2.colors
+
+
+# normal floats far from overflow: scaling by 2**k with |k| <= 8 keeps every
+# difference, quotient and sum exact up to the same power of two
+_plain_floats = st.one_of(
+    st.just(0.0),
+    st.floats(1e-6, 1e6),
+    st.floats(-1e6, -1e-6),
+    st.integers(-20, 20).map(float),
+)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_aggregate_scores_bit_identical_when_a_column_is_scaled_by_a_power_of_two(data):
+    n_colors = data.draw(st.integers(3, 7))
+    n_cols = data.draw(st.integers(1, 4))
+    colors = [f"c{i}" for i in range(n_colors)]
+    columns = [f"f{j}" for j in range(n_cols)] + ["freq"]
+    rows = [
+        [data.draw(_plain_floats) for _ in range(n_cols)] + [data.draw(st.floats(0, 1e4))]
+        for _ in range(n_colors)
+    ]
+    negated = frozenset(data.draw(st.sets(st.sampled_from(columns))))
+    transforms = {"freq": "log1p"}  # the scaled column has no transform
+    j = data.draw(st.integers(0, n_cols - 1))
+    factor = 2.0 ** data.draw(st.integers(-8, 8))
+    scaled_rows = [row[:j] + [row[j] * factor] + row[j + 1:] for row in rows]
+    r1 = aggregate(_matrix(colors, columns, rows), negated, transforms=transforms)
+    r2 = aggregate(_matrix(colors, columns, scaled_rows), negated, transforms=transforms)
+    assert r1.colors == r2.colors
+    assert np.array(r1.scores).tobytes() == np.array(r2.scores).tobytes()
 
 
 # ---------------------------------------------------------------------------
