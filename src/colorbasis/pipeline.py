@@ -103,33 +103,7 @@ StageResult = tuple[dict, dict[str, str]]
 # artifact I/O helpers
 
 
-# besides a comma or a line break, a character that makes csv.writer quote
-# a field or that it might treat specially
-_CSV_SPECIAL = re.compile('["\r\x00]')
-
-
 def _csv_text(header, rows) -> str:
-    """``header`` and ``rows`` (of strings) as ``csv.writer`` writes them,
-    one ``\n``-terminated line per row.
-
-    When every row is as wide as the header, no field holds a comma, a
-    quote, a line break or a NUL, and there are two columns or more (the
-    writer quotes an empty field that is alone on its row), csv.writer
-    would quote nothing, so the fields are joined directly; otherwise
-    csv.writer writes the text.
-    """
-    rows = list(rows)
-    width = len(header)
-    lines = [",".join(header), *map(",".join, rows)]
-    text = "\n".join(lines) + "\n"
-    if (
-        width > 1
-        and set(map(len, rows)) <= {width}
-        and text.count(",") == (width - 1) * len(lines)
-        and text.count("\n") == len(lines)
-        and _CSV_SPECIAL.search(text) is None
-    ):
-        return text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -227,6 +201,8 @@ def _read_lexicon_cache(out: Path) -> TranslationTable:
     for number, entry in enumerate(entries, 1):
         if len(entry) != 3:
             raise DataError(f"{path}: line {number} has {len(entry)} fields, expected 3")
+        if not all(entry):
+            raise DataError(f"{path}: line {number} has an empty field")
     return TranslationTable(entries=frozenset(entries))
 
 

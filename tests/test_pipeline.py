@@ -1,7 +1,5 @@
-import csv
 import dataclasses
 import functools
-import io
 import json
 import re
 import shutil
@@ -460,6 +458,26 @@ def test_cached_lexicon_is_the_ingested_one(tmp_path):
     assert ("deu", "caf\u00e9", "brown") in cached.entries
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("deu\tred", "line 2 has 2 fields, expected 3"),
+        ("deu\t\tred", "line 2 has an empty field"),
+        ("\trot\tred", "line 2 has an empty field"),
+        ("deu\trot\t", "line 2 has an empty field"),
+    ],
+)
+def test_lexicon_cache_reader_rejects_a_damaged_line(tmp_path, line, message):
+    # an empty word would be a prefix of every word and split it into an
+    # empty left part, so the reader refuses it as it refuses a short line
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache/lexicon_normalized.tsv").write_text(
+        f"deu\trot\tred\n{line}\n", encoding="utf-8"
+    )
+    with pytest.raises(DataError, match=re.escape(message)):
+        pipeline._read_lexicon_cache(tmp_path)
+
+
 def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
     # every basic color at stage 1 and only basic colors in the sequence
     # target: that target is constant, so every gamma against it is undefined
@@ -596,35 +614,6 @@ def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
     )
     with pytest.raises(DataError, match="row 2 has 2 fields, expected 4"):
         pipeline._read_roundtrips(tmp_path)
-
-
-@pytest.mark.parametrize("resize", [0, -1, 1])
-@pytest.mark.parametrize("special", ["", ",", '"', "\r", "\n", "\x00"])
-@settings(max_examples=8)
-@given(
-    st.integers(1, 4),
-    st.lists(st.lists(st.text("ab \u2028é", max_size=3), min_size=4, max_size=4), min_size=1, max_size=5),
-    st.integers(0, 99),
-)
-def test_csv_text_is_what_csv_writer_writes(special, resize, width, fields, where):
-    # rows as wide as the header, except that one field may hold a comma,
-    # a quote, a line break or a NUL, and a row may be one field short
-    # (with a comma in it the comma count still matches) or long; one
-    # column of empty fields is quoted too.  Either way the text is
-    # csv.writer's byte for byte
-    header = [f"h{i}" for i in range(width)]
-    rows = [row[:width] for row in fields]
-    rows[where % len(rows)][where % width] += special
-    resized = rows[(where + 1) % len(rows)]
-    if resize < 0:
-        del resized[0]
-    elif resize > 0:
-        resized.append("z")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    assert pipeline._csv_text(header, iter(rows)) == buf.getvalue()
 
 
 def test_compounds_reader_checks_the_rows_it_does_not_keep(tmp_path):
