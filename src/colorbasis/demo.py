@@ -44,8 +44,6 @@ COLOR_RANKS = (
     ("teal", None),
 )
 
-LANGS = ("deu", "nld", "spa", "ita", "cmn", "yue")
-
 # per-color base translations: (language, word)
 BASE_WORDS = {
     "white": [("deu", "weiss"), ("nld", "wit"), ("spa", "alba"), ("ita", "bianca"),

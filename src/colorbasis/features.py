@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import DataError
-from .lexicon import normalize_term
+from .lexicon import normalize_term, numbered_lines
 from .stats import FEATURE_COLUMNS
 
 ETYMOLOGY_PROCESSES = (
@@ -40,7 +39,7 @@ class ConcretenessLexicon:
     @classmethod
     def load(cls, path) -> "ConcretenessLexicon":
         ratings = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in numbered_lines(path):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -54,9 +53,6 @@ class ConcretenessLexicon:
 
     def rating(self, word: str) -> float | None:
         return self._ratings.get(normalize_term(word))
-
-    def __len__(self) -> int:
-        return len(self._ratings)
 
 
 def word_concreteness(color: str, lex: ConcretenessLexicon) -> float | None:
@@ -106,7 +102,7 @@ class CorpusSummary:
     @classmethod
     def load(cls, path, source: str) -> "CorpusSummary":
         rows = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in numbered_lines(path):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -147,7 +143,7 @@ class EtymologyTable:
     @classmethod
     def load(cls, path) -> "EtymologyTable":
         table = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in numbered_lines(path):
             if not line.strip():
                 continue
             parts = line.split("\t")

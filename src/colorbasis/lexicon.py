@@ -13,7 +13,6 @@ import logging
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError, EmptyLexiconError
@@ -33,6 +32,17 @@ def normalize_term(s: str) -> str:
     would lowercase to ``j\u030c``, which NFC then composes to
     ``\u01f0``)."""
     return unicodedata.normalize("NFC", s.strip().lower())
+
+
+def numbered_lines(path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file,
+    numbered from 1.  Line ends are read in universal-newline mode and
+    lines end at ``\n`` only, so a field may hold any other line
+    separator (U+2028, ``\x0c``, ...).  Every line-oriented input and
+    cache is read through here."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            yield number, line.rstrip("\n")
 
 
 @dataclass(frozen=True)
@@ -93,9 +103,6 @@ class TranslationTable:
     def words_of(self, lang: str) -> set[str]:
         return set(self._glosses.get(lang, ()))
 
-    def has_word(self, lang: str, word: str) -> bool:
-        return word in self._glosses.get(lang, ())
-
     def glosses(self, lang: str, word: str) -> tuple[str, ...]:
         """The sorted glosses of (lang, word), which must be normalized
         already; empty for a pair the table does not hold."""
@@ -112,27 +119,24 @@ def load_lexicon(path) -> TranslationTable:
     EmptyLexiconError when no valid row remains, and propagates I/O errors
     for unreadable files.
     """
-    path = Path(path)
     rows = []
     rows_read = 0
     skipped = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            rows_read += 1
-            parts = line.split("\t")
-            if len(parts) < 3 or not all(p.strip() for p in parts[:3]):
-                skipped += 1
-                log.warning("%s:%d: malformed lexicon row skipped", path, lineno)
-                continue
-            if any(ch in parts[1] for ch in RESERVED_SENTINELS):
-                raise DataError(
-                    f"{path}:{lineno}: foreign word {parts[1]!r} contains a reserved "
-                    "word-boundary character"
-                )
-            rows.append(tuple(parts[:3]))
+    for lineno, line in numbered_lines(path):
+        if not line:
+            continue
+        rows_read += 1
+        parts = line.split("\t")
+        if len(parts) < 3 or not all(p.strip() for p in parts[:3]):
+            skipped += 1
+            log.warning("%s:%d: malformed lexicon row skipped", path, lineno)
+            continue
+        if any(ch in parts[1] for ch in RESERVED_SENTINELS):
+            raise DataError(
+                f"{path}:{lineno}: foreign word {parts[1]!r} contains a reserved "
+                "word-boundary character"
+            )
+        rows.append(tuple(parts[:3]))
     table = TranslationTable.from_rows(rows)
     table.load_report = LoadReport(
         rows_read=rows_read, entries=len(table.entries), skipped=skipped
@@ -183,10 +187,9 @@ class ColorConcept:
 def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
     """Parse the seed color list: one term per line, ``*`` marks basic
     terms and ``@N`` appends the acquisition stage (e.g. ``white*@1``)."""
-    path = Path(path)
     concepts: list[ColorConcept] = []
     seen = set()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in numbered_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -59,6 +59,7 @@ from .lexicon import (
     TranslationTable,
     load_lexicon,
     load_seeds,
+    numbered_lines,
     round_trip,
 )
 from .segmentation import (
@@ -162,6 +163,21 @@ def _json_column(path: Path, cells: list[str]) -> list:
     return values
 
 
+def _columns(path: Path, header: list[str], names) -> list[int]:
+    """The positions of ``names`` in the header of the cached CSV ``path``."""
+    for name in names:
+        if name not in header:
+            raise DataError(f"{path}: no column {name!r}")
+    return [header.index(name) for name in names]
+
+
+def _number(path: Path, row: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(f"{path}: row {row}, column {column!r}: not a number: {cell!r}") from None
+
+
 def _need(path: Path) -> Path:
     if not path.exists():
         raise DependencyError(f"missing upstream artifact: {path}")
@@ -176,33 +192,20 @@ def _fmt(value: float) -> str:
 # cached-artifact readers
 
 
-def _read_seeds_cache(out: Path) -> list[ColorConcept]:
-    path = _need(out / "cache/seeds_normalized.tsv")
-    concepts = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        term, basic, stage = line.split("\t")
-        concepts.append(
-            ColorConcept(
-                term=term,
-                is_basic=basic == "1",
-                bk_stage=int(stage) if stage else None,
-            )
-        )
-    return concepts
-
-
 def _read_lexicon_cache(out: Path) -> TranslationTable:
     """The ingested lexicon, built from its cached entries as they stand:
-    ingest wrote them normalized, and normalizing is idempotent.  Lines
-    end only at ``\n``; a word may hold any other line separator."""
+    ingest wrote them normalized, and normalizing is idempotent."""
     path = _need(out / "cache/lexicon_normalized.tsv")
-    text = path.read_text(encoding="utf-8")
-    entries = [tuple(line.split("\t")) for line in text.split("\n") if line]
-    for number, entry in enumerate(entries, 1):
+    entries = []
+    for number, line in numbered_lines(path):
+        if not line:
+            continue
+        entry = tuple(line.split("\t"))
         if len(entry) != 3:
             raise DataError(f"{path}: line {number} has {len(entry)} fields, expected 3")
         if not all(entry):
             raise DataError(f"{path}: line {number} has an empty field")
+        entries.append(entry)
     return TranslationTable(entries=frozenset(entries))
 
 
@@ -240,8 +243,9 @@ def _read_segmentations(out: Path) -> dict[tuple[str, str], tuple[str, ...]]:
 
 def _read_suffixes(out: Path) -> dict[str, set[str]]:
     """The suffixes of ``affixes.csv``, by language."""
-    header, rows = _read_csv(_need(out / "affixes.csv"))
-    language, affix, position = map(header.index, ("language", "affix", "position"))
+    path = _need(out / "affixes.csv")
+    header, rows = _read_csv(path)
+    language, affix, position = _columns(path, header, ("language", "affix", "position"))
     suffixes: dict[str, set[str]] = {}
     for row in rows:
         if row[position] == "suffix":
@@ -252,22 +256,23 @@ def _read_suffixes(out: Path) -> dict[str, set[str]]:
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
     path = _need(out / "features.csv")
     header, rows = _read_csv(path)
-    columns = tuple(header[1:])
+    positions = _columns(path, header, FEATURE_COLUMNS)
     colors = [row[0] for row in rows]
-    values = {col: [] for col in columns}
-    for row in rows:
-        for col, cell in zip(columns, row[1:]):
-            values[col].append(float(cell))
-    return FeatureMatrix(colors=colors, columns=columns, values=values)
+    values = {col: [] for col in FEATURE_COLUMNS}
+    for number, row in enumerate(rows, 1):
+        for col, i in zip(FEATURE_COLUMNS, positions):
+            values[col].append(_number(path, number, col, row[i]))
+    return FeatureMatrix(colors=colors, columns=FEATURE_COLUMNS, values=values)
 
 
 def _read_accepted_compounds(out: Path) -> tuple[list[tuple[str, str, str]], int]:
     """The accepted rows of ``compounds.csv`` as (language, word, glue),
     and the number of rows.  Every row is checked as it is read, but only
     the accepted ones are kept."""
-    rows = _csv_rows(_need(out / "compounds.csv"))
+    path = _need(out / "compounds.csv")
+    rows = _csv_rows(path)
     header = next(rows)
-    language, word, glue, accepted = map(header.index, ("language", "word", "glue", "accepted"))
+    language, word, glue, accepted = _columns(path, header, ("language", "word", "glue", "accepted"))
     kept = []
     total = 0
     for total, row in enumerate(rows, 1):
@@ -285,10 +290,6 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
     seeds = load_seeds(cfg.seeds)
 
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in sorted(table.entries)]
-    seed_lines = [
-        f"{c.term}\t{1 if c.is_basic else 0}\t{c.bk_stage if c.bk_stage is not None else ''}"
-        for c in seeds
-    ]
 
     rows = []
     for concept in seeds:
@@ -311,7 +312,6 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
         "roundtrip_rows": len(rows),
     }, {
         "cache/lexicon_normalized.tsv": "\n".join(lex_lines) + "\n",
-        "cache/seeds_normalized.tsv": "\n".join(seed_lines) + "\n",
         "cache/roundtrips.csv": _csv_text(
             ["color", "language", "foreign_word", "back_translations"], rows
         ),
@@ -419,7 +419,7 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
 
 def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
-    seeds = _read_seeds_cache(out)
+    seeds = load_seeds(cfg.seeds)
     roundtrips = _read_roundtrips(out, back_translations=True)
     translations = _translation_pairs(roundtrips)
     records: dict[str, list[RoundTripRecord]] = {}
@@ -475,12 +475,14 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 def _read_features_base(out: Path):
     path = _need(out / "cache/features_base.csv")
     header, rows = _read_csv(path)
+    positions = _columns(path, header, NON_AFFIX_COLUMNS)
     colors = [r[0] for r in rows]
     has_translations = {r[0]: r[1] == "1" for r in rows}
     maps: dict[str, dict[str, float | None]] = {col: {} for col in NON_AFFIX_COLUMNS}
-    for row in rows:
-        for col, cell in zip(header[2:], row[2:]):
-            maps[col][row[0]] = float(cell) if cell else None
+    for number, row in enumerate(rows, 1):
+        for col, i in zip(NON_AFFIX_COLUMNS, positions):
+            cell = row[i]
+            maps[col][row[0]] = _number(path, number, col, cell) if cell else None
     return colors, has_translations, maps
 
 
@@ -530,7 +532,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         [color, *(repr(matrix.values[col][i]) for col in matrix.columns)]
         for i, color in enumerate(matrix.colors)
     ]
-    seeds = {c.term: c for c in _read_seeds_cache(out)}
+    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
 
     def ranking_rows(ranking):
         return [
@@ -572,7 +574,7 @@ def _gamma_or_nan(x, y) -> float:
 def stage_gamma(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     matrix = _read_feature_matrix(out)
-    seeds = {c.term: c for c in _read_seeds_cache(out)}
+    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
     basic_flags, seq, seq_idx = _targets_for(matrix, seeds, cfg.sequence_scope)
 
     rows = []
@@ -603,7 +605,7 @@ def stage_rfe(cfg: PipelineConfig) -> StageResult:
     if not cfg.rfe_enabled:
         return {"enabled": False}, {"rfe.json": json.dumps({"enabled": False}, indent=2) + "\n"}
     matrix = _read_feature_matrix(out)
-    seeds = {c.term: c for c in _read_seeds_cache(out)}
+    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
     basic_flags, seq, seq_idx = _targets_for(matrix, seeds, cfg.sequence_scope)
 
     payload = {"enabled": True}
@@ -648,7 +650,13 @@ def stage_wcs(cfg: PipelineConfig) -> StageResult:
         "languages": len(summaries),
         "responses": len(table.rows),
         "conflicts": table.conflicts,
-    }, {"consensus.csv": consensus, "inventory.csv": inventory, "heterogeneity.svg": svg}
+    }, {
+        "consensus.csv": _csv_text(["language", "term", "consensus"], consensus),
+        "inventory.csv": _csv_text(
+            ["language", "total_terms", "inventory_mean", "inventory_std"], inventory
+        ),
+        "heterogeneity.svg": svg,
+    }
 
 
 def stage_report(cfg: PipelineConfig) -> StageResult:
@@ -680,10 +688,10 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
 
-    # the colors missing from the ranking are exactly those the aggregate
-    # stage dropped; features_base.csv lists colors in seed order
+    # the seeds missing from the ranking are exactly those the aggregate
+    # stage dropped
     ranked = {row[0] for row in ranking}
-    dropped = [c for c in _read_features_base(out)[0] if c not in ranked]
+    dropped = [c.term for c in load_seeds(cfg.seeds) if c.term not in ranked]
     if dropped:
         lines += ["## Dropped colors", "", ", ".join(dropped), ""]
 

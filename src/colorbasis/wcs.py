@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from .lexicon import numbered_lines
 
 
 def _norm(s: str) -> str:
@@ -54,25 +55,23 @@ def load_wcs(path) -> ElicitationTable:
     seen = set()
     conflicts = 0
     skipped = 0
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                skipped += 1
-                continue
-            lang, speaker, chip, term = (_norm(p) for p in parts[:4])
-            if not term or not lang or not speaker or not chip:
-                skipped += 1
-                continue
-            key = (lang, speaker, chip)
-            if key in seen:
-                conflicts += 1
-                continue
-            seen.add(key)
-            rows.append((lang, speaker, chip, term))
+    for _, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 4:
+            skipped += 1
+            continue
+        lang, speaker, chip, term = (_norm(p) for p in parts[:4])
+        if not term or not lang or not speaker or not chip:
+            skipped += 1
+            continue
+        key = (lang, speaker, chip)
+        if key in seen:
+            conflicts += 1
+            continue
+        seen.add(key)
+        rows.append((lang, speaker, chip, term))
     return ElicitationTable(rows=rows, conflicts=conflicts, skipped=skipped)
 
 
@@ -128,23 +127,6 @@ def summarize(table: ElicitationTable) -> list[LanguageSummary]:
     return out
 
 
-def consensus_csv(summaries) -> str:
-    lines = ["language,term,consensus"]
-    for s in summaries:
-        for term, frac in s.consensus:
-            lines.append(f"{s.language},{term},{frac:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def inventory_csv(summaries) -> str:
-    lines = ["language,total_terms,inventory_mean,inventory_std"]
-    for s in summaries:
-        lines.append(
-            f"{s.language},{s.total_terms},{s.inventory_mean:.6f},{s.inventory_std:.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _shade(fraction: float) -> str:
     # white at zero consensus, saturated red at full consensus
     g = round(235 * (1.0 - fraction))
@@ -194,6 +176,14 @@ def _escape(s: str) -> str:
 
 
 def heterogeneity_report(table: ElicitationTable):
-    """(summaries, consensus CSV, inventory CSV, SVG) for the whole table."""
+    """(summaries, ``consensus.csv`` rows, ``inventory.csv`` rows, SVG)
+    for the whole table."""
     summaries = summarize(table)
-    return summaries, consensus_csv(summaries), inventory_csv(summaries), heterogeneity_svg(summaries)
+    consensus = [
+        (s.language, term, f"{frac:.6f}") for s in summaries for term, frac in s.consensus
+    ]
+    inventory = [
+        (s.language, s.total_terms, f"{s.inventory_mean:.6f}", f"{s.inventory_std:.6f}")
+        for s in summaries
+    ]
+    return summaries, consensus, inventory, heterogeneity_svg(summaries)

@@ -105,8 +105,8 @@ def test_extract_matches_filtered_enumeration(rows, affixes):
             split
             for word in sorted(table.words_of(lang))
             for split in enumerate_splits(word, lang)
-            if table.has_word(lang, split[2])
-            and (table.has_word(lang, split[4]) or split[4] in affixes)
+            if split[2] in table.words_of(lang)
+            and (split[4] in table.words_of(lang) or split[4] in affixes)
         ]
         assert extract_candidates(table, lang, affixes) == expected
 
@@ -350,7 +350,7 @@ def _oracle_score_and_filter(candidates, table, threshold):
     def concept_pairs(c):
         language, _, left, _, right = c
         lefts = sorted(back_translate(table, left, language))
-        if table.has_word(language, right):
+        if right in table.words_of(language):
             rights = sorted(back_translate(table, right, language))
         else:
             rights = [DER_AFFIX_CONCEPT]

@@ -46,7 +46,7 @@ def test_concreteness_load(tmp_path, conc):
     path.write_text("orange\t4.66\nbeige\t3.41\n", encoding="utf-8")
     lex = ConcretenessLexicon.load(path)
     assert lex.rating("orange") == 4.66
-    assert len(lex) == 2
+    assert lex.rating("beige") == 3.41
 
 
 def _records(color, lang_senses):

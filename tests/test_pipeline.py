@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import json
@@ -228,7 +229,7 @@ def test_failed_stage_rerun_keeps_earlier_artifacts(demo_run, tmp_path):
     cfg = _copy_demo_output(demo_run, tmp_path)
     out = cfg.output_dir
     before = {name: (out / name).read_bytes() for name in ("features.csv", "manifest.json")}
-    (out / "cache" / "seeds_normalized.tsv").unlink()
+    (out / "cache" / "segmentations.csv").unlink()
     with pytest.raises(StageError) as err:
         run_stage(cfg, "aggregate")
     assert isinstance(err.value.cause, DependencyError)
@@ -278,7 +279,7 @@ def test_failed_run_keeps_previous_good_run(tmp_path, monkeypatch):
     cfg = load_config(write_demo(tmp_path))
     run_pipeline(cfg)
     before = _snapshot(cfg.output_dir)
-    assert len(before) == 17
+    assert len(before) == 16
     with cfg.lexicon.open("a", encoding="utf-8") as fh:
         fh.write("deu\tblutrot\tred\n")
     monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", _fail_gamma)
@@ -422,24 +423,88 @@ def test_cli_reserved_sentinel_in_lexicon_is_data_error(tmp_path, capsys):
 #: characters str.splitlines breaks at besides "\n" and "\r"
 LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
+#: per line-oriented input, a row holding ``word`` in a field, and the
+#: artifact that shows the word, if any does
+ROWS_HOLDING = {
+    "lexicon": (lambda word: ("deu", word, "pale"), "cache/segmentations.csv"),
+    "seeds": (lambda word: (word,), "cache/features_base.csv"),
+    "concreteness": (lambda word: (word, "2.5"), None),
+    "ngram": (lambda word: (word, "10", "5", "5"), None),
+    "treebank": (lambda word: (word, "10", "5", "5"), None),
+    "etymology": (lambda word: (word, "inheritance", "1", "2"), None),
+    "wcs": (lambda word: ("zzz", "s1", word, word), "consensus.csv"),
+}
 
-def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys):
-    # the lexicon is split at newlines only, so the cached lexicon must
-    # be too: a word holding U+2028 once made the segment stage exit 4
+
+def _append_rows(path, rows):
+    with path.open("a", encoding="utf-8", newline="") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("name", ROWS_HOLDING)
+def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys, name):
+    # every input and cache is split at newlines only: a word holding
+    # U+2028 once made the segment stage exit 4 (lexicon) and the
+    # features stage exit 3 (concreteness)
     config_path = write_demo(tmp_path)
-    lexicon = tmp_path / "lexicon.tsv"
-    words = [f"we{sep}iss" for sep in LINE_SEPARATORS] + ["dunkel\u2029rot"]
-    with lexicon.open("a", encoding="utf-8", newline="") as fh:
-        for word in words:
-            fh.write(f"deu\t{word}\tpale\n")
+    cfg = load_config(config_path)
+    row, shown_in = ROWS_HOLDING[name]
+    words = [f"we{sep}iss" for sep in LINE_SEPARATORS]
+    _append_rows(getattr(cfg, name), [row(word) for word in words])
     assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
-    out = load_config(config_path).output_dir
-    segmented = {w for lang, w in pipeline._read_segmentations(out) if lang == "deu"}
-    assert set(words) <= segmented
-    compounds = (out / "compounds.csv").read_text(encoding="utf-8")
-    for stage in ("segment", "compounds"):
+    if shown_in is not None:
+        text = (cfg.output_dir / shown_in).read_text(encoding="utf-8")
+        assert all(word in text for word in words)
+    before = _snapshot(cfg.output_dir)
+    for stage in STAGE_ORDER[1:]:
         assert main([stage, "--config", str(config_path)]) == 0, capsys.readouterr().err
-    assert (out / "compounds.csv").read_text(encoding="utf-8") == compounds
+    after = _snapshot(cfg.output_dir)
+    del before["manifest.json"], after["manifest.json"]
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "artifact, old, new, stage, message",
+    [
+        ("features.csv", "white,3.05,", "white,abc,", "gamma",
+         "row 1, column 'word-concreteness': not a number: 'abc'"),
+        ("cache/features_base.csv", "white,1,3.05,", "white,1,abc,", "aggregate",
+         "row 1, column 'word-concreteness': not a number: 'abc'"),
+        ("features.csv", ",word-length\n", ",word-len\n", "gamma", "no column 'word-length'"),
+        ("cache/features_base.csv", ",word-length\n", ",word-len\n", "aggregate",
+         "no column 'word-length'"),
+        ("affixes.csv", ",position,", ",place,", "compounds", "no column 'position'"),
+        ("compounds.csv", ",glue,", ",paste,", "features", "no column 'glue'"),
+    ],
+    ids=[
+        "features-cell", "features_base-cell", "features-column", "features_base-column",
+        "affixes-column", "compounds-column",
+    ],
+)
+def test_cli_damaged_cached_csv_is_data_error(
+    demo_run, tmp_path, capsys, artifact, old, new, stage, message
+):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    config_path = write_demo(tmp_path)
+    path = cfg.output_dir / artifact
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([stage, "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: stage {stage!r} failed: {path}: {message}" in err
+
+
+def test_survey_terms_holding_commas_are_quoted(tmp_path):
+    cfg = load_config(write_demo(tmp_path))
+    terms = ["red, dark", 'say "red"']
+    _append_rows(cfg.wcs, [("zzz", "s1", f"c{i}", term) for i, term in enumerate(terms)])
+    run_stage(cfg, "wcs")
+    with (cfg.output_dir / "consensus.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["language", "term", "consensus"]
+    assert all(len(row) == 3 for row in rows)
+    assert sorted(term for language, term, _ in rows if language == "zzz") == sorted(terms)
 
 
 def test_cached_lexicon_is_the_ingested_one(tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from colorbasis.wcs import (
     ElicitationTable,
-    consensus_csv,
     heterogeneity_report,
     heterogeneity_svg,
     inventory_stats,
@@ -156,7 +155,7 @@ def test_report_csv_row_count_is_total_distinct_terms():
     table = _two_language_table()
     summaries, consensus, _, _ = heterogeneity_report(table)
     expected = sum(s.total_terms for s in summaries)
-    assert len(consensus_csv(summaries).strip().splitlines()) - 1 == expected
+    assert len(consensus) == expected
 
 
 def test_report_uniform_shading_at_full_consensus():
