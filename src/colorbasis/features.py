@@ -89,10 +89,7 @@ def translation_concreteness(color: str, records, lex: ConcretenessLexicon) -> f
 class CorpusSummary:
     """Per-word total/adjective/noun tallies from one tagged corpus."""
 
-    def __init__(self, source: str, rows: dict[str, tuple[int, int, int]]):
-        if source not in ("ngram", "treebank"):
-            raise ValueError(f"unknown corpus source {source!r}")
-        self.source = source
+    def __init__(self, rows: dict[str, tuple[int, int, int]]):
         self._rows = {}
         for word, (total, adj, noun) in rows.items():
             if min(total, adj, noun) < 0 or adj + noun > total:
@@ -100,7 +97,7 @@ class CorpusSummary:
             self._rows[normalize_term(word)] = (total, adj, noun)
 
     @classmethod
-    def load(cls, path, source: str) -> "CorpusSummary":
+    def load(cls, path) -> "CorpusSummary":
         rows = {}
         for lineno, line in numbered_lines(path):
             if not line.strip():
@@ -113,7 +110,7 @@ class CorpusSummary:
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer count")
             rows[parts[0]] = (total, adj, noun)
-        return cls(source, rows)
+        return cls(rows)
 
     def lookup(self, word: str) -> tuple[int, int, int] | None:
         return self._rows.get(normalize_term(word))

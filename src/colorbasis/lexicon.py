@@ -184,7 +184,7 @@ class ColorConcept:
             raise ValueError(f"stage out of range for {self.term!r}")
 
 
-def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
+def load_seeds(path) -> list[ColorConcept]:
     """Parse the seed color list: one term per line, ``*`` marks basic
     terms and ``@N`` appends the acquisition stage (e.g. ``white*@1``)."""
     concepts: list[ColorConcept] = []
@@ -214,7 +214,7 @@ def load_seeds(path, require_eleven_basic: bool = True) -> list[ColorConcept]:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     basic = sum(1 for c in concepts if c.is_basic)
-    if require_eleven_basic and basic != 11:
+    if basic != 11:
         raise DataError(f"{path}: expected 11 basic colors, found {basic}")
     return concepts
 

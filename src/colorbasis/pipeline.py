@@ -81,18 +81,6 @@ from .wcs import heterogeneity_report, load_wcs
 
 log = logging.getLogger(__name__)
 
-STAGE_ORDER = (
-    "ingest",
-    "segment",
-    "compounds",
-    "features",
-    "aggregate",
-    "gamma",
-    "rfe",
-    "wcs",
-    "report",
-)
-
 NON_AFFIX_COLUMNS = tuple(c for c in FEATURE_COLUMNS if c != AFFIX_COLUMN)
 
 #: What a stage returns: its counts for the manifest, and its artifacts as
@@ -428,8 +416,8 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
 
     conc = ConcretenessLexicon.load(cfg.concreteness)
-    ngram = CorpusSummary.load(cfg.ngram, "ngram")
-    treebank = CorpusSummary.load(cfg.treebank, "treebank")
+    ngram = CorpusSummary.load(cfg.ngram)
+    treebank = CorpusSummary.load(cfg.treebank)
     etym = EtymologyTable.load(cfg.etymology)
 
     colors = [c.term for c in seeds]
@@ -650,6 +638,7 @@ def stage_wcs(cfg: PipelineConfig) -> StageResult:
         "languages": len(summaries),
         "responses": len(table.rows),
         "conflicts": table.conflicts,
+        "rows_skipped": table.skipped,
     }, {
         "consensus.csv": _csv_text(["language", "term", "consensus"], consensus),
         "inventory.csv": _csv_text(
@@ -709,6 +698,7 @@ STAGE_FUNCS = {
     "wcs": stage_wcs,
     "report": stage_report,
 }
+STAGE_ORDER = tuple(STAGE_FUNCS)
 
 
 # ---------------------------------------------------------------------------

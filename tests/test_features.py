@@ -108,36 +108,34 @@ def test_weighted_concreteness_shared_rating_is_exact(conc):
 
 
 def test_pos_features_ratio():
-    corpus = CorpusSummary("ngram", {"red": (150, 90, 10)})
+    corpus = CorpusSummary({"red": (150, 90, 10)})
     assert pos_features("red", corpus) == (150.0, 0.9)
 
 
 def test_pos_features_zero_adjectives():
-    corpus = CorpusSummary("ngram", {"red": (80, 0, 50)})
+    corpus = CorpusSummary({"red": (80, 0, 50)})
     assert pos_features("red", corpus) == (80.0, 0.0)
 
 
 def test_pos_features_absent_word():
-    corpus = CorpusSummary("ngram", {})
+    corpus = CorpusSummary({})
     assert pos_features("red", corpus) == (None, None)
 
 
 def test_pos_features_no_tags():
-    corpus = CorpusSummary("treebank", {"red": (60, 0, 0)})
+    corpus = CorpusSummary({"red": (60, 0, 0)})
     assert pos_features("red", corpus) == (60.0, None)
 
 
 def test_corpus_rejects_inconsistent_counts():
     with pytest.raises(DataError):
-        CorpusSummary("ngram", {"red": (10, 9, 9)})
-    with pytest.raises(ValueError):
-        CorpusSummary("web", {})
+        CorpusSummary({"red": (10, 9, 9)})
 
 
 def test_corpus_load(tmp_path):
     path = tmp_path / "ngram.tsv"
     path.write_text("red\t150\t90\t10\n", encoding="utf-8")
-    corpus = CorpusSummary.load(path, "ngram")
+    corpus = CorpusSummary.load(path)
     assert corpus.lookup("red") == (150, 90, 10)
 
 

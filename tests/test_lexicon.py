@@ -224,11 +224,10 @@ def test_load_seeds_wrong_basic_count(tmp_path):
     path.write_text("white*@1\nbeige\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_seeds(path)
-    assert len(load_seeds(path, require_eleven_basic=False)) == 2
 
 
 def test_load_seeds_duplicate(tmp_path):
     path = tmp_path / "seeds.txt"
     path.write_text("beige\nbeige\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_seeds(path, require_eleven_basic=False)
+    with pytest.raises(DataError, match="duplicate"):
+        load_seeds(path)

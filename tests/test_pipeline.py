@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorbasis.cli import main
-from colorbasis.config import load_config
+from colorbasis.config import PARAMETER_KEYS, load_config
 from colorbasis.demo import write_demo
 from colorbasis.errors import ConfigError, DataError, DependencyError, StageError
 from colorbasis import pipeline, segmentation
@@ -125,12 +125,18 @@ def test_config_rejects_what_the_loader_does_not_know(tmp_path, section, key, va
         ("parameters", "jobs", 1.5, "parameters.jobs: expected an integer"),
         ("parameters", "alpha", True, "parameters.alpha: expected a number"),
         ("rfe", "targets", "basic", "rfe.targets: expected a list"),
+        ("parameters", "negated", [["word-length"]], "parameters.negated: expected a name, got ['word-length']"),
+        ("rfe", "targets", [["basic"]], "rfe.targets: expected a name, got ['basic']"),
+        ("parameters", "negated", [1, "zz"], "parameters.negated: expected a name, got 1"),
+        ("rfe", "targets", [1, "zz"], "rfe.targets: expected a name, got 1"),
+        ("parameters", "transforms", {1: "log1p", "zz": "log1p"}, "parameters.transforms: unknown features [1, 'zz']"),
     ],
 )
 def test_config_rejects_values_it_would_otherwise_coerce(tmp_path, capsys, section, key, value, message):
     raw, config_path = _demo_config_dict(tmp_path)
     raw[section][key] = value
-    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    # unsorted, since mapping keys of mixed types cannot be sorted
+    config_path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(config_path)
     assert main(["run", "--config", str(config_path)]) == 2
@@ -145,18 +151,71 @@ def test_config_accepts_an_integral_float_for_an_integer_field(tmp_path):
     assert (cfg.max_iters, type(cfg.max_iters), cfg.jobs) == (3, int, 2)
 
 
-def test_config_hash_tracks_semantics_only(tmp_path):
+#: the parent run's hash of the demo config; a change here makes every
+#: cached run refuse its artifacts, so it must be on purpose
+DEMO_CONFIG_HASH = "7854e84185487224098e0c3edd4562d8988e285ed516664da4b98ff771dc0c64"
+
+
+def test_config_hash_is_pinned_for_the_demo_and_the_defaults(tmp_path):
+    raw, config_path = _demo_config_dict(tmp_path)
+    assert load_config(config_path).config_hash() == DEMO_CONFIG_HASH
+    del raw["parameters"], raw["rfe"]
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert load_config(config_path).config_hash() == DEMO_CONFIG_HASH
+
+
+#: a value other than the demo's for every hashed field, as (section, key, value)
+HASHED_FIELD_CHANGES = {
+    "alpha": ("parameters", "alpha", 0.25),
+    "max_iters": ("parameters", "max_iters", 3),
+    "max_segment_len": ("parameters", "max_segment_len", 5),
+    "affix_min_support": ("parameters", "affix_min_support", 3),
+    "affix_color_coverage_min": ("parameters", "affix_color_coverage_min", 0.3),
+    "affix_specificity_ratio": ("parameters", "affix_specificity_ratio", 4.0),
+    "affix_general_global_min": ("parameters", "affix_general_global_min", 0.2),
+    "compound_threshold": ("parameters", "compound_threshold", 3),
+    "negated": ("parameters", "negated", ["word-length"]),
+    "transforms": ("parameters", "transforms", {}),
+    "drop_threshold": ("parameters", "drop_threshold", 0.4),
+    "rfe_enabled": ("rfe", "enabled", False),
+    "rfe_targets": ("rfe", "targets", ["basic"]),
+    "sequence_scope": ("parameters", "sequence_scope", "basic-only"),
+}
+
+
+@pytest.mark.parametrize("field", HASHED_FIELD_CHANGES)
+def test_config_hash_tracks_semantics_only(tmp_path, field):
     raw, config_path = _demo_config_dict(tmp_path)
     cfg1 = load_config(config_path)
+    # every field but the input paths, output_dir and jobs is hashed
+    unhashed = {*cfg1.input_paths(), "output_dir", "jobs"}
+    assert set(HASHED_FIELD_CHANGES) == {f.name for f in dataclasses.fields(cfg1)} - unhashed
+    assert set(cfg1.semantic_fields()) == set(HASHED_FIELD_CHANGES)
     raw["output_dir"] = "elsewhere"
     raw["parameters"]["jobs"] = 7
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     cfg2 = load_config(config_path)
     assert cfg1.config_hash() == cfg2.config_hash()
-    raw["parameters"]["alpha"] = 0.25
+    section, key, value = HASHED_FIELD_CHANGES[field]
+    raw[section][key] = value
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     cfg3 = load_config(config_path)
+    assert getattr(cfg3, field) != getattr(cfg1, field)
     assert cfg3.config_hash() != cfg1.config_hash()
+
+
+def test_readme_configuration_shows_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Configuration\n.*?^```yaml\n(.*?)^```", readme, re.S | re.M).group(1)
+    shown = yaml.safe_load(block)
+    assert set(shown["parameters"]) == set(PARAMETER_KEYS)
+    raw, config_path = _demo_config_dict(tmp_path)
+    del raw["parameters"], raw["rfe"]
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    defaults = load_config(config_path)
+    raw.update(parameters=shown["parameters"], rfe=shown["rfe"])
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert load_config(config_path) == defaults
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +564,14 @@ def test_survey_terms_holding_commas_are_quoted(tmp_path):
     assert rows[0] == ["language", "term", "consensus"]
     assert all(len(row) == 3 for row in rows)
     assert sorted(term for language, term, _ in rows if language == "zzz") == sorted(terms)
+
+
+def test_wcs_stage_reports_skipped_survey_rows(demo_run, tmp_path):
+    assert demo_run[1]["stages"]["wcs"]["counts"]["rows_skipped"] == 0
+    cfg = load_config(write_demo(tmp_path))
+    _append_rows(cfg.wcs, [("zzz", "s1", "c1")] * 3)
+    counts = run_stage(cfg, "wcs")
+    assert counts == {"languages": 3, "responses": 25, "conflicts": 0, "rows_skipped": 3}
 
 
 def test_cached_lexicon_is_the_ingested_one(tmp_path):
