@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -215,12 +216,18 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         v = params[key]
         kind = type(getattr(PipelineConfig, key))  # the type of the field's default
         expected = "an integer" if kind is int else "a number"
-        # bool is an int subclass, and int() would truncate 2.7 to 2
-        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+        # only a finite YAML number: bool is an int subclass, float() would
+        # read "0.5", NaN passes every bound, and int() would truncate 2.7
+        # to 2 (an integral float such as 3.0 is an integer)
+        if (
+            isinstance(v, bool)
+            or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not (v.is_integer() if kind is int else math.isfinite(v)))
+        ):
             raise ConfigError(f"parameters.{key}: expected {expected}")
         try:
             v = kind(v)
-        except (TypeError, ValueError):
+        except OverflowError:  # an integer too large for a float
             raise ConfigError(f"parameters.{key}: expected {expected}")
         if lo is not None and v < lo:
             raise ConfigError(f"parameters.{key}: must be >= {lo}")

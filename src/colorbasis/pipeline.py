@@ -7,15 +7,18 @@ orderings, fixed float formatting, and per-language work merged in
 canonical order regardless of the worker-pool size.
 
 A stage function reads its upstream artifacts and returns its counts and
-its artifacts as ``{relative path: text}``; one executor step writes them
-only after the stage has returned.  Hence:
+its artifacts as ``{relative path: text}``.  ``run_stage`` is the one
+executor: it checks the manifest's config hash and input digests, runs
+the stage, and writes the artifacts and the updated manifest only after
+the stage has returned.  Hence:
 
-- a stage re-run (``run_stage``) refuses cached artifacts produced under
-  a different configuration or from inputs that have changed since;
-- a failed stage re-run leaves the earlier artifacts and the manifest
-  untouched;
-- a full run (``run_pipeline``) writes every artifact into a staging
-  directory inside the output directory and moves them into place,
+- a stage refuses cached artifacts produced under a different
+  configuration or from inputs that have changed since;
+- a failed stage leaves the earlier artifacts and the manifest untouched;
+- a full run (``run_pipeline``) is ``run_stage`` for each stage in a
+  staging directory inside the output directory, so every stage of it
+  makes the same checks and an input changed during the run fails the
+  next stage to start; the artifacts are moved into place,
   ``manifest.json`` last, only after every stage has succeeded, so a
   failed full run leaves the output directory as it was.
 """
@@ -712,11 +715,31 @@ def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
     return out
 
 
+#: the manifest fields that ``run_stage`` reads, with their JSON types
+_MANIFEST_TYPES = {
+    "config_hash": (str, "a string"),
+    "input_digests": (dict, "an object"),
+    "stages": (dict, "an object"),
+}
+
+
 def _load_manifest(out: Path) -> dict:
+    """The manifest of ``out``, or ``{}`` if there is none.  A manifest
+    that is not a JSON object, or whose fields read here have the wrong
+    type, raises DataError naming the file."""
     path = out / "manifest.json"
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return {}
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    for key, (kind, expected) in _MANIFEST_TYPES.items():
+        if key in manifest and not isinstance(manifest[key], kind):
+            raise DataError(f"{path}: {key}: expected {expected}")
+    return manifest
 
 
 def _store_manifest(out: Path, manifest: dict):
@@ -725,34 +748,14 @@ def _store_manifest(out: Path, manifest: dict):
     )
 
 
-def _step(cfg: PipelineConfig, stage: str, manifest: dict) -> dict:
-    """Run one stage, write the artifacts it returns into
-    ``cfg.output_dir`` and record it in ``manifest``.  Any failure is
-    raised as a StageError."""
-    started = time.perf_counter()
-    try:
-        counts, artifacts = STAGE_FUNCS[stage](cfg)
-        for rel, text in artifacts.items():
-            path = cfg.output_dir / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8", newline="")
-    except Exception as e:
-        raise StageError(stage, e) from e
-    manifest["stages"][stage] = {
-        "counts": counts,
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-    if stage == "aggregate":
-        manifest["dropped_colors"] = counts["dropped"]
-    return counts
-
-
 def run_stage(cfg: PipelineConfig, stage: str) -> dict:
-    """Run a single stage against cached upstream artifacts.
+    """Run one stage against the artifacts in ``cfg.output_dir``, write
+    the artifacts it returns there and record it in the manifest.
 
     Refuses cached artifacts produced under a different configuration or
     from inputs that have changed since.  A failing stage writes nothing,
-    so earlier artifacts and the manifest stay as they were.
+    so earlier artifacts and the manifest stay as they were; a failure of
+    the stage itself is raised as a StageError.
     """
     if stage not in STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
@@ -773,39 +776,47 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
             "re-run the full pipeline"
         )
     manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
-    manifest.setdefault("stages", {})
-    counts = _step(cfg, stage, manifest)
+    started = time.perf_counter()
+    try:
+        counts, artifacts = STAGE_FUNCS[stage](cfg)
+        for rel, text in artifacts.items():
+            path = out / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8", newline="")
+    except Exception as e:
+        raise StageError(stage, e) from e
+    manifest.setdefault("stages", {})[stage] = {
+        "counts": counts,
+        "duration_s": round(time.perf_counter() - started, 6),
+    }
+    if stage == "aggregate":
+        manifest["dropped_colors"] = counts["dropped"]
     _store_manifest(out, manifest)
     return counts
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Run every stage in dependency order and write the manifest.
+    """Run every stage in dependency order and return the manifest.
 
-    The stages write into a staging directory inside the output
-    directory; their artifacts, then ``manifest.json``, are moved into
-    place only once every stage has succeeded.  On failure the staging
-    directory is removed and the output directory is left as it was.
+    Each stage is a ``run_stage`` in a staging directory inside the
+    output directory; the artifacts, then ``manifest.json``, are moved
+    into place only once every stage has succeeded.  On failure the
+    staging directory is removed and the output directory is left as it
+    was.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "input_digests": _input_digests(cfg),
-        "stages": {},
-        "dropped_colors": [],
-    }
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         staging = Path(staging)
         staged = dataclasses.replace(cfg, output_dir=staging)
         for stage in STAGE_ORDER:
-            counts = _step(staged, stage, manifest)
+            counts = run_stage(staged, stage)
             log.info("stage %s done: %s", stage, counts)
-        for path in sorted(p for p in staging.rglob("*") if p.is_file()):
+        manifest = _load_manifest(staging)
+        last = staging / "manifest.json"
+        for path in sorted(p for p in staging.rglob("*") if p.is_file() and p != last):
             target = out / path.relative_to(staging)
             target.parent.mkdir(parents=True, exist_ok=True)
             os.replace(path, target)
-        _store_manifest(staging, manifest)
-        os.replace(staging / "manifest.json", out / "manifest.json")
+        os.replace(last, out / "manifest.json")
     return manifest

@@ -324,19 +324,17 @@ def _split_changes(position, affix, words, analyses, freqs):
     return sum(changes.values()), [s for s, _ in nonzero], [dc for _, dc in nonzero]
 
 
-class _XLogX(dict):
-    """Memo of v * log(v) for the integer counts met so far."""
-
-    def __missing__(self, v: int) -> float:
-        value = self[v] = v * math.log(v) if v > 0 else 0.0
-        return value
+def _xlogx_table(size: int) -> list[float]:
+    """``v * log(v)`` for every count ``v`` in ``range(size)``, 0 at 0."""
+    return [v * math.log(v) if v else 0.0 for v in range(size)]
 
 
 def _split_delta(added, segments, deltas, counts, total, char_cost, xlogx) -> float:
     """Description-length change of applying ``_split_changes`` output to
     the current segment ``counts`` and ``total``: corpus coding cost
-    ``xlogx(total) - sum(xlogx(count))`` plus ``(len + 1) * char_cost``
-    per distinct segment in use.  The float operations run in a fixed
+    ``xlogx[total] - sum(xlogx[count])`` plus ``(len + 1) * char_cost``
+    per distinct segment in use, with ``xlogx`` an ``_xlogx_table`` that
+    reaches every count involved.  The float operations run in a fixed
     order, the total's term first and then the segments' in list order,
     so equal inputs always give the same bits."""
     d = xlogx[total + added] - xlogx[total]
@@ -402,10 +400,11 @@ class _EdgeCandidates:
         self.counts = np.zeros(0, dtype=np.int64)
         self.cost = np.zeros(0)  # (len + 1) * char_cost
         self.synced = 0
-        # x log x of every count and total a split can reach: each word
-        # has at most as many segments as characters
-        reach = np.arange(sum(freqs[w] * len(w) for w in analyses) + 1)
-        self.xlogx = reach * np.log(np.maximum(reach, 1))
+        # x log x of every count and total a split can reach (each word
+        # has at most as many segments as characters): a list for
+        # _split_delta, and the same values as an array for scores
+        self.xlogx = _xlogx_table(sum(freqs[w] * len(w) for w in analyses) + 1)
+        self.xlogx_array = np.array(self.xlogx)
 
         self.keys: list[tuple[str, str]] = []
         self.hosts: list[list[str]] = []
@@ -544,23 +543,22 @@ class _EdgeCandidates:
         and a bound ``E_c`` on its distance from the exact
         ``_split_delta``; both are meaningful for live candidates only.
 
-        The approximation works from the candidate's rows, with ``np.log``
-        where ``_split_delta`` uses ``math.log`` and another summation
-        order.  Let ``u = 2**-53`` and ``M_c`` be the sum of every ``x log
-        x`` value (old and new count of each of the ``n_c`` segments, old
-        and new total) and lexicon cost involved.  Higham, *Accuracy and
+        The approximation works from the candidate's rows, with the same
+        ``x log x`` table as ``_split_delta`` but another summation order.
+        Let ``u = 2**-53`` and ``M_c`` be the sum of every ``x log x``
+        value (old and new count of each of the ``n_c`` segments, old and
+        new total) and lexicon cost involved.  Higham, *Accuracy and
         Stability of Numerical Algorithms* (2002), ch. 4, bounds the
         rounding error of a sum of ``m`` terms by ``(m - 1) u`` times the
         sum of their magnitudes.  ``_split_delta`` adds at most ``2 n_c +
         2`` terms, each within ``3 u`` of its share of ``M_c``, so it is
         within ``(2 n_c + 4) u M_c`` of the real delta; the approximation,
-        with ``n_c`` rows summed and logarithms a few ulps off, within
-        ``(n_c + 8) u M_c``.  ``E_c = 8 (n_c + 4) u M_c`` covers both with
-        room to spare.
+        with the same terms and ``n_c`` rows summed, within ``(n_c + 8) u
+        M_c``.  ``E_c = 8 (n_c + 4) u M_c`` covers both with room to spare.
         """
         self._sync()
         cand, seg = self.cand, self.seg
-        xlogx = self.xlogx
+        xlogx = self.xlogx_array
         old = self.counts[seg]
         new = old + self.delta
         cost = self.cost[seg]
@@ -634,7 +632,6 @@ def _edge_split_phase(analyses, freqs, char_cost):
     total = sum(counts.values())
     candidates = _EdgeCandidates(analyses, freqs, char_cost)
     candidates.add_counts(counts)
-    xlogx = _XLogX()
 
     moves = 0
     while True:
@@ -642,7 +639,7 @@ def _edge_split_phase(analyses, freqs, char_cost):
         for c in candidates.shortlist(total):
             key = candidates.keys[c]
             changes = _split_changes(*key, candidates.hosts[c], analyses, freqs)
-            d = _split_delta(*changes, counts, total, char_cost, xlogx)
+            d = _split_delta(*changes, counts, total, char_cost, candidates.xlogx)
             if d >= -1e-9:
                 continue
             candidate = (d, 0 if key[0] == "suffix" else 1, key[1])

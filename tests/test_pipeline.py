@@ -130,6 +130,12 @@ def test_config_rejects_what_the_loader_does_not_know(tmp_path, section, key, va
         ("parameters", "negated", [1, "zz"], "parameters.negated: expected a name, got 1"),
         ("rfe", "targets", [1, "zz"], "rfe.targets: expected a name, got 1"),
         ("parameters", "transforms", {1: "log1p", "zz": "log1p"}, "parameters.transforms: unknown features [1, 'zz']"),
+        ("parameters", "alpha", float("nan"), "parameters.alpha: expected a number"),
+        ("parameters", "alpha", float("inf"), "parameters.alpha: expected a number"),
+        ("parameters", "drop_threshold", float("nan"), "parameters.drop_threshold: expected a number"),
+        ("parameters", "max_iters", "3", "parameters.max_iters: expected an integer"),
+        ("parameters", "alpha", "0.5", "parameters.alpha: expected a number"),
+        pytest.param("parameters", "alpha", 10**400, "parameters.alpha: expected a number", id="alpha-too-large-for-a-float"),
     ],
 )
 def test_config_rejects_values_it_would_otherwise_coerce(tmp_path, capsys, section, key, value, message):
@@ -358,6 +364,38 @@ def test_no_staging_directory_left_behind(tmp_path, monkeypatch):
     assert not list(cfg.output_dir.glob(".staging-*"))
 
 
+def test_stage_by_stage_run_matches_the_full_run(demo_run, tmp_path):
+    cfg, manifest = demo_run
+    stepwise = dataclasses.replace(cfg, output_dir=tmp_path / "out")
+    for stage in STAGE_ORDER:
+        run_stage(stepwise, stage)
+    got, want = _snapshot(stepwise.output_dir), _snapshot(cfg.output_dir)
+    assert _strip_timing(json.loads(got.pop("manifest.json"))) == _strip_timing(manifest)
+    want.pop("manifest.json")
+    assert got == want
+
+
+def test_input_changed_during_a_full_run_fails_it(tmp_path, monkeypatch, capsys):
+    config_path = write_demo(tmp_path)
+    cfg = load_config(config_path)
+    run_pipeline(cfg)
+    before = _snapshot(cfg.output_dir)
+    segment = pipeline.STAGE_FUNCS["segment"]
+
+    def segment_then_edit_the_survey(cfg):
+        result = segment(cfg)
+        _append_rows(cfg.wcs, [("zzz", "s1", "c1", "red")])
+        return result
+
+    monkeypatch.setitem(pipeline.STAGE_FUNCS, "segment", segment_then_edit_the_survey)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "inputs changed since the cached artifacts were produced: wcs;" in err
+    assert _snapshot(cfg.output_dir) == before
+    assert not list(cfg.output_dir.glob(".staging-*"))
+
+
 def test_dropped_colors_reported(tmp_path):
     config_path = write_demo(tmp_path)
     dropped = ("tan", "bronze")  # seed order
@@ -552,6 +590,28 @@ def test_cli_damaged_cached_csv_is_data_error(
     assert main([stage, "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert f"data error: stage {stage!r} failed: {path}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda text: text[: len(text) // 2], "not valid JSON"),
+        (lambda text: "[]", "expected a JSON object"),
+        (lambda text: json.dumps({**json.loads(text), "input_digests": None}), "input_digests: expected an object"),
+        (lambda text: json.dumps({**json.loads(text), "stages": []}), "stages: expected an object"),
+        (lambda text: json.dumps({**json.loads(text), "config_hash": 1}), "config_hash: expected a string"),
+    ],
+    ids=["truncated", "list", "null-digests", "list-stages", "number-hash"],
+)
+def test_cli_damaged_manifest_is_data_error(demo_run, tmp_path, capsys, damage, message):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    config_path = write_demo(tmp_path)
+    path = cfg.output_dir / "manifest.json"
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    before = path.read_bytes()
+    assert main(["gamma", "--config", str(config_path)]) == 3
+    assert f"data error: {path}: {message}" in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
 def test_survey_terms_holding_commas_are_quoted(tmp_path):

@@ -560,7 +560,8 @@ def test_split_delta_is_bit_identical_to_reference(counts, moves, char_cost):
         counts,
         reference.total,
         char_cost,
-        segmentation._XLogX(),
+        # every count and total the changes reach is at most this
+        segmentation._xlogx_table(reference.total + sum(abs(dc) for _, dc in nonzero) + 1),
     )
     assert got.hex() == expected.hex()
 
@@ -659,6 +660,8 @@ def test_filter_bound_holds_for_every_candidate_on_every_move(words):
     analyses = {w: (w,) for w in types}
     shortlist = segmentation._EdgeCandidates.shortlist
     calls = []
+    # a word never has more segments than characters
+    xlogx = segmentation._xlogx_table(sum(freqs[w] * len(w) for w in types) + 1)
 
     def checked_shortlist(self, total):
         counts = Counter()
@@ -671,7 +674,7 @@ def test_filter_bound_holds_for_every_candidate_on_every_move(words):
             if key[1] not in self.index[key[0]]:
                 continue
             changes = segmentation._split_changes(*key, self.hosts[c], analyses, freqs)
-            exact = segmentation._split_delta(*changes, counts, total, char_cost, segmentation._XLogX())
+            exact = segmentation._split_delta(*changes, counts, total, char_cost, xlogx)
             assert abs(approx[c] - exact) <= bound[c]
         calls.append(total)
         return shortlist(self, total)
