@@ -38,6 +38,7 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -208,14 +209,13 @@ def _read_roundtrips(out: Path, back_translations: bool = False) -> list[tuple]:
     without it the column is not decoded at all.
     """
     path = _need(out / "cache/roundtrips.csv")
-    _, rows = _read_csv(path)
+    header, rows = _read_csv(path)
+    *triple, bts = _columns(path, header, ("color", "language", "foreign_word", "back_translations"))
+    triples = list(map(itemgetter(*triple), rows))
     if not back_translations:
-        return [(color, lang, word) for color, lang, word, _ in rows]
-    decoded = _json_column(path, [row[3] for row in rows])
-    return [
-        RoundTripRecord(color, lang, word, frozenset(bts))
-        for (color, lang, word, _), bts in zip(rows, decoded)
-    ]
+        return triples
+    decoded = _json_column(path, [row[bts] for row in rows])
+    return [RoundTripRecord(c, lang, word, frozenset(b)) for (c, lang, word), b in zip(triples, decoded)]
 
 
 def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
@@ -227,9 +227,10 @@ def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
 
 def _read_segmentations(out: Path) -> dict[tuple[str, str], tuple[str, ...]]:
     path = _need(out / "cache/segmentations.csv")
-    _, rows = _read_csv(path)
-    decoded = _json_column(path, [row[2] for row in rows])
-    return {(lang, word): tuple(segs) for (lang, word, _), segs in zip(rows, decoded)}
+    header, rows = _read_csv(path)
+    lang, word, segments = _columns(path, header, ("language", "word", "segments"))
+    decoded = _json_column(path, [row[segments] for row in rows])
+    return dict(zip(map(itemgetter(lang, word), rows), map(tuple, decoded)))
 
 
 def _read_suffixes(out: Path) -> dict[str, set[str]]:
@@ -247,8 +248,8 @@ def _read_suffixes(out: Path) -> dict[str, set[str]]:
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
     path = _need(out / "features.csv")
     header, rows = _read_csv(path)
-    positions = _columns(path, header, FEATURE_COLUMNS)
-    colors = [row[0] for row in rows]
+    color, *positions = _columns(path, header, ("color", *FEATURE_COLUMNS))
+    colors = [row[color] for row in rows]
     values = {col: [] for col in FEATURE_COLUMNS}
     for number, row in enumerate(rows, 1):
         for col, i in zip(FEATURE_COLUMNS, positions):
@@ -334,10 +335,11 @@ def _train_language(args):
         key=lambda r: (r[2], r[1]),
     )
     facts = {
+        "words": len(model.segmentations),
         "edge_split_moves": model.edge_split_moves,
+        "edge_split_capped": model.edge_split_capped,
         "em_passes": model.em_passes,
         "converged": model.converged,
-        "edge_split_capped": model.edge_split_capped,
     }
     return lang, seg_rows, affix_rows, facts
 
@@ -379,6 +381,7 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         "em_passes": sum(f["em_passes"] for f in facts.values()),
         "em_not_converged": [lang for lang, f in facts.items() if not f["converged"]],
         "edge_split_capped": [lang for lang, f in facts.items() if f["edge_split_capped"]],
+        "per_language": facts,
     }
     return counts, {
         "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
@@ -466,14 +469,14 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 def _read_features_base(out: Path):
     path = _need(out / "cache/features_base.csv")
     header, rows = _read_csv(path)
-    positions = _columns(path, header, NON_AFFIX_COLUMNS)
-    colors = [r[0] for r in rows]
-    has_translations = {r[0]: r[1] == "1" for r in rows}
+    color, translated, *positions = _columns(path, header, ("color", "has_translations", *NON_AFFIX_COLUMNS))
+    colors = [r[color] for r in rows]
+    has_translations = {r[color]: r[translated] == "1" for r in rows}
     maps: dict[str, dict[str, float | None]] = {col: {} for col in NON_AFFIX_COLUMNS}
     for number, row in enumerate(rows, 1):
         for col, i in zip(NON_AFFIX_COLUMNS, positions):
             cell = row[i]
-            maps[col][row[0]] = _number(path, number, col, cell) if cell else None
+            maps[col][row[color]] = _number(path, number, col, cell) if cell else None
     return colors, has_translations, maps
 
 
@@ -655,16 +658,20 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     lines = ["# Color basicness run summary", ""]
 
-    header, ranking = _read_csv(_need(out / "ranking.csv"))
+    path = _need(out / "ranking.csv")
+    header, ranking = _read_csv(path)
+    color, rank, score, basic = _columns(path, header, ("color", "rank", "score", "basic"))
     lines += ["## Ranking (top 15)", "", "| rank | color | score | basic |", "| --- | --- | --- | --- |"]
     for row in ranking[:15]:
-        lines.append(f"| {row[1]} | {row[0]} | {row[2]} | {'yes' if row[3] == '1' else ''} |")
+        lines.append(f"| {row[rank]} | {row[color]} | {row[score]} | {'yes' if row[basic] == '1' else ''} |")
     lines.append("")
 
-    header, rows = _read_csv(_need(out / "gamma.csv"))
+    path = _need(out / "gamma.csv")
+    header, rows = _read_csv(path)
+    cells = itemgetter(*_columns(path, header, ("feature", "gamma_basic", "gamma_sequence")))
     lines += ["## Rank correlations", "", "| feature | vs basic | vs sequence |", "| --- | --- | --- |"]
     for row in rows:
-        lines.append(f"| {row[0]} | {row[1]} | {row[2]} |")
+        lines.append("| " + " | ".join(cells(row)) + " |")
     lines.append("")
 
     accepted, candidates = _read_accepted_compounds(out)
@@ -674,15 +681,19 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")
 
-    header, rows = _read_csv(_need(out / "affixes.csv"))
+    path = _need(out / "affixes.csv")
+    header, rows = _read_csv(path)
+    cells = itemgetter(
+        *_columns(path, header, ("language", "affix", "position", "class", "color_coverage", "global_coverage"))
+    )
     lines += ["## Affixes", "", "| language | affix | position | class | color cov. | global cov. |", "| --- | --- | --- | --- | --- | --- |"]
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(cells(row)) + " |")
     lines.append("")
 
     # the seeds missing from the ranking are exactly those the aggregate
     # stage dropped
-    ranked = {row[0] for row in ranking}
+    ranked = {row[color] for row in ranking}
     dropped = [c.term for c in load_seeds(cfg.seeds) if c.term not in ranked]
     if dropped:
         lines += ["## Dropped colors", "", ", ".join(dropped), ""]

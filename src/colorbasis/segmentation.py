@@ -15,11 +15,16 @@ a description-length criterion and only then applies the hard-EM loop
 segmentations are stable.
 
 Both training loops reuse what they already know instead of rebuilding
-it.  The edge-split phase keeps its index of candidate affixes and host
-words up to date across moves, and each candidate's segment-count
-changes as an order-free map that a move updates in place, as in
-Morfessor Baseline's incremental bookkeeping (Creutz & Lagus 2002).  A
-move is found by filter-then-verify (Shewchuk 1997): one numpy pass
+it.  The edge-split phase starts from whole words, so its first index of
+candidate affixes and host words, and every candidate's first
+segment-count changes, come from one bulk numpy pass over the words'
+proper prefixes and suffixes: a count per affix finds the keys with two
+or more hosts, a stable sort lists their hosts in word order, and one
+sort-and-sum over (candidate, segment) gives the changes.  After that it
+keeps the index up to date across moves, and each candidate's changes as
+an order-free map that a move updates in place, as in Morfessor
+Baseline's incremental bookkeeping (Creutz & Lagus 2002).  A move is
+found by filter-then-verify (Shewchuk 1997): one numpy pass
 scores every candidate from those maps with a proven error bound, and
 only the candidates the bound cannot rule out are scored exactly, with
 the same float operations in the same order as a rebuild from scratch.
@@ -36,8 +41,11 @@ segment tuple).  Of two segmentations of one string, the smaller tuple
 is the one with the earliest first differing cut, so a segmentation is
 kept as a cut bitmask in which the cut at position ``p`` sets bit
 ``64 - p`` (one 64-bit column per 64 positions) and the larger mask
-wins.  An EM pass stops when no word's mask changes; otherwise only the
-words whose mask changed are re-counted.
+wins.  Hard EM keeps its segment counts as an ``int64`` vector by
+substring id, and each pass turns it into the log-probability vector the
+decoder reads with one ``math.log`` per distinct count, the float
+operations of ``segment_probability``.  A pass stops when no word's mask
+changes; otherwise only the words whose mask changed are re-counted.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Mapping
 
@@ -126,6 +134,23 @@ def _log_prob_table(model) -> tuple[dict[str, float], float | None]:
     return {s: math.log(p) for s, p in model.items() if p > 0.0}, None
 
 
+def _count_log_probs(counts: np.ndarray, alpha: float, denom: float) -> np.ndarray:
+    """The log-probability of every segment id of a model with segment
+    ``counts`` by id, smoothing ``alpha`` and ``denom`` = total + alpha *
+    vocabulary size: ``math.log((count + alpha) / denom)``, computed once
+    per distinct nonzero count, and ``math.log(alpha / denom)`` for every
+    other id.  These are the float operations of ``segment_probability``
+    and ``_log_prob_table``, so the values are bit-for-bit theirs."""
+    lp = np.full(len(counts), math.log(alpha / denom))
+    nonzero = counts != 0
+    seen = counts[nonzero]
+    distinct = np.flatnonzero(np.bincount(seen))
+    by_count = np.zeros(distinct[-1] + 1 if len(distinct) else 0)
+    by_count[distinct] = [math.log((c + alpha) / denom) for c in distinct.tolist()]
+    lp[nonzero] = by_count[seen]
+    return lp
+
+
 #: Cut positions per mask column: the cut at position ``p`` of a word
 #: sets bit ``64 - p`` of column 0, the cut at ``64 + p`` the same bit of
 #: column 1, and so on.
@@ -172,39 +197,42 @@ class _Lattice:
 
         # the ids of all segments, end by end, start by start, word by word
         by_length = [self.words[w] for w in self.order.tolist()]
-        starts = [range(max(0, j - cap), j) for j in range(n + 1)]
-        sizes = [len(starts[j]) * active[j] for j in range(1, n + 1)]
         segments: dict[str, int] = {}
         intern = segments.setdefault
-        flat = np.fromiter(
-            (
-                intern(word[i:j], len(segments))
-                for j in range(1, n + 1)
-                for i in starts[j]
-                for word in by_length[: active[j]]
-            ),
-            dtype=np.int32,
-            count=sum(sizes),
-        )
+        self.ids = []
+        for j in range(1, n + 1):
+            long_enough = by_length[: active[j]]
+            self.ids.append(
+                np.array(
+                    [[intern(word[i:j], len(segments)) for word in long_enough] for i in range(max(0, j - cap), j)],
+                    dtype=np.int32,
+                )
+            )
         self.segments = segments
-        self.ids = [
-            block.reshape(len(starts[j]), active[j])
-            for j, block in zip(range(1, n + 1), np.split(flat, np.cumsum(sizes)[:-1]))
-        ]
         # row i: the cut at position i (none at 0)
         self.bits = np.zeros((n + 1, self.columns), dtype=np.uint64)
         for p in range(1, n):
             col, bit = _cut_bit(p)
             self.bits[p, col] = bit
 
-    def decode(self, model) -> tuple[np.ndarray, np.ndarray]:
-        """Best score (``-log-prob``; ``inf`` when no segmentation is
-        admissible) and cut mask of every word under ``model``, in
-        ``words`` order.
+    def log_probs(self, model) -> np.ndarray:
+        """Each id's log-probability under ``model``: ``_log_prob_table``'s
+        ``math.log`` value (``-inf`` for a segment a plain mapping does not
+        list)."""
+        table, default = _log_prob_table(model)
+        lp = np.full(len(self.segments), -math.inf if default is None else default)
+        hits = [(i, v) for s, v in table.items() if (i := self.segments.get(s)) is not None]
+        if hits:
+            index, values = zip(*hits)
+            lp[list(index)] = values
+        return lp
 
-        Each id's log-probability is ``_log_prob_table``'s ``math.log``
-        value (``-inf`` for a segment a plain mapping does not list).  One
-        dynamic program then runs over all words at once.  For each end
+    def decode(self, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best score (``-log-prob``; ``inf`` when no segmentation is
+        admissible) and cut mask of every word, in ``words`` order, given
+        the log-probability ``lp[i]`` of each segment id ``i``.
+
+        One dynamic program runs over all words at once.  For each end
         position it picks, per word, the minimum of (score, segment count,
         segment tuple) over the candidate last segments, as the scalar
         recursion ``score[i] - lp(word[i:j])`` would, with the same IEEE
@@ -213,13 +241,6 @@ class _Lattice:
         one word differ in their last cut, so the winner is unique.  Equal
         scores are rare, so the last two keys are only compared at end
         positions where some word has them."""
-        table, default = _log_prob_table(model)
-        lp = np.full(len(self.segments), -math.inf if default is None else default)
-        hits = [(i, v) for s, v in table.items() if (i := self.segments.get(s)) is not None]
-        if hits:
-            index, values = zip(*hits)
-            lp[list(index)] = values
-
         n, num = len(self.ids), len(self.words)
         # row i: the best segmentation of each word's prefix of length i
         score = np.full((n + 1, num), math.inf)
@@ -289,21 +310,13 @@ def viterbi_segment(model, word: str, max_segment_len: int | None = None) -> Seg
     if not word:
         raise ValueError("word must be non-empty")
     lattice = _Lattice([word], max_segment_len)
-    scores, masks = lattice.decode(model)
+    scores, masks = lattice.decode(lattice.log_probs(model))
     score = float(scores[0])
     if score == math.inf:
         raise ValueError(f"no admissible segmentation for {word!r}")
     segments = lattice.split(0, masks[0].tolist())
     # 0.0 - score rather than -score: a zero sum stays +0.0
     return Segmentation(word=word, segments=segments, log_prob=0.0 - score)
-
-
-def _edge_affixes(position: str, edge: str) -> list[str]:
-    """The candidate affixes an edge segment hosts, shortest first: its
-    proper suffixes (last segment) or proper prefixes (first segment)."""
-    if position == "suffix":
-        return [edge[-k:] for k in range(1, len(edge))]
-    return [edge[:k] for k in range(1, len(edge))]
 
 
 def _split_changes(position, affix, words, analyses, freqs):
@@ -353,6 +366,8 @@ def _split_delta(added, segments, deltas, counts, total, char_cost, xlogx) -> fl
 
 #: Unit roundoff of IEEE double precision, the scale of the filter's bound.
 _UNIT_ROUNDOFF = 2.0**-53
+#: Rows per block when the first change maps are read off the rows.
+_ROW_BLOCK = 4096
 
 
 class _SegmentIds(dict):
@@ -379,23 +394,25 @@ class _EdgeCandidates:
     maps the affix of every live candidate (at least two hosts) to ``c``.
     Its change map ``maps[c]``, ``{segment id: count delta}`` of splitting
     the affix off every host without zero entries, and ``added[c]``, the
-    map's total, start as ``_split_changes`` gives them; after that they
-    hold the same changes as it would, in another order.  A dead
-    candidate's map is empty and its total 0.
+    map's total, hold the same changes as ``_split_changes`` would give, in
+    another order.  A dead candidate's map is empty and its total 0.
 
-    ``flush`` copies the maps into three parallel ``int64`` row arrays
-    ``cand``, ``seg`` and ``delta``, one row ``(candidate, segment id,
-    delta)`` per map entry: it keeps the rows of the candidates unchanged
-    since the last flush and appends those of the changed ones.  Segment
-    counts are kept by id in an ``int64`` vector, so ``shortlist`` scores
-    every candidate with a few numpy passes over the rows and no Python
-    loop over candidates.
+    The candidates start from whole words (``_first_rows``): every key, host
+    list and first change row comes from one numpy pass over the words'
+    proper prefixes and suffixes, and the maps are read off those rows.
+    After that, ``flush`` copies the maps into the three parallel ``int64``
+    row arrays ``cand``, ``seg`` and ``delta``, one row ``(candidate,
+    segment id, delta)`` per map entry: it keeps the rows of the candidates
+    unchanged since the last flush and appends those of the changed ones.
+    Segment counts are kept by id in an ``int64`` vector, so ``shortlist``
+    scores every candidate with a few numpy passes over the rows and no
+    Python loop over candidates.
     """
 
-    def __init__(self, analyses, freqs, char_cost):
+    def __init__(self, words, freqs, char_cost):
         self.freqs = freqs
         self.char_cost = char_cost
-        self.ids = ids = _SegmentIds()
+        self.ids = _SegmentIds()
         # by segment id, grown lazily up to len(ids)
         self.counts = np.zeros(0, dtype=np.int64)
         self.cost = np.zeros(0)  # (len + 1) * char_cost
@@ -403,41 +420,89 @@ class _EdgeCandidates:
         # x log x of every count and total a split can reach (each word
         # has at most as many segments as characters): a list for
         # _split_delta, and the same values as an array for scores
-        self.xlogx = _xlogx_table(sum(freqs[w] * len(w) for w in analyses) + 1)
+        self.xlogx = _xlogx_table(sum(freqs[w] * len(w) for w in words) + 1)
         self.xlogx_array = np.array(self.xlogx)
 
         self.keys: list[tuple[str, str]] = []
         self.hosts: list[list[str]] = []
         self.index: dict[str, dict[str, int]] = {}
-        for position in ("suffix", "prefix"):
-            found: dict[str, list[str]] = {}
-            for w, segs in analyses.items():
-                for affix in _edge_affixes(position, segs[-1] if position == "suffix" else segs[0]):
-                    words = found.get(affix)
-                    if words is None:
-                        found[affix] = [w]
-                    else:
-                        words.append(w)
-            # a key never gains hosts, so one with a single host is never a candidate
-            self.index[position] = index = {}
-            for affix, words in found.items():
-                if len(words) > 1:
-                    index[affix] = len(self.keys)
-                    self.keys.append((position, affix))
-                    self.hosts.append(words)
-            del found
-
+        self.cand, self.seg, self.delta = self._first_rows(words)
         num = len(self.keys)
-        self.added = np.zeros(num, dtype=np.int64)
-        self.maps: list[dict[int, int]] = []
-        for c, ((position, affix), words) in enumerate(zip(self.keys, self.hosts)):
-            self.added[c], segments, deltas = _split_changes(position, affix, words, analyses, freqs)
-            self.maps.append(dict(zip([ids[s] for s in segments], deltas)))
+        self.added = np.bincount(self.cand, self.delta, num).astype(np.int64)
+        rows = np.bincount(self.cand, minlength=num)
+        self.factor = 8.0 * _UNIT_ROUNDOFF * (rows + 4)  # of the error bound
         self.penalty = np.zeros(num)  # inf once dead
-        self.factor = np.zeros(num)  # 8 u (n_c + 4) of the error bound
-        self.cand = self.seg = self.delta = np.zeros(0, dtype=np.int64)
-        self.dirty = set(range(num))
-        self.flush()
+        # The maps hold the id table's own int objects rather than copies,
+        # and the rows are read a block at a time, so that no list holds a
+        # new int object for every row.
+        own = np.array(list(self.ids.values()), dtype=object)
+        items = chain.from_iterable(
+            zip(own[self.seg[i : i + _ROW_BLOCK]].tolist(), self.delta[i : i + _ROW_BLOCK].tolist())
+            for i in range(0, len(self.seg), _ROW_BLOCK)
+        )
+        self.maps: list[dict[int, int]] = [dict(islice(items, n)) for n in rows.tolist()]
+        self.dirty: set[int] = set()
+
+    def _first_rows(self, words):
+        """Fill ``keys``, ``hosts`` and ``index`` for ``words``, each still
+        one whole-word segment, and return their change rows ``(cand, seg,
+        delta)`` by candidate, then segment id, without zero rows.
+
+        Every word is its own edge on both sides, so it hosts the keys of
+        its proper prefixes and suffixes.  Entry ``r`` of ``prefixes`` and
+        ``suffixes`` is one such affix of word ``host[r]``, word by word
+        and shortest first; the stem that splitting it off leaves is the
+        word's affix of the other side at ``mirror[r]``.
+        """
+        ids = self.ids
+        # ids in order of first lookup, as __missing__ hands them out from
+        # the empty table, but without a Python call per new affix; their
+        # names follow
+        intern = ids.setdefault
+        prefixes = np.array([intern(w[:k], len(ids)) for w in words for k in range(1, len(w))], dtype=np.int32)
+        suffixes = np.array([intern(w[-k:], len(ids)) for w in words for k in range(1, len(w))], dtype=np.int32)
+        ids.names.extend(ids)
+        per_word = np.array([len(w) - 1 for w in words])
+        host = np.repeat(np.arange(len(words)), per_word)
+        mirror = np.repeat(2 * np.cumsum(per_word) - per_word - 1, per_word) - np.arange(len(host))
+        edge = np.repeat(np.array([ids[w] for w in words], dtype=np.int32), per_word)
+        freq = np.repeat(np.array([self.freqs[w] for w in words], dtype=np.int64), per_word)
+        word_array = np.array(words, dtype=object)
+        size = len(ids)
+
+        # one side at a time, so that a side's temporaries are freed
+        # before the next side's are made
+        def side(position, affixes, stems):
+            # a key never gains hosts, so one with a single host is never a
+            # candidate; rows are the live keys' rows, key by key in word order
+            hosts = np.bincount(affixes, minlength=size)
+            order = np.argsort(affixes, kind="stable")
+            rows = order[hosts[affixes[order]] > 1]
+            live = np.flatnonzero(hosts > 1)
+            hosts = hosts[live]
+            first = len(self.keys)
+            names = [ids.names[i] for i in live.tolist()]
+            self.index[position] = dict(zip(names, range(first, first + len(names))))
+            self.keys += [(position, affix) for affix in names]
+            hosted = word_array[host[rows]].tolist()
+            bounds = np.cumsum(hosts).tolist()
+            self.hosts += [hosted[a:b] for a, b in zip([0, *bounds], bounds)]
+            # each host's changes, edge -f, stem +f and affix +f, summed
+            # per (candidate, segment id), numbered candidate * size + id
+            pair = np.concatenate([edge[rows], stems[mirror[rows]], affixes[rows]], dtype=np.int64)
+            pair += np.tile(np.repeat(np.arange(first, len(self.keys)) * size, hosts), 3)
+            f = freq[rows]
+            order = np.argsort(pair, kind="stable")
+            pair = pair[order]
+            delta = np.concatenate([-f, f, f])[order]
+            starts = np.flatnonzero(np.diff(pair, prepend=-1))
+            pair, delta = pair[starts], np.add.reduceat(delta, starts)
+            return pair[delta != 0], delta[delta != 0]
+
+        suffix_pairs, suffix_deltas = side("suffix", suffixes, prefixes)
+        prefix_pairs, prefix_deltas = side("prefix", prefixes, suffixes)
+        cand, seg = np.divmod(np.concatenate([suffix_pairs, prefix_pairs]), size)
+        return cand, seg, np.concatenate([suffix_deltas, prefix_deltas])
 
     def rewrite(self, w, position, old_edge, new_edge):
         """Update the maps of every live key of ``old_edge`` after host
@@ -561,11 +626,14 @@ class _EdgeCandidates:
         xlogx = self.xlogx_array
         old = self.counts[seg]
         new = old + self.delta
-        cost = self.cost[seg]
-        # +cost where a segment enters the lexicon, -cost where one leaves it
-        lexicon = cost * ((old == 0).view(np.int8) - (new == 0).view(np.int8))
         x_old, x_new = xlogx[old], xlogx[new]
-        # in place, to keep the temporaries few: the table can be long
+        # +1 where a segment enters the lexicon, -1 where one leaves it
+        sign = (old == 0).view(np.int8) - (new == 0).view(np.int8)
+        # the table can be long: keep the temporaries few, and work in place
+        del old, new
+        cost = self.cost[seg]
+        lexicon = cost * sign
+        del sign
         num = len(self.keys)
         cost += x_old
         cost += x_new
@@ -622,15 +690,18 @@ def _edge_split_phase(analyses, freqs, char_cost):
     the longer ones; each rewritten edge moves its old contribution out of
     the change maps of its keys and its new one in.
 
-    Rewrites ``analyses`` in place and returns the number of moves made
-    and whether ``MAX_EDGE_SPLIT_MOVES`` stopped it with a move left.
+    The phase starts from whole words: ``analyses`` maps every word to
+    the one-segment tuple of itself (ValueError otherwise), so the first
+    host index and change maps are built in one bulk pass over the words'
+    proper prefixes and suffixes (``_EdgeCandidates``).  Rewrites
+    ``analyses`` in place and returns the number of moves made and whether
+    ``MAX_EDGE_SPLIT_MOVES`` stopped it with a move left.
     """
-    counts: dict[str, int] = {}
-    for w, segs in analyses.items():
-        for s in segs:
-            counts[s] = counts.get(s, 0) + freqs[w]
+    if any(segs != (w,) for w, segs in analyses.items()):
+        raise ValueError("the edge-split phase starts from whole words")
+    counts = {w: freqs[w] for w in analyses}
     total = sum(counts.values())
-    candidates = _EdgeCandidates(analyses, freqs, char_cost)
+    candidates = _EdgeCandidates(list(analyses), freqs, char_cost)
     candidates.add_counts(counts)
 
     moves = 0
@@ -683,6 +754,16 @@ def _edge_split_phase(analyses, freqs, char_cost):
         candidates.flush()
 
 
+def _segment_counts(analyses, freqs) -> Counter:
+    """Segment token counts over ``analyses``, each word weighted by its
+    frequency."""
+    counts: Counter = Counter()
+    for w, segs in analyses.items():
+        for s in segs:
+            counts[s] += freqs[w]
+    return counts
+
+
 def train_segmenter(
     words,
     alpha: float = DEFAULT_ALPHA,
@@ -732,7 +813,9 @@ def train_segmenter(
     # Anything still longer than the segment cap is chunked so that every
     # counted segment lives inside the smoothing event space.
     analyses = {
-        w: tuple(
+        w: segs
+        if max(map(len, segs)) <= max_segment_len
+        else tuple(
             piece
             for s in segs
             for piece in (s[i : i + max_segment_len] for i in range(0, len(s), max_segment_len))
@@ -741,48 +824,55 @@ def train_segmenter(
     }
 
     lattice = _Lattice(types, max_segment_len)
-    model = SegmentModel(
-        language=language,
-        alpha=alpha,
-        vocab_size=len(lattice.segments),
-    )
-    model.edge_split_moves = moves
-    model.edge_split_capped = capped
-    counts = model.counts
-    for w, segs in analyses.items():
-        for s in segs:
-            counts[s] += freqs[w]
-    model.total = sum(counts.values())
+    ids = lattice.segments
+    vocab_size = len(ids)
+    # EM counts by lattice id: every segment is a substring of its word of
+    # at most max_segment_len characters, so it has one
+    first = _segment_counts(analyses, freqs)
+    counts = np.zeros(vocab_size, dtype=np.int64)
+    counts[[ids[s] for s in first]] = list(first.values())
+    total = sum(first.values())
 
     # Each pass decodes every word in one batch; only the words whose cuts
     # changed are re-counted.
     masks = lattice.masks_of(analyses.values())
+    converged = True
     for passes in range(1, max_iters + 1):
-        _, new_masks = lattice.decode(model)
+        _, new_masks = lattice.decode(_count_log_probs(counts, alpha, total + alpha * vocab_size))
         changed = np.flatnonzero((new_masks != masks).any(axis=1))
         if not changed.size:
             break
         masks = new_masks
+        touched, deltas = [], []
         for k, row in zip(changed.tolist(), masks[changed].tolist()):
             w = types[k]
             f = freqs[w]
             old, new = analyses[w], lattice.split(k, row)
             analyses[w] = new
-            for s in old:
-                counts[s] -= f
-                if not counts[s]:
-                    del counts[s]
-            for s in new:
-                counts[s] += f
-            model.total += f * (len(new) - len(old))
+            touched += [ids[s] for s in old]
+            touched += [ids[s] for s in new]
+            deltas += [-f] * len(old) + [f] * len(new)
+            total += f * (len(new) - len(old))
+        np.add.at(counts, touched, deltas)
     else:
-        model.converged = False
+        converged = False
         log.warning(
             "%s: hard EM stopped at max_iters=%d before the segmentations converged",
             language or "<unnamed>", max_iters,
         )
+
+    model = SegmentModel(
+        language=language,
+        alpha=alpha,
+        counts=_segment_counts(analyses, freqs),
+        total=total,
+        vocab_size=vocab_size,
+        segmentations=analyses,
+    )
+    model.edge_split_moves = moves
+    model.edge_split_capped = capped
     model.em_passes = passes
-    model.segmentations = analyses
+    model.converged = converged
     return model
 
 

@@ -17,6 +17,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# A wider, randomized search for CI's extra segmentation run
+# (``--hypothesis-profile wide``); each failure prints its reproduction blob.
+settings.register_profile(
+    "wide",
+    max_examples=400,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("ci")
 
 

@@ -425,6 +425,35 @@ def test_segment_counts_report_training(demo_run):
     assert counts["em_not_converged"] == []
 
 
+def test_segment_counts_report_each_language(demo_run):
+    cfg, manifest = demo_run
+    counts = manifest["stages"]["segment"]["counts"]
+    stored = json.loads((cfg.output_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert stored["stages"]["segment"]["counts"] == counts
+    words = {}
+    for line in (cfg.output_dir / "cache/lexicon_normalized.tsv").read_text(encoding="utf-8").splitlines():
+        lang, word, _ = line.split("\t")
+        words.setdefault(lang, set()).add(word)
+    per_language = counts["per_language"]
+    assert list(per_language) == sorted(words)
+    for lang, facts in per_language.items():
+        model = segmentation.train_segmenter(
+            sorted(words[lang]), cfg.alpha, cfg.max_iters, language=lang, max_segment_len=cfg.max_segment_len
+        )
+        assert facts == {
+            "words": len(words[lang]),
+            "edge_split_moves": model.edge_split_moves,
+            "edge_split_capped": model.edge_split_capped,
+            "em_passes": model.em_passes,
+            "converged": model.converged,
+        }
+    # the summed counts are the per-language facts' sums and lists
+    assert counts["edge_split_moves"] == sum(f["edge_split_moves"] for f in per_language.values())
+    assert counts["em_passes"] == sum(f["em_passes"] for f in per_language.values())
+    assert counts["em_not_converged"] == [lang for lang, f in per_language.items() if not f["converged"]]
+    assert counts["edge_split_capped"] == [lang for lang, f in per_language.items() if f["edge_split_capped"]]
+
+
 def test_segment_counts_report_em_cap(tmp_path, caplog):
     cfg = load_config(write_demo(tmp_path))
     cfg.max_iters = 1  # nld needs a second pass on the demo
@@ -590,6 +619,38 @@ def test_cli_damaged_cached_csv_is_data_error(
     assert main([stage, "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert f"data error: stage {stage!r} failed: {path}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "artifact, dropped, stage",
+    [
+        ("ranking.csv", ["score", "basic"], "report"),
+        ("gamma.csv", ["gamma_basic", "gamma_sequence"], "report"),
+        ("cache/features_base.csv", ["has_translations"], "aggregate"),
+        ("features.csv", ["color"], "gamma"),
+        ("affixes.csv", ["class"], "report"),
+        ("cache/roundtrips.csv", ["back_translations"], "segment"),
+        ("cache/segmentations.csv", ["segments"], "aggregate"),
+    ],
+    ids=[
+        "ranking-two-columns", "gamma-one-column", "features_base-no-has_translations", "features-no-color",
+        "affixes-no-class", "roundtrips-three-columns", "segmentations-two-columns",
+    ],
+)
+def test_cli_cached_csv_without_a_column_is_data_error(demo_run, tmp_path, capsys, artifact, dropped, stage):
+    # every column a stage reads is found by name, so a missing one is a
+    # data error naming the file and the column, never an internal error
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    config_path = write_demo(tmp_path)
+    path = cfg.output_dir / artifact
+    with path.open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    kept = [i for i, name in enumerate(rows[0]) if name not in dropped]
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([row[i] for i in kept] for row in rows)
+    assert main([stage, "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: stage {stage!r} failed: {path}: no column {dropped[0]!r}" in err
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ import random
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from colorbasis import segmentation
@@ -278,7 +279,7 @@ def test_batched_decoder_matches_scalar_viterbi(words, seed, kind, cap):
     model = _random_decoder_model(random.Random(seed), words, kind)
     table, default = segmentation._log_prob_table(model)
     lattice = segmentation._Lattice(words, cap)
-    scores, masks = lattice.decode(model)
+    scores, masks = lattice.decode(lattice.log_probs(model))
     for k, word in enumerate(words):
         expected = scalar_viterbi(table, default, word, cap)
         if expected is None:
@@ -685,15 +686,19 @@ def test_filter_bound_holds_for_every_candidate_on_every_move(words):
 
 
 @given(edge_affixed_words | mirrored_words)
+# a zero row in two maps: in the key a, the edge kala cancels kalaa's stem
+# kala, and in the key re, the edge rekal cancels rerekal's stem rekal
+@example(["kal", "kala", "kalaa", "rekal", "rerekal"])
 def test_flushed_rows_hold_the_current_maps(words):
+    # checked right after the bulk start and after every flush
     freqs = Counter(words)
     types = sorted(freqs)
     analyses = {w: (w,) for w in types}
+    init = segmentation._EdgeCandidates.__init__
     flush = segmentation._EdgeCandidates.flush
     calls = []
 
-    def checked_flush(self):
-        flush(self)
+    def check(self):
         rows = {}
         for c, s, d in zip(self.cand.tolist(), self.seg.tolist(), self.delta.tolist()):
             assert (c, s) not in rows
@@ -708,11 +713,61 @@ def test_flushed_rows_hold_the_current_maps(words):
             added, segments, deltas = segmentation._split_changes(*key, self.hosts[c], analyses, freqs)
             assert self.maps[c] == {self.ids.get(s): d for s, d in zip(segments, deltas)}
             assert self.added[c] == added
+        # the live keys are exactly those with two or more hosts, and each
+        # lists its hosts in word order
+        hosts = {}
+        for w, segs in analyses.items():
+            for position, edge in (("suffix", segs[-1]), ("prefix", segs[0])):
+                for k in range(1, len(edge)):
+                    hosts.setdefault((position, edge[-k:] if position == "suffix" else edge[:k]), []).append(w)
+        live = {key: hosted for key, hosted in hosts.items() if len(hosted) > 1}
+        assert {(position, affix) for position, index in self.index.items() for affix in index} == set(live)
+        for key, hosted in live.items():
+            c = self.index[key[0]][key[1]]
+            assert self.keys[c] == key and self.hosts[c] == hosted
         calls.append(len(rows))
 
-    with mock.patch.object(segmentation._EdgeCandidates, "flush", checked_flush):
+    def checked_init(self, *args):
+        init(self, *args)
+        check(self)
+
+    def checked_flush(self):
+        flush(self)
+        check(self)
+
+    with (
+        mock.patch.object(segmentation._EdgeCandidates, "__init__", checked_init),
+        mock.patch.object(segmentation._EdgeCandidates, "flush", checked_flush),
+    ):
         moves, _ = segmentation._edge_split_phase(analyses, freqs, _char_cost(types))
     assert len(calls) == moves + 1
+
+
+def test_edge_split_starts_from_whole_words():
+    freqs = Counter(["kalish", "mirish"])
+    for analyses in ({"kalish": ("kal", "ish"), "mirish": ("mirish",)}, {"kalish": ("mirish",), "mirish": ("mirish",)}):
+        with pytest.raises(ValueError, match="starts from whole words"):
+            segmentation._edge_split_phase(analyses, freqs, 1.0)
+
+
+@given(
+    st.lists(st.text("abc", min_size=1, max_size=10), min_size=1, max_size=8),
+    st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 7, 40]), min_size=1, max_size=300),
+    st.sampled_from([0.01, 0.5, 2.0, 1e-9]),
+    st.sampled_from([None, 1, 8]),
+)
+def test_count_log_probs_match_the_table_bit_for_bit(words, drawn, alpha, cap):
+    lattice = segmentation._Lattice(words, cap)
+    counts = np.resize(np.array(drawn, dtype=np.int64), len(lattice.segments))
+    model = SegmentModel(
+        alpha=alpha,
+        counts=Counter({s: int(counts[i]) for s, i in lattice.segments.items() if counts[i]}),
+        total=int(counts.sum()),
+        vocab_size=len(lattice.segments),
+    )
+    got = segmentation._count_log_probs(counts, alpha, model.total + alpha * model.vocab_size)
+    # every id, including those whose count is zero
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in lattice.log_probs(model).tolist()]
 
 
 @given(edge_affixed_words)
