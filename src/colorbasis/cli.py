@@ -67,7 +67,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         overrides = {"output_dir": args.output_dir, "jobs": args.jobs}
-        overrides = {k: v for k, v in overrides.items() if v not in (None, False)}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
         cfg = load_config(args.config, overrides)
         if args.command == "run":
             manifest = run_pipeline(cfg)

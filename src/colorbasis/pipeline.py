@@ -21,6 +21,11 @@ the stage has returned.  Hence:
   next stage to start; the artifacts are moved into place,
   ``manifest.json`` last, only after every stage has succeeded, so a
   failed full run leaves the output directory as it was.
+
+Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
+takes its header from it (``_csv_text``), and every cached CSV is read
+through ``_read``, which checks the file, its header and each row's width
+and streams the named cells of each row.
 """
 
 from __future__ import annotations
@@ -95,35 +100,59 @@ StageResult = tuple[dict, dict[str, str]]
 # ---------------------------------------------------------------------------
 # artifact I/O helpers
 
+_RANKING_COLUMNS = ("color", "rank", "score", "basic")
 
-def _csv_text(header, rows) -> str:
+#: Every CSV artifact, by path relative to the output directory, with its
+#: columns in order.  Writers take their header from here, and ``_read``
+#: requires every one of these columns in a cached file's header.
+COLUMNS = {
+    "cache/roundtrips.csv": ("color", "language", "foreign_word", "back_translations"),
+    "cache/segmentations.csv": ("language", "word", "segments"),
+    "affixes.csv": ("language", "affix", "position", "class", "color_coverage", "global_coverage"),
+    "compounds.csv": CompoundRow._fields,
+    "cache/features_base.csv": ("color", "has_translations", *NON_AFFIX_COLUMNS),
+    "features.csv": ("color", *FEATURE_COLUMNS),
+    "ranking.csv": _RANKING_COLUMNS,
+    "ranking_bootstrap.csv": _RANKING_COLUMNS,
+    "gamma.csv": ("feature", "gamma_basic", "gamma_sequence"),
+    "consensus.csv": ("language", "term", "consensus"),
+    "inventory.csv": ("language", "total_terms", "inventory_mean", "inventory_std"),
+}
+
+
+def _csv_text(rel: str, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(COLUMNS[rel])
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _csv_rows(path: Path):
-    """Yield the header, then each row, of a cached CSV artifact.  A row
-    whose field count differs from the header's raises DataError naming
-    the file and row."""
+def _read(out: Path, rel: str, names=None):
+    """Yield the ``names`` cells (two or more; by default every column of
+    ``COLUMNS[rel]``) of each row of the cached CSV artifact ``rel``, as a
+    tuple, one row at a time.
+
+    A missing file raises DependencyError.  An empty file, a header that
+    lacks a column of ``COLUMNS[rel]``, or a row whose field count differs
+    from the header's raises DataError naming the file (and the row), so
+    no row can shift onto its neighbour's values.
+    """
+    path = _need(out / rel)
     with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = csv.reader(fh)
+        header = next(rows, None)
         if header is None:
             raise DataError(f"{path}: empty file")
-        yield header
-        for number, row in enumerate(reader, 1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {number} has {len(row)} fields, expected {len(header)}")
-            yield row
-
-
-def _read_csv(path: Path):
-    rows = _csv_rows(path)
-    header = next(rows)
-    return header, list(rows)
+        for name in COLUMNS[rel]:
+            if name not in header:
+                raise DataError(f"{path}: no column {name!r}")
+        pick = itemgetter(*(header.index(name) for name in names or COLUMNS[rel]))
+        width = len(header)
+        for number, row in enumerate(rows, 1):
+            if len(row) != width:
+                raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
+            yield pick(row)
 
 
 # A cell as the stages write it: ``json.dumps`` of a list of strings.
@@ -153,14 +182,6 @@ def _json_column(path: Path, cells: list[str]) -> list:
         except ValueError as e:
             raise DataError(f"{path}: row {number}: malformed JSON cell: {e}") from None
     return values
-
-
-def _columns(path: Path, header: list[str], names) -> list[int]:
-    """The positions of ``names`` in the header of the cached CSV ``path``."""
-    for name in names:
-        if name not in header:
-            raise DataError(f"{path}: no column {name!r}")
-    return [header.index(name) for name in names]
 
 
 def _number(path: Path, row: int, column: str, cell: str) -> float:
@@ -201,23 +222,6 @@ def _read_lexicon_cache(out: Path) -> TranslationTable:
     return TranslationTable(entries=frozenset(entries))
 
 
-def _read_roundtrips(out: Path, back_translations: bool = False) -> list[tuple]:
-    """The round-trip cache as (color, language, foreign word) rows.
-
-    With ``back_translations`` the rows are RoundTripRecords, their
-    back-translation sets decoded from the whole JSON column at once;
-    without it the column is not decoded at all.
-    """
-    path = _need(out / "cache/roundtrips.csv")
-    header, rows = _read_csv(path)
-    *triple, bts = _columns(path, header, ("color", "language", "foreign_word", "back_translations"))
-    triples = list(map(itemgetter(*triple), rows))
-    if not back_translations:
-        return triples
-    decoded = _json_column(path, [row[bts] for row in rows])
-    return [RoundTripRecord(c, lang, word, frozenset(b)) for (c, lang, word), b in zip(triples, decoded)]
-
-
 def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
     pairs: dict[str, set[tuple[str, str]]] = {}
     for color, lang, word, *_ in roundtrips:
@@ -225,35 +229,14 @@ def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
     return {color: sorted(p) for color, p in pairs.items()}
 
 
-def _read_segmentations(out: Path) -> dict[tuple[str, str], tuple[str, ...]]:
-    path = _need(out / "cache/segmentations.csv")
-    header, rows = _read_csv(path)
-    lang, word, segments = _columns(path, header, ("language", "word", "segments"))
-    decoded = _json_column(path, [row[segments] for row in rows])
-    return dict(zip(map(itemgetter(lang, word), rows), map(tuple, decoded)))
-
-
-def _read_suffixes(out: Path) -> dict[str, set[str]]:
-    """The suffixes of ``affixes.csv``, by language."""
-    path = _need(out / "affixes.csv")
-    header, rows = _read_csv(path)
-    language, affix, position = _columns(path, header, ("language", "affix", "position"))
-    suffixes: dict[str, set[str]] = {}
-    for row in rows:
-        if row[position] == "suffix":
-            suffixes.setdefault(row[language], set()).add(row[affix])
-    return suffixes
-
-
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
-    path = _need(out / "features.csv")
-    header, rows = _read_csv(path)
-    color, *positions = _columns(path, header, ("color", *FEATURE_COLUMNS))
-    colors = [row[color] for row in rows]
+    path = out / "features.csv"
+    colors = []
     values = {col: [] for col in FEATURE_COLUMNS}
-    for number, row in enumerate(rows, 1):
-        for col, i in zip(FEATURE_COLUMNS, positions):
-            values[col].append(_number(path, number, col, row[i]))
+    for number, (color, *cells) in enumerate(_read(out, "features.csv"), 1):
+        colors.append(color)
+        for col, cell in zip(FEATURE_COLUMNS, cells):
+            values[col].append(_number(path, number, col, cell))
     return FeatureMatrix(colors=colors, columns=FEATURE_COLUMNS, values=values)
 
 
@@ -261,15 +244,12 @@ def _read_accepted_compounds(out: Path) -> tuple[list[tuple[str, str, str]], int
     """The accepted rows of ``compounds.csv`` as (language, word, glue),
     and the number of rows.  Every row is checked as it is read, but only
     the accepted ones are kept."""
-    path = _need(out / "compounds.csv")
-    rows = _csv_rows(path)
-    header = next(rows)
-    language, word, glue, accepted = _columns(path, header, ("language", "word", "glue", "accepted"))
     kept = []
     total = 0
-    for total, row in enumerate(rows, 1):
-        if row[accepted] == "1":
-            kept.append((row[language], row[word], row[glue]))
+    rows = _read(out, "compounds.csv", ("language", "word", "glue", "accepted"))
+    for total, (language, word, glue, accepted) in enumerate(rows, 1):
+        if accepted == "1":
+            kept.append((language, word, glue))
     return kept, total
 
 
@@ -304,9 +284,7 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
         "roundtrip_rows": len(rows),
     }, {
         "cache/lexicon_normalized.tsv": "\n".join(lex_lines) + "\n",
-        "cache/roundtrips.csv": _csv_text(
-            ["color", "language", "foreign_word", "back_translations"], rows
-        ),
+        "cache/roundtrips.csv": _csv_text("cache/roundtrips.csv", rows),
     }
 
 
@@ -348,7 +326,7 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
     color_words: dict[str, set[str]] = {}
-    for _, lang, word in _read_roundtrips(out):
+    for lang, word in _read(out, "cache/roundtrips.csv", ("language", "foreign_word")):
         color_words.setdefault(lang, set()).add(word)
 
     thresholds = cfg.affix_thresholds()
@@ -384,18 +362,18 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         "per_language": facts,
     }
     return counts, {
-        "cache/segmentations.csv": _csv_text(["language", "word", "segments"], seg_rows),
-        "affixes.csv": _csv_text(
-            ["language", "affix", "position", "class", "color_coverage", "global_coverage"],
-            affix_rows,
-        ),
+        "cache/segmentations.csv": _csv_text("cache/segmentations.csv", seg_rows),
+        "affixes.csv": _csv_text("affixes.csv", affix_rows),
     }
 
 
 def stage_compounds(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     table = _read_lexicon_cache(out)
-    suffixes = _read_suffixes(out)
+    suffixes: dict[str, set[str]] = {}
+    for lang, affix, position in _read(out, "affixes.csv", ("language", "affix", "position")):
+        if position == "suffix":
+            suffixes.setdefault(lang, set()).add(affix)
     candidates = []
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang, suffixes.get(lang, ())))
@@ -405,7 +383,7 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
         "accepted": sum(row.accepted for row in rows),
     }, {
         "compounds.csv": _csv_text(
-            CompoundRow._fields,
+            "compounds.csv",
             ((*row[:7], str(row.support), "1" if row.accepted else "0") for row in rows),
         ),
     }
@@ -414,11 +392,12 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
 def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = load_seeds(cfg.seeds)
-    roundtrips = _read_roundtrips(out, back_translations=True)
+    roundtrips = list(_read(out, "cache/roundtrips.csv"))
     translations = _translation_pairs(roundtrips)
+    back_translations = _json_column(out / "cache/roundtrips.csv", [row[3] for row in roundtrips])
     records: dict[str, list[RoundTripRecord]] = {}
-    for rec in roundtrips:
-        records.setdefault(rec.color, []).append(rec)
+    for (color, lang, word, _), b in zip(roundtrips, back_translations):
+        records.setdefault(color, []).append(RoundTripRecord(color, lang, word, frozenset(b)))
     accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
 
     conc = ConcretenessLexicon.load(cfg.concreteness)
@@ -462,37 +441,29 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
             row.append("" if v is None else repr(v))
         rows.append(row)
     return {"colors": len(colors)}, {
-        "cache/features_base.csv": _csv_text(["color", "has_translations", *NON_AFFIX_COLUMNS], rows),
+        "cache/features_base.csv": _csv_text("cache/features_base.csv", rows),
     }
-
-
-def _read_features_base(out: Path):
-    path = _need(out / "cache/features_base.csv")
-    header, rows = _read_csv(path)
-    color, translated, *positions = _columns(path, header, ("color", "has_translations", *NON_AFFIX_COLUMNS))
-    colors = [r[color] for r in rows]
-    has_translations = {r[color]: r[translated] == "1" for r in rows}
-    maps: dict[str, dict[str, float | None]] = {col: {} for col in NON_AFFIX_COLUMNS}
-    for number, row in enumerate(rows, 1):
-        for col, i in zip(NON_AFFIX_COLUMNS, positions):
-            cell = row[i]
-            maps[col][row[color]] = _number(path, number, col, cell) if cell else None
-    return colors, has_translations, maps
 
 
 def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
-    colors, has_translations, maps = _read_features_base(out)
-    translations = _translation_pairs(_read_roundtrips(out))
-    segmentations = _read_segmentations(out)
-
-    # The affix column is bootstrap-dependent; before the bootstrap it is
-    # a placeholder that only contributes its missingness (colors without
-    # translations can never receive a score) to the drop rule.
-    maps = dict(maps)
-    maps[AFFIX_COLUMN] = {
-        c: 0.0 if has_translations.get(c) else None for c in colors
-    }
+    path = out / "cache/features_base.csv"
+    colors = []
+    maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
+    for number, (color, translated, *cells) in enumerate(_read(out, "cache/features_base.csv"), 1):
+        colors.append(color)
+        for col, cell in zip(NON_AFFIX_COLUMNS, cells):
+            maps[col][color] = _number(path, number, col, cell) if cell else None
+        # The affix column is bootstrap-dependent; before the bootstrap it
+        # is a placeholder that only contributes its missingness (colors
+        # without translations can never receive a score) to the drop rule.
+        maps[AFFIX_COLUMN][color] = 0.0 if translated == "1" else None
+    translations = _translation_pairs(
+        _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
+    )
+    rows = list(_read(out, "cache/segmentations.csv"))
+    segments = _json_column(out / "cache/segmentations.csv", [cell for _, _, cell in rows])
+    segmentations = dict(zip(map(itemgetter(0, 1), rows), map(tuple, segments)))
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -523,7 +494,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     )
 
     feat_rows = [
-        [color, *(repr(matrix.values[col][i]) for col in matrix.columns)]
+        [color, *(repr(matrix.values[col][i]) for col in FEATURE_COLUMNS)]
         for i, color in enumerate(matrix.colors)
     ]
     seeds = {c.term: c for c in load_seeds(cfg.seeds)}
@@ -540,9 +511,9 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         "dropped": [c for c, _ in matrix.dropped],
         "top_color": final.colors[0],
     }, {
-        "features.csv": _csv_text(["color", *matrix.columns], feat_rows),
-        "ranking.csv": _csv_text(["color", "rank", "score", "basic"], ranking_rows(final)),
-        "ranking_bootstrap.csv": _csv_text(["color", "rank", "score", "basic"], ranking_rows(boot)),
+        "features.csv": _csv_text("features.csv", feat_rows),
+        "ranking.csv": _csv_text("ranking.csv", ranking_rows(final)),
+        "ranking_bootstrap.csv": _csv_text("ranking_bootstrap.csv", ranking_rows(boot)),
     }
 
 
@@ -590,7 +561,7 @@ def stage_gamma(cfg: PipelineConfig) -> StageResult:
         "gamma_basic_aggregate": gb if gb == gb else None,
         "gamma_sequence_aggregate": gs if gs == gs else None,
     }, {
-        "gamma.csv": _csv_text(["feature", "gamma_basic", "gamma_sequence"], rows),
+        "gamma.csv": _csv_text("gamma.csv", rows),
     }
 
 
@@ -646,10 +617,8 @@ def stage_wcs(cfg: PipelineConfig) -> StageResult:
         "conflicts": table.conflicts,
         "rows_skipped": table.skipped,
     }, {
-        "consensus.csv": _csv_text(["language", "term", "consensus"], consensus),
-        "inventory.csv": _csv_text(
-            ["language", "total_terms", "inventory_mean", "inventory_std"], inventory
-        ),
+        "consensus.csv": _csv_text("consensus.csv", consensus),
+        "inventory.csv": _csv_text("inventory.csv", inventory),
         "heterogeneity.svg": svg,
     }
 
@@ -658,20 +627,16 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     lines = ["# Color basicness run summary", ""]
 
-    path = _need(out / "ranking.csv")
-    header, ranking = _read_csv(path)
-    color, rank, score, basic = _columns(path, header, ("color", "rank", "score", "basic"))
+    ranked = set()
     lines += ["## Ranking (top 15)", "", "| rank | color | score | basic |", "| --- | --- | --- | --- |"]
-    for row in ranking[:15]:
-        lines.append(f"| {row[rank]} | {row[color]} | {row[score]} | {'yes' if row[basic] == '1' else ''} |")
+    for i, (color, rank, score, basic) in enumerate(_read(out, "ranking.csv")):
+        if i < 15:
+            lines.append(f"| {rank} | {color} | {score} | {'yes' if basic == '1' else ''} |")
+        ranked.add(color)
     lines.append("")
 
-    path = _need(out / "gamma.csv")
-    header, rows = _read_csv(path)
-    cells = itemgetter(*_columns(path, header, ("feature", "gamma_basic", "gamma_sequence")))
     lines += ["## Rank correlations", "", "| feature | vs basic | vs sequence |", "| --- | --- | --- |"]
-    for row in rows:
-        lines.append("| " + " | ".join(cells(row)) + " |")
+    lines += ["| " + " | ".join(row) + " |" for row in _read(out, "gamma.csv")]
     lines.append("")
 
     accepted, candidates = _read_accepted_compounds(out)
@@ -681,19 +646,12 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")
 
-    path = _need(out / "affixes.csv")
-    header, rows = _read_csv(path)
-    cells = itemgetter(
-        *_columns(path, header, ("language", "affix", "position", "class", "color_coverage", "global_coverage"))
-    )
     lines += ["## Affixes", "", "| language | affix | position | class | color cov. | global cov. |", "| --- | --- | --- | --- | --- | --- |"]
-    for row in rows:
-        lines.append("| " + " | ".join(cells(row)) + " |")
+    lines += ["| " + " | ".join(row) + " |" for row in _read(out, "affixes.csv")]
     lines.append("")
 
     # the seeds missing from the ranking are exactly those the aggregate
     # stage dropped
-    ranked = {row[color] for row in ranking}
     dropped = [c.term for c in load_seeds(cfg.seeds) if c.term not in ranked]
     if dropped:
         lines += ["## Dropped colors", "", ", ".join(dropped), ""]
@@ -822,7 +780,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         staged = dataclasses.replace(cfg, output_dir=staging)
         for stage in STAGE_ORDER:
             counts = run_stage(staged, stage)
-            log.info("stage %s done: %s", stage, counts)
+            facts = counts.get("per_language", {})
+            brief = {k: v for k, v in counts.items() if k != "per_language"}
+            log.info("stage %s done: %s%s", stage, brief, "; per-language facts in manifest.json" if facts else "")
+            for lang, f in facts.items():
+                log.debug("stage %s %s: %s", stage, lang, f)
         manifest = _load_manifest(staging)
         last = staging / "manifest.json"
         for path in sorted(p for p in staging.rglob("*") if p.is_file() and p != last):

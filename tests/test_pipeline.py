@@ -1,6 +1,8 @@
+import ast
 import csv
 import dataclasses
 import functools
+import io
 import json
 import re
 import shutil
@@ -480,6 +482,25 @@ def test_segment_counts_report_edge_split_cap(demo_run, tmp_path, monkeypatch, c
         assert f"{lang}: edge-split phase stopped at its cap of 1 moves" in caplog.text
 
 
+def test_run_log_gives_per_language_facts_at_debug_only(tmp_path, caplog):
+    cfg = load_config(write_demo(tmp_path))
+    with caplog.at_level("DEBUG", logger="colorbasis.pipeline"):
+        manifest = run_pipeline(cfg)
+    facts = manifest["stages"]["segment"]["counts"]["per_language"]
+    records = [r for r in caplog.records if r.name == "colorbasis.pipeline"]
+    info = [r.getMessage() for r in records if r.levelname == "INFO"]
+    assert [m.split(":")[0] for m in info] == [f"stage {stage} done" for stage in STAGE_ORDER]
+    (segment,) = (m for m in info if m.startswith("stage segment done"))
+    assert "per_language" not in segment
+    assert segment.endswith("; per-language facts in manifest.json")
+    # the summed facts stay at INFO; the map is one DEBUG line per language
+    assert "'em_not_converged': []" in segment
+    debug = [r.getMessage().split(": ", 1) for r in records if r.levelname == "DEBUG"]
+    assert [prefix for prefix, _ in debug] == [f"stage segment {lang}" for lang in facts]
+    assert [ast.literal_eval(f) for _, f in debug] == list(facts.values())
+    assert len(debug) == 6
+
+
 def test_summary_report_sections(demo_run):
     cfg, _ = demo_run
     text = (cfg.output_dir / "summary.md").read_text(encoding="utf-8")
@@ -526,6 +547,13 @@ def test_cli_stage_failure_exit_codes(tmp_path, capsys, monkeypatch, error, code
     monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", fail)
     assert main(["run", "--config", str(config_path)]) == code
     assert capsys.readouterr().err == f"{kind}: stage 'gamma' failed: boom\n"
+
+
+def test_cli_jobs_zero_is_config_error(tmp_path, capsys):
+    # 0 is an override like any other: it must not fall back to the config
+    config_path = write_demo(tmp_path)
+    assert main(["gamma", "--config", str(config_path), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "config error: parameters.jobs: must be >= 1\n"
 
 
 def test_cli_dependency_error_exit_code(tmp_path, capsys):
@@ -654,6 +682,38 @@ def test_cli_cached_csv_without_a_column_is_data_error(demo_run, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "artifact, damage, stage, message",
+    [
+        ("cache/roundtrips.csv", lambda rows: rows[:2] + [rows[2][:2]] + rows[3:], "segment",
+         "row 2 has 2 fields, expected 4"),
+        ("cache/roundtrips.csv", lambda rows: rows[:2] + [rows[2][:3] + ['["red"']] + rows[3:], "features",
+         "row 2: malformed JSON cell"),
+        ("cache/segmentations.csv", lambda rows: rows[:3] + [rows[3][:2] + ['["a"], ["b"]']] + rows[4:],
+         "aggregate", "row 3: malformed JSON cell: Extra data"),
+        ("compounds.csv", lambda rows: rows[:-1] + [rows[-1][:4]], "report", "has 4 fields, expected 9"),
+        ("compounds.csv", lambda rows: [], "features", "empty file"),
+        ("gamma.csv", lambda rows: [], "report", "empty file"),
+    ],
+    ids=[
+        "roundtrips-short-row", "roundtrips-json", "segmentations-json", "compounds-short-row",
+        "compounds-empty", "gamma-empty",
+    ],
+)
+def test_cli_damaged_cached_row_is_data_error(demo_run, tmp_path, capsys, artifact, damage, stage, message):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    config_path = write_demo(tmp_path)
+    path = cfg.output_dir / artifact
+    with path.open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(damage(rows))
+    assert main([stage, "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {stage!r} failed: {path}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "damage, message",
     [
         (lambda text: text[: len(text) // 2], "not valid JSON"),
@@ -693,6 +753,45 @@ def test_wcs_stage_reports_skipped_survey_rows(demo_run, tmp_path):
     _append_rows(cfg.wcs, [("zzz", "s1", "c1")] * 3)
     counts = run_stage(cfg, "wcs")
     assert counts == {"languages": 3, "responses": 25, "conflicts": 0, "rows_skipped": 3}
+
+
+def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkeypatch):
+    # run the stages one at a time, recording what each returns and which
+    # CSV artifacts it reads
+    cfg = load_config(write_demo(tmp_path))
+    returned: dict[str, dict[str, str]] = {}
+    reads = []
+    read = pipeline._read
+
+    def recording_read(out, rel, names=None):
+        reads.append((current, rel))
+        return read(out, rel, names)
+
+    def recording(stage, fn):
+        def run(cfg):
+            counts, artifacts = fn(cfg)
+            returned[stage] = artifacts
+            return counts, artifacts
+        return run
+
+    monkeypatch.setattr(pipeline, "_read", recording_read)
+    for current in STAGE_ORDER:
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, current, recording(current, pipeline.STAGE_FUNCS[current]))
+        run_stage(cfg, current)
+
+    for stage, rel in reads:
+        earlier = STAGE_ORDER[: STAGE_ORDER.index(stage)]
+        assert any(rel in returned[s] for s in earlier), (stage, rel)
+    assert {rel for _, rel in reads} == set(pipeline.COLUMNS) - {
+        "ranking_bootstrap.csv", "consensus.csv", "inventory.csv"
+    }
+    headers = {
+        rel: next(csv.reader(io.StringIO(text)))
+        for artifacts in returned.values()
+        for rel, text in artifacts.items()
+        if rel.endswith(".csv")
+    }
+    assert headers == {rel: list(names) for rel, names in pipeline.COLUMNS.items()}
 
 
 def test_cached_lexicon_is_the_ingested_one(tmp_path):
@@ -816,29 +915,26 @@ _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size
 )
 def test_bulk_readers_match_per_row_json(rows, dump):
     # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
-    # zero rows and cells not written by json.dumps' defaults all decode
-    # exactly as one json.loads per row does
+    # zero rows and cells not written by json.dumps' defaults all read back
+    # as written, and their JSON columns decode exactly as one json.loads
+    # per row does
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "cache").mkdir()
-        roundtrips = pipeline._csv_text(
-            ["color", "language", "foreign_word", "back_translations"],
-            [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
-        )
-        (out / "cache/roundtrips.csv").write_text(roundtrips, encoding="utf-8", newline="")
-        segmentations = pipeline._csv_text(
-            ["language", "word", "segments"], [(l, w, dump(b)) for _, l, w, b in rows]
-        )
-        (out / "cache/segmentations.csv").write_text(segmentations, encoding="utf-8", newline="")
-
-        _, cells = pipeline._read_csv(out / "cache/roundtrips.csv")
-        assert pipeline._read_roundtrips(out, back_translations=True) == [
-            (c, l, w, frozenset(json.loads(b))) for c, l, w, b in cells
+        written = {
+            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
+            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b in rows],
+        }
+        for rel, cells in written.items():
+            (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
+            read = list(pipeline._read(out, rel))
+            assert read == cells
+            assert pipeline._json_column(out / rel, [row[-1] for row in read]) == [
+                json.loads(row[-1]) for row in cells
+            ]
+        assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
+            (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
         ]
-        assert pipeline._read_roundtrips(out) == [(c, l, w) for c, l, w, _ in cells]
-        _, cells = pipeline._read_csv(out / "cache/segmentations.csv")
-        expected = {(l, w): tuple(json.loads(s)) for l, w, s in cells}
-        assert pipeline._read_segmentations(out) == expected
 
 
 @pytest.mark.parametrize(
@@ -852,11 +948,14 @@ def test_bulk_readers_match_per_row_json(rows, dump):
     ],
 )
 def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, message):
+    rel = "cache/segmentations.csv"
     (tmp_path / "cache").mkdir()
-    text = pipeline._csv_text(["language", "word", "segments"], [("l1", f"w{i}", c) for i, c in enumerate(cells)])
-    (tmp_path / "cache/segmentations.csv").write_text(text, encoding="utf-8")
-    with pytest.raises(DataError, match=re.escape(message)):
-        pipeline._read_segmentations(tmp_path)
+    text = pipeline._csv_text(rel, [("l1", f"w{i}", c) for i, c in enumerate(cells)])
+    (tmp_path / rel).write_text(text, encoding="utf-8")
+    read = [segments for _, _, segments in pipeline._read(tmp_path, rel)]
+    assert read == cells
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / rel}: {message}")):
+        pipeline._json_column(tmp_path / rel, read)
 
 
 def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
@@ -865,8 +964,11 @@ def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
         'color,language,foreign_word,back_translations\nred,l1,w1,"[""red""]"\nred,l1\n',
         encoding="utf-8",
     )
+    rows = pipeline._read(tmp_path, "cache/roundtrips.csv", ("language", "foreign_word"))
+    # rows stream: the first is yielded before the second is read
+    assert next(rows) == ("l1", "w1")
     with pytest.raises(DataError, match="row 2 has 2 fields, expected 4"):
-        pipeline._read_roundtrips(tmp_path)
+        next(rows)
 
 
 def test_compounds_reader_checks_the_rows_it_does_not_keep(tmp_path):

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from colorbasis.errors import DegenerateColumnError, UndefinedGammaError
 from colorbasis.features import FeatureMatrix
 from colorbasis.stats import (
+    DEFAULT_NEGATED,
+    DEFAULT_TRANSFORMS,
+    FEATURE_COLUMNS,
     AggregateRanking,
     aggregate,
     bootstrap_then_full_aggregate,
@@ -334,6 +337,36 @@ def test_bootstrap_affix_fn_receives_top_colors():
     m = _matrix(colors, ["f1", "affix-presence"], [[v, 0.0] for v in f1])
     bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={}, affix_fn=affix_fn)
     assert seen["top"] == sorted(colors, key=lambda c: -f1[colors.index(c)])
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_basicness_evidence_in_one_hidden_order_ranks_the_colors_in_that_order(data):
+    # the paper's headline as a property: when every one of the 14
+    # features points the same way (each strictly monotone in one hidden
+    # order, reversed for the negated ones), the aggregate recovers that
+    # order and its gamma is 1.0 against both targets
+    n = data.draw(st.integers(3, 12), label="colors")
+    hidden = [f"c{i}" for i in range(n)]  # most basic first
+    place = {color: i for i, color in enumerate(hidden)}
+    rows_order = data.draw(st.permutations(hidden), label="row order")
+    values = {}
+    for col in FEATURE_COLUMNS:
+        ascending = sorted(data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True)))
+        by_place = ascending if col in DEFAULT_NEGATED else ascending[::-1]
+        values[col] = [float(by_place[place[c]]) for c in rows_order]
+    m = FeatureMatrix(colors=list(rows_order), columns=FEATURE_COLUMNS, values=values)
+
+    basic = data.draw(st.integers(1, n - 1), label="basic colors")
+    is_basic = {c: place[c] < basic for c in hidden}
+    stages = dict(zip(hidden, sorted(data.draw(st.lists(st.integers(1, 6), min_size=basic, max_size=basic)))))
+
+    boot, final, _ = bootstrap_then_full_aggregate(m, DEFAULT_NEGATED, DEFAULT_TRANSFORMS)
+    assert boot.colors == hidden
+    assert final.colors == hidden
+    scores = [final.scores_by_color[c] for c in m.colors]
+    assert gamma(scores, [float(is_basic[c]) for c in m.colors]).gamma == 1.0
+    assert gamma(scores, sequence_target(m.colors, is_basic, stages)).gamma == 1.0
 
 
 # ---------------------------------------------------------------------------
