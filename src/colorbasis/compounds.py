@@ -182,8 +182,11 @@ def score_and_filter(
         if kept is None or support > kept[1]:
             best[language, word] = (idx, support)
     survivors = {idx for idx, support in best.values() if support >= threshold}
+    del best
     keys = {(c[0], c[2], c[4]) for c in map(candidates.__getitem__, survivors)}
     second = _score({key: pairs[key] for key in keys})
+    # only the two score tables and the survivors are used from here on
+    del pairs, keys
 
     rows = []
     for idx, c in enumerate(candidates):

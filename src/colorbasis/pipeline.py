@@ -36,13 +36,17 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
+import resource
 import statistics
+import sys
 import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import compress, count, groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -89,6 +93,9 @@ from .stats import (
 from .wcs import heterogeneity_report, load_wcs
 
 log = logging.getLogger(__name__)
+#: one INFO line per stage with the memory high-water mark, apart from the
+#: stage lines of ``log``
+memory_log = logging.getLogger(f"{__name__}.memory")
 
 NON_AFFIX_COLUMNS = tuple(c for c in FEATURE_COLUMNS if c != AFFIX_COLUMN)
 
@@ -155,40 +162,74 @@ def _read(out: Path, rel: str, names=None):
             yield pick(row)
 
 
-# A cell as the stages write it: ``json.dumps`` of a list of strings.
-_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"'
-_JSON_STRING_LIST = rf"\[(?:{_JSON_STRING}(?:, {_JSON_STRING})*)?\]"
-_JSON_STRING_LISTS = re.compile(rf"{_JSON_STRING_LIST}(?:\n{_JSON_STRING_LIST})*")
+# A cell as the stages write it: ``json.dumps`` of a list of strings.  The
+# pattern admits exactly the strings ``json.loads`` accepts, escapes
+# included, so cells it matches decode without error.  Cells are matched
+# one at a time: a match over a whole column would keep a backtracking
+# entry for every cell.
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+_JSON_STRING_LIST = re.compile(rf"\[(?:{_JSON_STRING}(?:, {_JSON_STRING})*)?\]")
+
+#: rows read, and JSON cells decoded, at a time by ``_decoded_rows``
+_DECODE_BLOCK = 4096
 
 
-def _json_column(path: Path, cells: list[str]) -> list:
-    """Decode a column of JSON cells, one value per cell.
+def _json_column(path: Path, cells: list[str], first: int = 1, wanted=None) -> list:
+    """Decode a block of JSON cells whose first is row ``first`` of
+    ``path``: every cell, or those whose flag in ``wanted`` is true.
 
-    When every cell is a list of strings written as the stages write it,
-    each cell is one JSON value and the column is decoded with a single
-    ``json.loads``.  Otherwise each cell is decoded on its own, and a cell
-    that is not exactly one JSON value raises DataError naming ``path`` and
-    its row, so a malformed cell can never shift the values of other rows.
+    Every cell is checked, decoded or not.  When every cell is a list of
+    strings written as the stages write it, the wanted cells are decoded
+    with a single ``json.loads``.  Otherwise each cell is decoded on its
+    own, and a cell that is not exactly one JSON value raises DataError
+    naming ``path`` and its row, so a malformed cell can never shift the
+    values of other rows.
     """
-    if _JSON_STRING_LISTS.fullmatch("\n".join(cells)):
-        try:
-            return json.loads("[" + ",".join(cells) + "]")
-        except ValueError:
-            pass
+    if all(map(_JSON_STRING_LIST.fullmatch, cells)):
+        return json.loads("[" + ",".join(cells if wanted is None else compress(cells, wanted)) + "]")
     values = []
-    for number, cell in enumerate(cells, 1):
+    for number, cell in enumerate(cells, first):
         try:
             values.append(json.loads(cell))
         except ValueError as e:
             raise DataError(f"{path}: row {number}: malformed JSON cell: {e}") from None
-    return values
+    return values if wanted is None else list(compress(values, wanted))
+
+
+def _decoded_rows(out: Path, rel: str, keep=None):
+    """Yield ``(number, row, value)`` for each row of the cached CSV
+    artifact ``rel`` that ``keep`` accepts (every row by default): its
+    file row number, its cells as ``_read`` gives them, and its last cell
+    decoded as JSON.
+
+    Rows are read ``_DECODE_BLOCK`` at a time and each block's kept cells
+    are decoded with one ``_json_column`` call.  Of a row that is not
+    kept, only its JSON cell is held until its block is checked: every
+    cell is checked, kept or not.
+    """
+    path = out / rel
+    rows = _read(out, rel)
+    for first in count(1, _DECODE_BLOCK):
+        cells, wanted, kept = [], [], []
+        for number, row in enumerate(islice(rows, _DECODE_BLOCK), first):
+            cells.append(row[-1])
+            wanted.append(keep is None or keep(row))
+            if wanted[-1]:
+                kept.append((number, row))
+        if not cells:
+            return
+        for (number, row), value in zip(kept, _json_column(path, cells, first, wanted)):
+            yield number, row, value
 
 
 def _number(path: Path, row: int, column: str, cell: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"{path}: row {row}, column {column!r}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: row {row}, column {column!r}: not a finite number: {cell!r}")
+    return value
 
 
 def _need(path: Path) -> Path:
@@ -392,31 +433,35 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
 def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = load_seeds(cfg.seeds)
-    roundtrips = list(_read(out, "cache/roundtrips.csv"))
-    translations = _translation_pairs(roundtrips)
-    back_translations = _json_column(out / "cache/roundtrips.csv", [row[3] for row in roundtrips])
-    records: dict[str, list[RoundTripRecord]] = {}
-    for (color, lang, word, _), b in zip(roundtrips, back_translations):
-        records.setdefault(color, []).append(RoundTripRecord(color, lang, word, frozenset(b)))
+    colors = [c.term for c in seeds]
+    conc = ConcretenessLexicon.load(cfg.concreteness)
+    path = out / "cache/roundtrips.csv"
+    # ingest writes each color's rows together, so each color's round-trip
+    # records are reduced to its translation concreteness as soon as its
+    # rows end, and only that float is kept
+    translations: dict[str, list[tuple[str, str]]] = {}
+    concreteness: dict[str, float | None] = {}
+    for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[1][0]):
+        group = list(group)
+        if color in translations:
+            raise DataError(f"{path}: row {group[0][0]}: the rows of color {color!r} are not together")
+        translations.update(_translation_pairs(row for _, row, _ in group))
+        records = [RoundTripRecord(color, lang, word, frozenset(b)) for _, (_, lang, word, _), b in group]
+        concreteness[color] = translation_concreteness(color, records, conc)
     accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
 
-    conc = ConcretenessLexicon.load(cfg.concreteness)
     ngram = CorpusSummary.load(cfg.ngram)
     treebank = CorpusSummary.load(cfg.treebank)
     etym = EtymologyTable.load(cfg.etymology)
 
-    colors = [c.term for c in seeds]
     compound_feats, compound_missing = compound_counts(
         accepted, {c: translations.get(c, []) for c in colors}
     )
     maps: dict[str, dict[str, float | None]] = {col: {} for col in NON_AFFIX_COLUMNS}
     for color in colors:
-        recs = records.get(color, [])
         pairs = translations.get(color, [])
         maps["word-concreteness"][color] = word_concreteness(color, conc)
-        maps["translation-concreteness"][color] = (
-            translation_concreteness(color, recs, conc) if recs else None
-        )
+        maps["translation-concreteness"][color] = concreteness.get(color)
         freq, pct = pos_features(color, ngram)
         maps["ngram-frequency"][color] = freq
         maps["ngram-pct-adj"][color] = pct
@@ -447,10 +492,13 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 
 def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
+    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
     path = out / "cache/features_base.csv"
     colors = []
     maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
     for number, (color, translated, *cells) in enumerate(_read(out, "cache/features_base.csv"), 1):
+        if color not in seeds:
+            raise DataError(f"{path}: row {number}: color {color!r} is not in the seed list")
         colors.append(color)
         for col, cell in zip(NON_AFFIX_COLUMNS, cells):
             maps[col][color] = _number(path, number, col, cell) if cell else None
@@ -461,9 +509,16 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     translations = _translation_pairs(
         _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
     )
-    rows = list(_read(out, "cache/segmentations.csv"))
-    segments = _json_column(out / "cache/segmentations.csv", [cell for _, _, cell in rows])
-    segmentations = dict(zip(map(itemgetter(0, 1), rows), map(tuple, segments)))
+    # the affix-presence feature looks up only the translation pairs, so
+    # only their segmentations are decoded, each keyed by the pair tuple
+    # that ``translations`` already holds
+    pairs = {pair: pair for color_pairs in translations.values() for pair in color_pairs}
+    segmentations = {
+        pairs[row[:2]]: tuple(segments)
+        for _, row, segments in _decoded_rows(
+            out, "cache/segmentations.csv", lambda row: row[:2] in pairs
+        )
+    }
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -497,7 +552,6 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         [color, *(repr(matrix.values[col][i]) for col in FEATURE_COLUMNS)]
         for i, color in enumerate(matrix.colors)
     ]
-    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
 
     def ranking_rows(ranking):
         return [
@@ -717,6 +771,10 @@ def _store_manifest(out: Path, manifest: dict):
     )
 
 
+#: ``ru_maxrss`` is in bytes on macOS and in kilobytes elsewhere
+_RSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
+
+
 def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     """Run one stage against the artifacts in ``cfg.output_dir``, write
     the artifacts it returns there and record it in the manifest.
@@ -724,7 +782,10 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     Refuses cached artifacts produced under a different configuration or
     from inputs that have changed since.  A failing stage writes nothing,
     so earlier artifacts and the manifest stay as they were; a failure of
-    the stage itself is raised as a StageError.
+    the stage itself is raised as a StageError.  Logs the memory
+    high-water mark of the process, and of its reaped child processes
+    such as ``segment``'s pool, once the stage is done: a mark for the
+    whole process so far, not a peak of this stage alone.
     """
     if stage not in STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
@@ -761,6 +822,12 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     if stage == "aggregate":
         manifest["dropped_colors"] = counts["dropped"]
     _store_manifest(out, manifest)
+    memory_log.info(
+        "stage %s memory high-water mark: process %.1f MB, reaped children %.1f MB",
+        stage,
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_PER_MB,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / _RSS_PER_MB,
+    )
     return counts
 
 

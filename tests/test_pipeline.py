@@ -8,6 +8,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -629,10 +630,19 @@ def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys, name):
          "no column 'word-length'"),
         ("affixes.csv", ",position,", ",place,", "compounds", "no column 'position'"),
         ("compounds.csv", ",glue,", ",paste,", "features", "no column 'glue'"),
+        ("features.csv", "white,3.05,", "white,nan,", "gamma",
+         "row 1, column 'word-concreteness': not a finite number: 'nan'"),
+        ("features.csv", "white,3.05,", "white,-inf,", "rfe",
+         "row 1, column 'word-concreteness': not a finite number: '-inf'"),
+        ("cache/features_base.csv", "white,1,3.05,", "white,1,nan,", "aggregate",
+         "row 1, column 'word-concreteness': not a finite number: 'nan'"),
+        ("cache/features_base.csv", "white,1,3.05,", "mauve,1,3.05,", "aggregate",
+         "row 1: color 'mauve' is not in the seed list"),
     ],
     ids=[
         "features-cell", "features_base-cell", "features-column", "features_base-column",
-        "affixes-column", "compounds-column",
+        "affixes-column", "compounds-column", "features-nan", "features-inf",
+        "features_base-nan", "features_base-unknown-color",
     ],
 )
 def test_cli_damaged_cached_csv_is_data_error(
@@ -681,6 +691,12 @@ def test_cli_cached_csv_without_a_column_is_data_error(demo_run, tmp_path, capsy
     assert f"data error: stage {stage!r} failed: {path}: no column {dropped[0]!r}" in err
 
 
+#: a row of the demo's ``cache/segmentations.csv`` whose (language, word)
+#: is not a round-trip pair, so ``aggregate`` checks its cell but does not
+#: decode it
+_UNUSED_SEGMENTATION_ROW = 38
+
+
 @pytest.mark.parametrize(
     "artifact, damage, stage, message",
     [
@@ -693,13 +709,26 @@ def test_cli_cached_csv_without_a_column_is_data_error(demo_run, tmp_path, capsy
         ("compounds.csv", lambda rows: rows[:-1] + [rows[-1][:4]], "report", "has 4 fields, expected 9"),
         ("compounds.csv", lambda rows: [], "features", "empty file"),
         ("gamma.csv", lambda rows: [], "report", "empty file"),
+        ("cache/segmentations.csv",
+         lambda rows: rows[:_UNUSED_SEGMENTATION_ROW] + [rows[_UNUSED_SEGMENTATION_ROW][:2] + ['["a"], ["b"]']]
+         + rows[_UNUSED_SEGMENTATION_ROW + 1:],
+         "aggregate", f"row {_UNUSED_SEGMENTATION_ROW}: malformed JSON cell: Extra data"),
+        ("cache/roundtrips.csv", lambda rows: rows[:6] + [rows[6][:3] + ['["red"']] + rows[7:], "features",
+         "row 6: malformed JSON cell"),
+        ("cache/roundtrips.csv", lambda rows: rows[:2] + rows[3:] + [rows[2]], "features",
+         "row 186: the rows of color 'white' are not together"),
     ],
     ids=[
         "roundtrips-short-row", "roundtrips-json", "segmentations-json", "compounds-short-row",
-        "compounds-empty", "gamma-empty",
+        "compounds-empty", "gamma-empty", "segmentations-json-unused-row", "roundtrips-json-later-block",
+        "roundtrips-color-split",
     ],
 )
-def test_cli_damaged_cached_row_is_data_error(demo_run, tmp_path, capsys, artifact, damage, stage, message):
+def test_cli_damaged_cached_row_is_data_error(
+    demo_run, tmp_path, capsys, monkeypatch, artifact, damage, stage, message
+):
+    # blocks of two rows, so a damaged row is seldom the first of its block
+    monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
     cfg = _copy_demo_output(demo_run, tmp_path)
     config_path = write_demo(tmp_path)
     path = cfg.output_dir / artifact
@@ -753,6 +782,78 @@ def test_wcs_stage_reports_skipped_survey_rows(demo_run, tmp_path):
     _append_rows(cfg.wcs, [("zzz", "s1", "c1")] * 3)
     counts = run_stage(cfg, "wcs")
     assert counts == {"languages": 3, "responses": 25, "conflicts": 0, "rows_skipped": 3}
+
+
+def _csv_rows(path):
+    with path.open(encoding="utf-8", newline="") as f:
+        return list(csv.reader(f))[1:]
+
+
+def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    out = cfg.output_dir
+    pairs = {(lang, word) for _, lang, word, _ in _csv_rows(out / "cache/roundtrips.csv")}
+    segmentations = _csv_rows(out / "cache/segmentations.csv")
+    used = [cell for lang, word, cell in segmentations if (lang, word) in pairs]
+    assert tuple(segmentations[_UNUSED_SEGMENTATION_ROW - 1][:2]) not in pairs
+    assert 0 < len(used) < len(segmentations)
+
+    blocks, decoded = [], []
+    json_column = pipeline._json_column
+
+    def recording(path, cells, first=1, wanted=None):
+        blocks.append(len(cells))
+        decoded.extend(cells if wanted is None else (c for c, w in zip(cells, wanted) if w))
+        return json_column(path, cells, first, wanted)
+
+    monkeypatch.setattr(pipeline, "_json_column", recording)
+    before = {rel: (out / rel).read_bytes() for rel in ("features.csv", "ranking.csv", "ranking_bootstrap.csv")}
+    run_stage(cfg, "aggregate")
+    assert max(blocks) == 2 and sum(blocks) == len(segmentations)
+    assert decoded == used
+    assert {rel: (out / rel).read_bytes() for rel in before} == before
+
+
+def test_features_reduces_each_color_as_its_rows_end(demo_run, tmp_path, monkeypatch):
+    # with blocks of two rows most colors' rows span several blocks; each
+    # color is still reduced once, from all of its records in file order
+    monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    out = cfg.output_dir
+    roundtrips = _csv_rows(out / "cache/roundtrips.csv")
+    calls = []
+    translation_concreteness = pipeline.translation_concreteness
+
+    def recording(color, records, lex):
+        calls.append((color, [(r.language, r.foreign_word) for r in records]))
+        return translation_concreteness(color, records, lex)
+
+    monkeypatch.setattr(pipeline, "translation_concreteness", recording)
+    before = (out / "cache/features_base.csv").read_bytes()
+    run_stage(cfg, "features")
+    expected = {}
+    for color, lang, word, _ in roundtrips:
+        expected.setdefault(color, []).append((lang, word))
+    assert calls == list(expected.items())
+    assert (out / "cache/features_base.csv").read_bytes() == before
+
+
+def test_each_stage_logs_the_memory_high_water_mark(tmp_path, caplog):
+    cfg = load_config(write_demo(tmp_path))
+    with caplog.at_level("INFO", logger="colorbasis.pipeline"):
+        run_pipeline(cfg)
+        run_stage(cfg, "gamma")
+    pattern = re.compile(
+        r"stage (\w+) memory high-water mark: process (\d+\.\d) MB, reaped children (\d+\.\d) MB"
+    )
+    lines = [
+        pattern.fullmatch(r.getMessage()) for r in caplog.records if r.name == "colorbasis.pipeline.memory"
+    ]
+    assert all(lines) and [m[1] for m in lines] == [*STAGE_ORDER, "gamma"]
+    process = [float(m[2]) for m in lines]
+    # a high-water mark never falls
+    assert 0 < process[0] and process == sorted(process)
 
 
 def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkeypatch):
@@ -956,6 +1057,41 @@ def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, m
     assert read == cells
     with pytest.raises(DataError, match=re.escape(f"{tmp_path / rel}: {message}")):
         pipeline._json_column(tmp_path / rel, read)
+
+
+@settings(max_examples=25)
+@given(
+    st.lists(st.tuples(_cache_text, _cache_text, st.lists(_cache_text, max_size=3), st.booleans()), max_size=8),
+    st.integers(1, 4),
+    st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
+)
+def test_decoded_rows_match_per_row_json(rows, block, dump):
+    # whatever the block size, the kept rows come out in file order with
+    # their file row numbers and their cells decoded as json.loads does
+    rel = "cache/segmentations.csv"
+    cells = [(l, w, dump(b)) for l, w, b, _ in rows]
+    kept = {(l, w, c) for (l, w, c), (*_, keep) in zip(cells, rows) if keep}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pipeline, "_DECODE_BLOCK", block):
+        out = Path(tmp)
+        (out / "cache").mkdir()
+        (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
+        decoded = list(pipeline._decoded_rows(out, rel, kept.__contains__))
+    assert decoded == [(n, row, json.loads(row[-1])) for n, row in enumerate(cells, 1) if row in kept]
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (['["a"]', '["\\x"]'], "row 6: malformed JSON cell: Invalid \\escape"),
+        (['["a"]', '["b"]\n["c"]'], "row 6: malformed JSON cell: Extra data"),
+        (['["a"]', '["\\u12"]'], "row 6: malformed JSON cell: Invalid \\uXXXX escape"),
+    ],
+)
+def test_bulk_reader_checks_the_cells_it_does_not_decode(tmp_path, cells, message):
+    # the second cell is not wanted, but a malformed one still names its row
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path}: {message}")):
+        pipeline._json_column(tmp_path, cells, 5, [True, False])
+    assert pipeline._json_column(tmp_path, ['["a"]', '["\\u00e9\\n"]'], 5, [False, True]) == [["\u00e9\n"]]
 
 
 def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
