@@ -28,7 +28,9 @@ EXIT_INTERNAL = 4
 
 def _add_run_args(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="path to the YAML config")
-    parser.add_argument("--output-dir", default=None, help="override the output directory")
+    parser.add_argument(
+        "--output-dir", default=None, help="override the output directory (relative to the working directory)"
+    )
     parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--verbose", action="store_true", help="chatty logging")
 

@@ -133,9 +133,11 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
     Relative paths in it are taken from the file's directory.
     ``overrides`` (e.g. from CLI flags) replace ``output_dir`` and
-    ``jobs``.  Unknown keys, in the file or among the overrides, are
-    config errors.  A parameter the file leaves out, or sets to null
-    where that is allowed, keeps its ``PipelineConfig`` default.
+    ``jobs``; an overriding ``output_dir`` is taken as given, so a
+    relative one is taken from the working directory.  Unknown keys, in
+    the file or among the overrides, are config errors.  A parameter the
+    file leaves out, or sets to null where that is allowed, keeps its
+    ``PipelineConfig`` default.
     """
     path = Path(path)
     try:
@@ -160,10 +162,13 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     if len(set(values.values())) != len(values):
         raise ConfigError("inputs: referenced paths must be distinct")
 
-    out_dir = overrides.pop("output_dir", None) or raw.get("output_dir")
-    if not out_dir:
+    out_dir = overrides.pop("output_dir", None)
+    if out_dir:
+        values["output_dir"] = Path(out_dir)
+    elif raw.get("output_dir"):
+        values["output_dir"] = path.parent / str(raw["output_dir"])
+    else:
         raise ConfigError("missing required config field: output_dir")
-    values["output_dir"] = path.parent / str(out_dir)
 
     params = raw.get("parameters", {}) or {}
     if not isinstance(params, dict):

@@ -86,6 +86,20 @@ def translation_concreteness(color: str, records, lex: ConcretenessLexicon) -> f
     return weighted_concreteness(weights, lex)
 
 
+def _counts(path, lineno, cells) -> tuple[int, ...]:
+    """``cells`` as integers, each small enough to become a float, as the
+    features turn counts into frequencies and fractions."""
+    try:
+        counts = tuple(int(cell) for cell in cells)
+        for count in counts:
+            float(count)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-integer count") from None
+    except OverflowError:
+        raise DataError(f"{path}:{lineno}: count too large for a float") from None
+    return counts
+
+
 class CorpusSummary:
     """Per-word total/adjective/noun tallies from one tagged corpus."""
 
@@ -105,11 +119,7 @@ class CorpusSummary:
             parts = line.split("\t")
             if len(parts) < 4:
                 raise DataError(f"{path}:{lineno}: expected word<TAB>total<TAB>adj<TAB>noun")
-            try:
-                total, adj, noun = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer count")
-            rows[parts[0]] = (total, adj, noun)
+            rows[parts[0]] = _counts(path, lineno, parts[1:4])
         return cls(rows)
 
     def lookup(self, word: str) -> tuple[int, int, int] | None:
@@ -152,13 +162,12 @@ class EtymologyTable:
             process = parts[1].strip()
             if process not in _VALID_PROCESSES:
                 raise DataError(f"{path}:{lineno}: unknown process {process!r}")
-            try:
-                count, total = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer count")
+            count, total = _counts(path, lineno, parts[2:4])
             if count < 0 or total < 0:
                 raise DataError(f"{path}:{lineno}: negative count")
             table.add(color, process, count, total)
+            # the color's count of this process, summed over its lines
+            _counts(path, lineno, [table.count(color, process)])
         table.validate()
         return table
 

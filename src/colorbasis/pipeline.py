@@ -8,12 +8,15 @@ canonical order regardless of the worker-pool size.
 
 A stage function reads its upstream artifacts and returns its counts and
 its artifacts as ``{relative path: text}``.  ``run_stage`` is the one
-executor: it checks the manifest's config hash and input digests, runs
-the stage, and writes the artifacts and the updated manifest only after
-the stage has returned.  Hence:
+executor: it checks the manifest's config hash and input digests, checks
+each artifact the stage reads (``READS``) against the sha256 the
+manifest records for it, runs the stage, and writes the artifacts and
+the updated manifest, with their digests, only after the stage has
+returned.  Hence:
 
 - a stage refuses cached artifacts produced under a different
-  configuration or from inputs that have changed since;
+  configuration or from inputs that have changed since, and any cached
+  artifact that is not, byte for byte, the one its stage wrote;
 - a failed stage leaves the earlier artifacts and the manifest untouched;
 - a full run (``run_pipeline``) is ``run_stage`` for each stage in a
   staging directory inside the output directory, so every stage of it
@@ -24,8 +27,9 @@ the stage has returned.  Hence:
 
 Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
 takes its header from it (``_csv_text``), and every cached CSV is read
-through ``_read``, which checks the file, its header and each row's width
-and streams the named cells of each row.
+through ``_read``, which streams the named cells of each row.  A reader
+checks nothing of what it reads: the digest check has shown that the
+file is exactly what its stage wrote.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ import hashlib
 import io
 import json
 import logging
-import math
 import os
-import re
 import resource
 import statistics
 import sys
@@ -46,7 +48,7 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import compress, count, groupby, islice
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -111,7 +113,7 @@ _RANKING_COLUMNS = ("color", "rank", "score", "basic")
 
 #: Every CSV artifact, by path relative to the output directory, with its
 #: columns in order.  Writers take their header from here, and ``_read``
-#: requires every one of these columns in a cached file's header.
+#: finds each column's position here.
 COLUMNS = {
     "cache/roundtrips.csv": ("color", "language", "foreign_word", "back_translations"),
     "cache/segmentations.csv": ("language", "word", "segments"),
@@ -138,104 +140,30 @@ def _csv_text(rel: str, rows) -> str:
 def _read(out: Path, rel: str, names=None):
     """Yield the ``names`` cells (two or more; by default every column of
     ``COLUMNS[rel]``) of each row of the cached CSV artifact ``rel``, as a
-    tuple, one row at a time.
-
-    A missing file raises DependencyError.  An empty file, a header that
-    lacks a column of ``COLUMNS[rel]``, or a row whose field count differs
-    from the header's raises DataError naming the file (and the row), so
-    no row can shift onto its neighbour's values.
-    """
-    path = _need(out / rel)
-    with path.open(encoding="utf-8", newline="") as fh:
+    tuple, one row at a time.  The file is the one its stage wrote, so its
+    header is ``COLUMNS[rel]``."""
+    columns = COLUMNS[rel]
+    pick = itemgetter(*(columns.index(name) for name in names or columns))
+    with (out / rel).open(encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        for name in COLUMNS[rel]:
-            if name not in header:
-                raise DataError(f"{path}: no column {name!r}")
-        pick = itemgetter(*(header.index(name) for name in names or COLUMNS[rel]))
-        width = len(header)
-        for number, row in enumerate(rows, 1):
-            if len(row) != width:
-                raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
-            yield pick(row)
+        next(rows)
+        yield from map(pick, rows)
 
 
-# A cell as the stages write it: ``json.dumps`` of a list of strings.  The
-# pattern admits exactly the strings ``json.loads`` accepts, escapes
-# included, so cells it matches decode without error.  Cells are matched
-# one at a time: a match over a whole column would keep a backtracking
-# entry for every cell.
-_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
-_JSON_STRING_LIST = re.compile(rf"\[(?:{_JSON_STRING}(?:, {_JSON_STRING})*)?\]")
-
-#: rows read, and JSON cells decoded, at a time by ``_decoded_rows``
+#: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``
 _DECODE_BLOCK = 4096
 
 
-def _json_column(path: Path, cells: list[str], first: int = 1, wanted=None) -> list:
-    """Decode a block of JSON cells whose first is row ``first`` of
-    ``path``: every cell, or those whose flag in ``wanted`` is true.
-
-    Every cell is checked, decoded or not.  When every cell is a list of
-    strings written as the stages write it, the wanted cells are decoded
-    with a single ``json.loads``.  Otherwise each cell is decoded on its
-    own, and a cell that is not exactly one JSON value raises DataError
-    naming ``path`` and its row, so a malformed cell can never shift the
-    values of other rows.
-    """
-    if all(map(_JSON_STRING_LIST.fullmatch, cells)):
-        return json.loads("[" + ",".join(cells if wanted is None else compress(cells, wanted)) + "]")
-    values = []
-    for number, cell in enumerate(cells, first):
-        try:
-            values.append(json.loads(cell))
-        except ValueError as e:
-            raise DataError(f"{path}: row {number}: malformed JSON cell: {e}") from None
-    return values if wanted is None else list(compress(values, wanted))
-
-
 def _decoded_rows(out: Path, rel: str, keep=None):
-    """Yield ``(number, row, value)`` for each row of the cached CSV
-    artifact ``rel`` that ``keep`` accepts (every row by default): its
-    file row number, its cells as ``_read`` gives them, and its last cell
-    decoded as JSON.
-
-    Rows are read ``_DECODE_BLOCK`` at a time and each block's kept cells
-    are decoded with one ``_json_column`` call.  Of a row that is not
-    kept, only its JSON cell is held until its block is checked: every
-    cell is checked, kept or not.
-    """
-    path = out / rel
-    rows = _read(out, rel)
-    for first in count(1, _DECODE_BLOCK):
-        cells, wanted, kept = [], [], []
-        for number, row in enumerate(islice(rows, _DECODE_BLOCK), first):
-            cells.append(row[-1])
-            wanted.append(keep is None or keep(row))
-            if wanted[-1]:
-                kept.append((number, row))
-        if not cells:
-            return
-        for (number, row), value in zip(kept, _json_column(path, cells, first, wanted)):
-            yield number, row, value
-
-
-def _number(path: Path, row: int, column: str, cell: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"{path}: row {row}, column {column!r}: not a number: {cell!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"{path}: row {row}, column {column!r}: not a finite number: {cell!r}")
-    return value
-
-
-def _need(path: Path) -> Path:
-    if not path.exists():
-        raise DependencyError(f"missing upstream artifact: {path}")
-    return path
+    """Yield ``(row, value)`` for each row of the cached CSV artifact
+    ``rel`` that ``keep`` accepts (every row by default): its cells as
+    ``_read`` gives them, and its last cell decoded as JSON.  The kept
+    rows are taken ``_DECODE_BLOCK`` at a time, and each block's cells are
+    decoded with one ``json.loads``; a row that is not kept is dropped as
+    it is read."""
+    kept = (row for row in _read(out, rel) if keep is None or keep(row))
+    while block := list(islice(kept, _DECODE_BLOCK)):
+        yield from zip(block, json.loads("[" + ",".join(row[-1] for row in block) + "]"))
 
 
 def _fmt(value: float) -> str:
@@ -249,18 +177,8 @@ def _fmt(value: float) -> str:
 def _read_lexicon_cache(out: Path) -> TranslationTable:
     """The ingested lexicon, built from its cached entries as they stand:
     ingest wrote them normalized, and normalizing is idempotent."""
-    path = _need(out / "cache/lexicon_normalized.tsv")
-    entries = []
-    for number, line in numbered_lines(path):
-        if not line:
-            continue
-        entry = tuple(line.split("\t"))
-        if len(entry) != 3:
-            raise DataError(f"{path}: line {number} has {len(entry)} fields, expected 3")
-        if not all(entry):
-            raise DataError(f"{path}: line {number} has an empty field")
-        entries.append(entry)
-    return TranslationTable(entries=frozenset(entries))
+    lines = numbered_lines(out / "cache/lexicon_normalized.tsv")
+    return TranslationTable(entries=frozenset(tuple(line.split("\t")) for _, line in lines))
 
 
 def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
@@ -271,20 +189,18 @@ def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
 
 
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
-    path = out / "features.csv"
     colors = []
     values = {col: [] for col in FEATURE_COLUMNS}
-    for number, (color, *cells) in enumerate(_read(out, "features.csv"), 1):
+    for color, *cells in _read(out, "features.csv"):
         colors.append(color)
         for col, cell in zip(FEATURE_COLUMNS, cells):
-            values[col].append(_number(path, number, col, cell))
+            values[col].append(float(cell))
     return FeatureMatrix(colors=colors, columns=FEATURE_COLUMNS, values=values)
 
 
 def _read_accepted_compounds(out: Path) -> tuple[list[tuple[str, str, str]], int]:
     """The accepted rows of ``compounds.csv`` as (language, word, glue),
-    and the number of rows.  Every row is checked as it is read, but only
-    the accepted ones are kept."""
+    and the number of rows."""
     kept = []
     total = 0
     rows = _read(out, "compounds.csv", ("language", "word", "glue", "accepted"))
@@ -435,18 +351,15 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     seeds = load_seeds(cfg.seeds)
     colors = [c.term for c in seeds]
     conc = ConcretenessLexicon.load(cfg.concreteness)
-    path = out / "cache/roundtrips.csv"
     # ingest writes each color's rows together, so each color's round-trip
     # records are reduced to its translation concreteness as soon as its
     # rows end, and only that float is kept
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
-    for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[1][0]):
+    for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[0][0]):
         group = list(group)
-        if color in translations:
-            raise DataError(f"{path}: row {group[0][0]}: the rows of color {color!r} are not together")
-        translations.update(_translation_pairs(row for _, row, _ in group))
-        records = [RoundTripRecord(color, lang, word, frozenset(b)) for _, (_, lang, word, _), b in group]
+        translations.update(_translation_pairs(row for row, _ in group))
+        records = [RoundTripRecord(color, lang, word, frozenset(b)) for (_, lang, word, _), b in group]
         concreteness[color] = translation_concreteness(color, records, conc)
     accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
 
@@ -493,15 +406,12 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = {c.term: c for c in load_seeds(cfg.seeds)}
-    path = out / "cache/features_base.csv"
     colors = []
     maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
-    for number, (color, translated, *cells) in enumerate(_read(out, "cache/features_base.csv"), 1):
-        if color not in seeds:
-            raise DataError(f"{path}: row {number}: color {color!r} is not in the seed list")
+    for color, translated, *cells in _read(out, "cache/features_base.csv"):
         colors.append(color)
         for col, cell in zip(NON_AFFIX_COLUMNS, cells):
-            maps[col][color] = _number(path, number, col, cell) if cell else None
+            maps[col][color] = float(cell) if cell else None
         # The affix column is bootstrap-dependent; before the bootstrap it
         # is a placeholder that only contributes its missingness (colors
         # without translations can never receive a score) to the drop rule.
@@ -515,7 +425,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     pairs = {pair: pair for color_pairs in translations.values() for pair in color_pairs}
     segmentations = {
         pairs[row[:2]]: tuple(segments)
-        for _, row, segments in _decoded_rows(
+        for row, segments in _decoded_rows(
             out, "cache/segmentations.csv", lambda row: row[:2] in pairs
         )
     }
@@ -726,16 +636,33 @@ STAGE_FUNCS = {
 }
 STAGE_ORDER = tuple(STAGE_FUNCS)
 
+#: The cached artifacts each stage reads, which ``run_stage`` checks
+#: against their recorded digests before the stage starts; a stage reads
+#: nothing else of the output directory.  ``rfe`` declares
+#: ``features.csv`` even when it is disabled and does not read it.
+READS = {
+    "ingest": (),
+    "segment": ("cache/lexicon_normalized.tsv", "cache/roundtrips.csv"),
+    "compounds": ("cache/lexicon_normalized.tsv", "affixes.csv"),
+    "features": ("cache/roundtrips.csv", "compounds.csv"),
+    "aggregate": ("cache/features_base.csv", "cache/roundtrips.csv", "cache/segmentations.csv"),
+    "gamma": ("features.csv",),
+    "rfe": ("features.csv",),
+    "wcs": (),
+    "report": ("ranking.csv", "gamma.csv", "compounds.csv", "affixes.csv"),
+}
+
 
 # ---------------------------------------------------------------------------
 # manifest and entry points
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
-    out = {}
-    for name, path in sorted(cfg.input_paths().items()):
-        out[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return out
+    return {name: _sha256(Path(path).read_bytes()) for name, path in sorted(cfg.input_paths().items())}
 
 
 #: the manifest fields that ``run_stage`` reads, with their JSON types
@@ -748,8 +675,9 @@ _MANIFEST_TYPES = {
 
 def _load_manifest(out: Path) -> dict:
     """The manifest of ``out``, or ``{}`` if there is none.  A manifest
-    that is not a JSON object, or whose fields read here have the wrong
-    type, raises DataError naming the file."""
+    that is not a JSON object, or whose fields read here (each stage's
+    entry and its ``artifacts`` included) have the wrong type, raises
+    DataError naming the file."""
     path = out / "manifest.json"
     if not path.exists():
         return {}
@@ -762,6 +690,11 @@ def _load_manifest(out: Path) -> dict:
     for key, (kind, expected) in _MANIFEST_TYPES.items():
         if key in manifest and not isinstance(manifest[key], kind):
             raise DataError(f"{path}: {key}: expected {expected}")
+    for stage, entry in manifest.get("stages", {}).items():
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: stages.{stage}: expected an object")
+        if not isinstance(entry.get("artifacts", {}), dict):
+            raise DataError(f"{path}: stages.{stage}.artifacts: expected an object")
     return manifest
 
 
@@ -780,9 +713,13 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     the artifacts it returns there and record it in the manifest.
 
     Refuses cached artifacts produced under a different configuration or
-    from inputs that have changed since.  A failing stage writes nothing,
-    so earlier artifacts and the manifest stay as they were; a failure of
-    the stage itself is raised as a StageError.  Logs the memory
+    from inputs that have changed since.  As a failure of the stage, it
+    refuses an artifact in ``READS[stage]`` that is missing
+    (DependencyError) or whose sha256 is not the one the manifest records
+    for it (DataError); it records the sha256 of each artifact it writes.
+    A failing stage writes nothing, so earlier artifacts and the manifest
+    stay as they were; a failure of the stage itself, these refusals
+    included, is raised as a StageError.  Logs the memory
     high-water mark of the process, and of its reaped child processes
     such as ``segment``'s pool, once the stage is done: a mark for the
     whole process so far, not a peak of this stage alone.
@@ -806,8 +743,17 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
             "re-run the full pipeline"
         )
     manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
+    recorded = {}
+    for entry in manifest.get("stages", {}).values():
+        recorded.update(entry.get("artifacts", {}))
     started = time.perf_counter()
     try:
+        for rel in READS[stage]:
+            path = out / rel
+            if not path.exists():
+                raise DependencyError(f"missing upstream artifact: {path}")
+            if _sha256(path.read_bytes()) != recorded.get(rel):
+                raise DataError(f"{path}: not the artifact the manifest records; re-run the full pipeline")
         counts, artifacts = STAGE_FUNCS[stage](cfg)
         for rel, text in artifacts.items():
             path = out / rel
@@ -816,6 +762,7 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     except Exception as e:
         raise StageError(stage, e) from e
     manifest.setdefault("stages", {})[stage] = {
+        "artifacts": {rel: _sha256(text.encode("utf-8")) for rel, text in artifacts.items()},
         "counts": counts,
         "duration_s": round(time.perf_counter() - started, 6),
     }

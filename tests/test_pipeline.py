@@ -1,12 +1,16 @@
 import ast
+import builtins
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
+import os
 import re
 import shutil
 import tempfile
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -158,6 +162,20 @@ def test_config_accepts_an_integral_float_for_an_integer_field(tmp_path):
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     cfg = load_config(config_path, {"jobs": 2})
     assert (cfg.max_iters, type(cfg.max_iters), cfg.jobs) == (3, int, 2)
+
+
+def test_cli_output_dir_is_taken_from_the_working_directory(tmp_path, monkeypatch, capsys):
+    # the config file's own output_dir stays relative to the file, but the
+    # --output-dir flag is taken as given
+    write_demo(tmp_path / "demo")
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    config = os.path.join("..", "demo", "config.yaml")
+    assert load_config(config).output_dir.resolve() == (tmp_path / "demo" / "out").resolve()
+    assert main(["wcs", "--config", config, "--output-dir", "rel_out"]) == 0
+    assert "outputs in rel_out" in capsys.readouterr().out
+    assert (tmp_path / "work" / "rel_out" / "consensus.csv").is_file()
+    assert not (tmp_path / "demo" / "rel_out").exists()
 
 
 #: the parent run's hash of the demo config; a change here makes every
@@ -618,128 +636,222 @@ def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys, name):
     assert after == before
 
 
-@pytest.mark.parametrize(
-    "artifact, old, new, stage, message",
-    [
-        ("features.csv", "white,3.05,", "white,abc,", "gamma",
-         "row 1, column 'word-concreteness': not a number: 'abc'"),
-        ("cache/features_base.csv", "white,1,3.05,", "white,1,abc,", "aggregate",
-         "row 1, column 'word-concreteness': not a number: 'abc'"),
-        ("features.csv", ",word-length\n", ",word-len\n", "gamma", "no column 'word-length'"),
-        ("cache/features_base.csv", ",word-length\n", ",word-len\n", "aggregate",
-         "no column 'word-length'"),
-        ("affixes.csv", ",position,", ",place,", "compounds", "no column 'position'"),
-        ("compounds.csv", ",glue,", ",paste,", "features", "no column 'glue'"),
-        ("features.csv", "white,3.05,", "white,nan,", "gamma",
-         "row 1, column 'word-concreteness': not a finite number: 'nan'"),
-        ("features.csv", "white,3.05,", "white,-inf,", "rfe",
-         "row 1, column 'word-concreteness': not a finite number: '-inf'"),
-        ("cache/features_base.csv", "white,1,3.05,", "white,1,nan,", "aggregate",
-         "row 1, column 'word-concreteness': not a finite number: 'nan'"),
-        ("cache/features_base.csv", "white,1,3.05,", "mauve,1,3.05,", "aggregate",
-         "row 1: color 'mauve' is not in the seed list"),
-    ],
-    ids=[
-        "features-cell", "features_base-cell", "features-column", "features_base-column",
-        "affixes-column", "compounds-column", "features-nan", "features-inf",
-        "features_base-nan", "features_base-unknown-color",
-    ],
-)
-def test_cli_damaged_cached_csv_is_data_error(
-    demo_run, tmp_path, capsys, artifact, old, new, stage, message
-):
-    cfg = _copy_demo_output(demo_run, tmp_path)
-    config_path = write_demo(tmp_path)
-    path = cfg.output_dir / artifact
-    text = path.read_text(encoding="utf-8")
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, new), encoding="utf-8")
-    assert main([stage, "--config", str(config_path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: stage {stage!r} failed: {path}: {message}" in err
+#: how a stage refuses a cached artifact that is not the one its stage wrote
+NOT_RECORDED = "not the artifact the manifest records; re-run the full pipeline"
 
 
-@pytest.mark.parametrize(
-    "artifact, dropped, stage",
-    [
-        ("ranking.csv", ["score", "basic"], "report"),
-        ("gamma.csv", ["gamma_basic", "gamma_sequence"], "report"),
-        ("cache/features_base.csv", ["has_translations"], "aggregate"),
-        ("features.csv", ["color"], "gamma"),
-        ("affixes.csv", ["class"], "report"),
-        ("cache/roundtrips.csv", ["back_translations"], "segment"),
-        ("cache/segmentations.csv", ["segments"], "aggregate"),
-    ],
-    ids=[
-        "ranking-two-columns", "gamma-one-column", "features_base-no-has_translations", "features-no-color",
-        "affixes-no-class", "roundtrips-three-columns", "segmentations-two-columns",
-    ],
-)
-def test_cli_cached_csv_without_a_column_is_data_error(demo_run, tmp_path, capsys, artifact, dropped, stage):
-    # every column a stage reads is found by name, so a missing one is a
-    # data error naming the file and the column, never an internal error
-    cfg = _copy_demo_output(demo_run, tmp_path)
-    config_path = write_demo(tmp_path)
-    path = cfg.output_dir / artifact
-    with path.open(encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    kept = [i for i, name in enumerate(rows[0]) if name not in dropped]
-    with path.open("w", encoding="utf-8", newline="") as f:
-        csv.writer(f).writerows([row[i] for i in kept] for row in rows)
-    assert main([stage, "--config", str(config_path)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: stage {stage!r} failed: {path}: no column {dropped[0]!r}" in err
+def _replace(old, new):
+    """A damage that replaces the one occurrence of ``old``."""
+
+    def damage(text):
+        assert text.count(old) == 1
+        return text.replace(old, new)
+
+    return damage
+
+
+def _rows(change, lineterminator="\n"):
+    """A damage that edits the rows of a CSV file and writes them back."""
+
+    def damage(text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=lineterminator).writerows(change(list(csv.reader(io.StringIO(text)))))
+        return buf.getvalue()
+
+    return damage
+
+
+def _drop_columns(*names):
+    def change(rows):
+        kept = [i for i, name in enumerate(rows[0]) if name not in names]
+        return [[row[i] for i in kept] for row in rows]
+
+    return _rows(change, "\r\n")
+
+
+def _set_cells(**cells):
+    """A damage that sets the last cell of each row ``r<number>`` (rows
+    numbered from 1 after the header)."""
+
+    def change(rows):
+        for key, value in cells.items():
+            number = int(key[1:])
+            rows[number] = rows[number][:-1] + [value]
+        return rows
+
+    return _rows(change)
 
 
 #: a row of the demo's ``cache/segmentations.csv`` whose (language, word)
-#: is not a round-trip pair, so ``aggregate`` checks its cell but does not
-#: decode it
+#: is not a round-trip pair, so ``aggregate`` does not decode its cell
 _UNUSED_SEGMENTATION_ROW = 38
+_UNUSED = f"r{_UNUSED_SEGMENTATION_ROW}"
+_LEXICON, _FIRST_ENTRY = "cache/lexicon_normalized.tsv", "cmn\t棕\tbrown\n"
+
+#: (artifact, damage, stage that reads it) by test id
+DAMAGED_ARTIFACTS = {
+    # cells that are not numbers, or not finite ones
+    "features-cell": ("features.csv", _replace("white,3.05,", "white,abc,"), "gamma"),
+    "features_base-cell": ("cache/features_base.csv", _replace("white,1,3.05,", "white,1,abc,"), "aggregate"),
+    "features-nan": ("features.csv", _replace("white,3.05,", "white,nan,"), "gamma"),
+    "features-inf": ("features.csv", _replace("white,3.05,", "white,-inf,"), "rfe"),
+    "features_base-nan": ("cache/features_base.csv", _replace("white,1,3.05,", "white,1,nan,"), "aggregate"),
+    "features_base-unknown-color": (
+        "cache/features_base.csv", _replace("white,1,3.05,", "mauve,1,3.05,"), "aggregate",
+    ),
+    # a number that still reads as one
+    "features-number-edited": ("features.csv", _replace("white,3.05,", "white,3.06,"), "gamma"),
+    # renamed and missing columns
+    "features-column": ("features.csv", _replace(",word-length\n", ",word-len\n"), "gamma"),
+    "features_base-column": ("cache/features_base.csv", _replace(",word-length\n", ",word-len\n"), "aggregate"),
+    "affixes-column": ("affixes.csv", _replace(",position,", ",place,"), "compounds"),
+    "compounds-column": ("compounds.csv", _replace(",glue,", ",paste,"), "features"),
+    "ranking-two-columns": ("ranking.csv", _drop_columns("score", "basic"), "report"),
+    "gamma-one-column": ("gamma.csv", _drop_columns("gamma_basic", "gamma_sequence"), "report"),
+    "features_base-no-has_translations": (
+        "cache/features_base.csv", _drop_columns("has_translations"), "aggregate",
+    ),
+    "features-no-color": ("features.csv", _drop_columns("color"), "gamma"),
+    "affixes-no-class": ("affixes.csv", _drop_columns("class"), "report"),
+    "roundtrips-three-columns": ("cache/roundtrips.csv", _drop_columns("back_translations"), "segment"),
+    "segmentations-two-columns": ("cache/segmentations.csv", _drop_columns("segments"), "aggregate"),
+    # short rows, empty files and rows out of order
+    "roundtrips-short-row": (
+        "cache/roundtrips.csv", _rows(lambda rows: rows[:2] + [rows[2][:2]] + rows[3:]), "segment",
+    ),
+    "compounds-short-row": ("compounds.csv", _rows(lambda rows: rows[:-1] + [rows[-1][:4]]), "report"),
+    "compounds-empty": ("compounds.csv", _rows(lambda rows: []), "features"),
+    "gamma-empty": ("gamma.csv", _rows(lambda rows: []), "report"),
+    "roundtrips-color-split": (
+        "cache/roundtrips.csv", _rows(lambda rows: rows[:2] + rows[3:] + [rows[2]]), "features",
+    ),
+    # JSON cells that are malformed, in a row the stage decodes or not
+    "roundtrips-json": ("cache/roundtrips.csv", _set_cells(r2='["red"'), "features"),
+    "roundtrips-json-later-block": ("cache/roundtrips.csv", _set_cells(r6='["red"'), "features"),
+    "segmentations-json": ("cache/segmentations.csv", _set_cells(r3='["a"], ["b"]'), "aggregate"),
+    "segmentations-json-unused-row": (
+        "cache/segmentations.csv", _set_cells(**{_UNUSED: '["a"], ["b"]'}), "aggregate",
+    ),
+    "segmentations-cells-balance": (
+        "cache/segmentations.csv", _set_cells(r1='["a"], ["b"', r2='"c"]'), "aggregate",
+    ),
+    "segmentations-empty-cell": ("cache/segmentations.csv", _set_cells(r2=""), "aggregate"),
+    "roundtrips-bad-escape": ("cache/roundtrips.csv", _set_cells(r2='["\\x"]'), "features"),
+    "segmentations-bad-unicode-escape-unused-row": (
+        "cache/segmentations.csv", _set_cells(**{_UNUSED: '["\\u12"]'}), "aggregate",
+    ),
+    "segmentations-two-lines-in-a-cell": (
+        "cache/segmentations.csv", _set_cells(**{_UNUSED: '["b"]\n["c"]'}), "aggregate",
+    ),
+    # well-formed JSON that is not a list of strings, or not the one written
+    "segmentations-number": ("cache/segmentations.csv", _set_cells(r3="7"), "aggregate"),
+    "segmentations-object": ("cache/segmentations.csv", _set_cells(r3='{"a": 1}'), "aggregate"),
+    "roundtrips-number": ("cache/roundtrips.csv", _set_cells(r2="5"), "features"),
+    "roundtrips-int-list": ("cache/roundtrips.csv", _set_cells(r2="[1, 2]"), "features"),
+    "roundtrips-string": ("cache/roundtrips.csv", _set_cells(r2='"ab"'), "features"),
+    "roundtrips-other-strings": ("cache/roundtrips.csv", _set_cells(r2='["x", "y"]'), "features"),
+    # damaged lines of the cached lexicon, whose first line is cmn, 棕, brown
+    "lexicon-short-line": (_LEXICON, _replace(_FIRST_ENTRY, "cmn\tbrown\n"), "segment"),
+    "lexicon-empty-word": (_LEXICON, _replace(_FIRST_ENTRY, "cmn\t\tbrown\n"), "compounds"),
+    "lexicon-empty-language": (_LEXICON, _replace(_FIRST_ENTRY, "\t棕\tbrown\n"), "segment"),
+    "lexicon-empty-gloss": (_LEXICON, _replace(_FIRST_ENTRY, "cmn\t棕\t\n"), "compounds"),
+}
 
 
-@pytest.mark.parametrize(
-    "artifact, damage, stage, message",
-    [
-        ("cache/roundtrips.csv", lambda rows: rows[:2] + [rows[2][:2]] + rows[3:], "segment",
-         "row 2 has 2 fields, expected 4"),
-        ("cache/roundtrips.csv", lambda rows: rows[:2] + [rows[2][:3] + ['["red"']] + rows[3:], "features",
-         "row 2: malformed JSON cell"),
-        ("cache/segmentations.csv", lambda rows: rows[:3] + [rows[3][:2] + ['["a"], ["b"]']] + rows[4:],
-         "aggregate", "row 3: malformed JSON cell: Extra data"),
-        ("compounds.csv", lambda rows: rows[:-1] + [rows[-1][:4]], "report", "has 4 fields, expected 9"),
-        ("compounds.csv", lambda rows: [], "features", "empty file"),
-        ("gamma.csv", lambda rows: [], "report", "empty file"),
-        ("cache/segmentations.csv",
-         lambda rows: rows[:_UNUSED_SEGMENTATION_ROW] + [rows[_UNUSED_SEGMENTATION_ROW][:2] + ['["a"], ["b"]']]
-         + rows[_UNUSED_SEGMENTATION_ROW + 1:],
-         "aggregate", f"row {_UNUSED_SEGMENTATION_ROW}: malformed JSON cell: Extra data"),
-        ("cache/roundtrips.csv", lambda rows: rows[:6] + [rows[6][:3] + ['["red"']] + rows[7:], "features",
-         "row 6: malformed JSON cell"),
-        ("cache/roundtrips.csv", lambda rows: rows[:2] + rows[3:] + [rows[2]], "features",
-         "row 186: the rows of color 'white' are not together"),
-    ],
-    ids=[
-        "roundtrips-short-row", "roundtrips-json", "segmentations-json", "compounds-short-row",
-        "compounds-empty", "gamma-empty", "segmentations-json-unused-row", "roundtrips-json-later-block",
-        "roundtrips-color-split",
-    ],
-)
-def test_cli_damaged_cached_row_is_data_error(
-    demo_run, tmp_path, capsys, monkeypatch, artifact, damage, stage, message
-):
-    # blocks of two rows, so a damaged row is seldom the first of its block
-    monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
+@pytest.mark.parametrize("artifact, damage, stage", DAMAGED_ARTIFACTS.values(), ids=DAMAGED_ARTIFACTS)
+def test_cli_damaged_cached_csv_is_data_error(demo_run, tmp_path, capsys, artifact, damage, stage):
+    # however a cached artifact was changed, the stage that reads it
+    # refuses it by its digest before reading it, and writes nothing
     cfg = _copy_demo_output(demo_run, tmp_path)
     config_path = write_demo(tmp_path)
     path = cfg.output_dir / artifact
-    with path.open(encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    with path.open("w", encoding="utf-8", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(damage(rows))
+    original = path.read_bytes()
+    path.write_bytes(damage(original.decode("utf-8")).encode("utf-8"))
+    assert path.read_bytes() != original
+    before = _snapshot(cfg.output_dir)
     assert main([stage, "--config", str(config_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: stage {stage!r} failed: {path}: ")
-    assert message in err
+    assert capsys.readouterr().err == f"data error: stage {stage!r} failed: {path}: {NOT_RECORDED}\n"
+    assert _snapshot(cfg.output_dir) == before
+
+
+#: every (stage, artifact it reads)
+_STAGE_READS = [(stage, rel) for stage in STAGE_ORDER for rel in pipeline.READS[stage]]
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(_STAGE_READS),
+    st.sampled_from(["insert", "replace", "delete", "truncate"]),
+    st.floats(0, 1),
+    st.binary(min_size=1, max_size=3),
+)
+def test_any_edit_to_a_read_artifact_is_refused(demo_run, stage_read, edit, where, data):
+    # one edit to one artifact a stage reads: the stage exits 3 naming the
+    # file, unless the edit left the bytes as they were
+    stage, rel = stage_read
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_path = write_demo(tmp)
+        shutil.copytree(demo_run[0].output_dir, tmp / "out")
+        path = tmp / "out" / rel
+        original = path.read_bytes()
+        at = round(where * len(original))
+        edited = {
+            "insert": original[:at] + data + original[at:],
+            "replace": original[:at] + data + original[at + len(data):],
+            "delete": original[:at] + original[at + len(data):],
+            "truncate": original[:at],
+        }[edit]
+        path.write_bytes(edited)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([stage, "--config", str(config_path)])
+    if edited == original:
+        assert code == 0, err.getvalue()
+    else:
+        assert code == 3
+        assert err.getvalue() == f"data error: stage {stage!r} failed: {path}: {NOT_RECORDED}\n"
+
+
+def test_interrupted_move_is_refused(tmp_path, monkeypatch, capsys):
+    # a full run over a changed input that fails while moving its artifacts
+    # into place leaves some new artifacts beside the old manifest; once
+    # the input is restored, the input digests match again, and only the
+    # artifact digests show that a replaced file is not the recorded one
+    config_path = write_demo(tmp_path)
+    cfg = load_config(config_path)
+    run_pipeline(cfg)
+    lexicon = cfg.lexicon.read_bytes()
+    _append_rows(cfg.lexicon, [("deu", "blutrot", "red")])
+    replace, moved = os.replace, []
+
+    def replace_three(src, dst):
+        if len(moved) == 3:
+            raise OSError("no space left on device")
+        moved.append(Path(dst).relative_to(cfg.output_dir).as_posix())
+        replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", replace_three)
+        assert main(["run", "--config", str(config_path)]) == 3
+    assert moved == ["affixes.csv", "cache/features_base.csv", "cache/lexicon_normalized.tsv"]
+    cfg.lexicon.write_bytes(lexicon)
+    capsys.readouterr()
+    assert main(["segment", "--config", str(config_path)]) == 3
+    path = cfg.output_dir / "cache/lexicon_normalized.tsv"
+    assert capsys.readouterr().err == f"data error: stage 'segment' failed: {path}: {NOT_RECORDED}\n"
+
+
+def _set_stage_entry(key, value):
+    def damage(text):
+        manifest = json.loads(text)
+        if key is None:
+            manifest["stages"]["features"] = value
+        else:
+            manifest["stages"]["features"][key] = value
+        return json.dumps(manifest)
+
+    return damage
 
 
 @pytest.mark.parametrize(
@@ -750,8 +862,10 @@ def test_cli_damaged_cached_row_is_data_error(
         (lambda text: json.dumps({**json.loads(text), "input_digests": None}), "input_digests: expected an object"),
         (lambda text: json.dumps({**json.loads(text), "stages": []}), "stages: expected an object"),
         (lambda text: json.dumps({**json.loads(text), "config_hash": 1}), "config_hash: expected a string"),
+        (_set_stage_entry(None, ["counts"]), "stages.features: expected an object"),
+        (_set_stage_entry("artifacts", ["features.csv"]), "stages.features.artifacts: expected an object"),
     ],
-    ids=["truncated", "list", "null-digests", "list-stages", "number-hash"],
+    ids=["truncated", "list", "null-digests", "list-stages", "number-hash", "list-stage-entry", "list-artifacts"],
 )
 def test_cli_damaged_manifest_is_data_error(demo_run, tmp_path, capsys, damage, message):
     cfg = _copy_demo_output(demo_run, tmp_path)
@@ -795,23 +909,24 @@ def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeyp
     out = cfg.output_dir
     pairs = {(lang, word) for _, lang, word, _ in _csv_rows(out / "cache/roundtrips.csv")}
     segmentations = _csv_rows(out / "cache/segmentations.csv")
-    used = [cell for lang, word, cell in segmentations if (lang, word) in pairs]
+    used = [json.loads(cell) for lang, word, cell in segmentations if (lang, word) in pairs]
     assert tuple(segmentations[_UNUSED_SEGMENTATION_ROW - 1][:2]) not in pairs
     assert 0 < len(used) < len(segmentations)
 
-    blocks, decoded = [], []
-    json_column = pipeline._json_column
+    # every JSON list the stage decodes is a block of cells
+    blocks = []
 
-    def recording(path, cells, first=1, wanted=None):
-        blocks.append(len(cells))
-        decoded.extend(cells if wanted is None else (c for c, w in zip(cells, wanted) if w))
-        return json_column(path, cells, first, wanted)
+    def recording(text):
+        value = json.loads(text)
+        if text.startswith("["):
+            blocks.append(value)
+        return value
 
-    monkeypatch.setattr(pipeline, "_json_column", recording)
+    monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(loads=recording, dumps=json.dumps))
     before = {rel: (out / rel).read_bytes() for rel in ("features.csv", "ranking.csv", "ranking_bootstrap.csv")}
     run_stage(cfg, "aggregate")
-    assert max(blocks) == 2 and sum(blocks) == len(segmentations)
-    assert decoded == used
+    assert max(map(len, blocks)) == 2
+    assert [value for block in blocks for value in block] == used
     assert {rel: (out / rel).read_bytes() for rel in before} == before
 
 
@@ -858,32 +973,47 @@ def test_each_stage_logs_the_memory_high_water_mark(tmp_path, caplog):
 
 def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkeypatch):
     # run the stages one at a time, recording what each returns and which
-    # CSV artifacts it reads
+    # files of the output directory it opens
     cfg = load_config(write_demo(tmp_path))
+    out = cfg.output_dir.resolve()
     returned: dict[str, dict[str, str]] = {}
-    reads = []
-    read = pipeline._read
+    opened: dict[str, set[str]] = {stage: set() for stage in STAGE_ORDER}
+    current = None
+    real_open = io.open
 
-    def recording_read(out, rel, names=None):
-        reads.append((current, rel))
-        return read(out, rel, names)
+    def recording_open(file, *args, **kwargs):
+        if current is not None and isinstance(file, (str, os.PathLike)):
+            path = Path(file).resolve()
+            if path.is_relative_to(out):
+                opened[current].add(path.relative_to(out).as_posix())
+        return real_open(file, *args, **kwargs)
 
     def recording(stage, fn):
         def run(cfg):
-            counts, artifacts = fn(cfg)
+            nonlocal current
+            current = stage
+            try:
+                counts, artifacts = fn(cfg)
+            finally:
+                current = None
             returned[stage] = artifacts
             return counts, artifacts
         return run
 
-    monkeypatch.setattr(pipeline, "_read", recording_read)
-    for current in STAGE_ORDER:
-        monkeypatch.setitem(pipeline.STAGE_FUNCS, current, recording(current, pipeline.STAGE_FUNCS[current]))
-        run_stage(cfg, current)
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for stage in STAGE_ORDER:
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, recording(stage, pipeline.STAGE_FUNCS[stage]))
+        run_stage(cfg, stage)
 
-    for stage, rel in reads:
+    # a stage opens only the artifacts whose digests were checked before it
+    # started: the demo runs rfe, so every declared read is made
+    assert opened == {stage: set(reads) for stage, reads in pipeline.READS.items()}
+    for stage, rels in opened.items():
         earlier = STAGE_ORDER[: STAGE_ORDER.index(stage)]
-        assert any(rel in returned[s] for s in earlier), (stage, rel)
-    assert {rel for _, rel in reads} == set(pipeline.COLUMNS) - {
+        for rel in rels:
+            assert any(rel in returned[s] for s in earlier), (stage, rel)
+    assert {rel for rels in opened.values() for rel in rels if rel.endswith(".csv")} == set(pipeline.COLUMNS) - {
         "ranking_bootstrap.csv", "consensus.csv", "inventory.csv"
     }
     headers = {
@@ -909,26 +1039,6 @@ def test_cached_lexicon_is_the_ingested_one(tmp_path):
     assert cached.entries == ingested.entries
     assert ("deu", "jot", "\u01f0") in cached.entries
     assert ("deu", "caf\u00e9", "brown") in cached.entries
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("deu\tred", "line 2 has 2 fields, expected 3"),
-        ("deu\t\tred", "line 2 has an empty field"),
-        ("\trot\tred", "line 2 has an empty field"),
-        ("deu\trot\t", "line 2 has an empty field"),
-    ],
-)
-def test_lexicon_cache_reader_rejects_a_damaged_line(tmp_path, line, message):
-    # an empty word would be a prefix of every word and split it into an
-    # empty left part, so the reader refuses it as it refuses a short line
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache/lexicon_normalized.tsv").write_text(
-        f"deu\trot\tred\n{line}\n", encoding="utf-8"
-    )
-    with pytest.raises(DataError, match=re.escape(message)):
-        pipeline._read_lexicon_cache(tmp_path)
 
 
 def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
@@ -967,6 +1077,27 @@ def test_cli_invalid_seed_stage_is_data_error(tmp_path, capsys, row, message):
     assert f"seeds.txt:{rows + 1}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("ngram", [("red", str(10**400), "1", "1")]),
+        ("treebank", [("red", str(10**400), "1", "1")]),
+        ("etymology", [("red", "inheritance", str(10**400), "200")]),
+        # each line's count fits, but not the color's sum of them
+        ("etymology", [("red", "borrowing", str(10**308), "200")] * 2),
+    ],
+    ids=["ngram", "treebank", "etymology", "etymology-sum"],
+)
+def test_cli_count_too_large_for_a_float_is_data_error(tmp_path, capsys, name, rows):
+    # the features divide these counts as floats, which once exited 4
+    config_path = write_demo(tmp_path)
+    path = getattr(load_config(config_path), name)
+    lines = len(path.read_text(encoding="utf-8").splitlines())
+    _append_rows(path, rows)
+    assert main(["run", "--config", str(config_path)]) == 3
+    assert f"{path}:{lines + len(rows)}: count too large for a float" in capsys.readouterr().err
+
+
 def test_cli_too_few_surviving_colors_is_data_error(tmp_path, capsys):
     # with drop_threshold 0.0 a color missing any feature is dropped, and
     # without concreteness rows eleven colors miss one: nine survive
@@ -1001,7 +1132,7 @@ def test_cli_stage_subcommand(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bulk-decoded cache readers
+# cache readers
 
 _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size=6)
 
@@ -1030,33 +1161,12 @@ def test_bulk_readers_match_per_row_json(rows, dump):
             (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
             read = list(pipeline._read(out, rel))
             assert read == cells
-            assert pipeline._json_column(out / rel, [row[-1] for row in read]) == [
+            assert [value for _, value in pipeline._decoded_rows(out, rel)] == [
                 json.loads(row[-1]) for row in cells
             ]
         assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
             (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
         ]
-
-
-@pytest.mark.parametrize(
-    "cells, message",
-    [
-        (['["a"]', '["b"], ["c"]'], "row 2: malformed JSON cell: Extra data"),  # two values in one cell
-        (['["a"], ["b"', '"c"]'], "row 1: malformed JSON cell: Extra data"),  # two cells balance
-        (['["a"]', '["b"'], "row 2: malformed JSON cell"),
-        (['["a"]', ""], "row 2: malformed JSON cell"),
-        (['["a"]', '["\\x"]'], "row 2: malformed JSON cell: Invalid \\escape"),
-    ],
-)
-def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, message):
-    rel = "cache/segmentations.csv"
-    (tmp_path / "cache").mkdir()
-    text = pipeline._csv_text(rel, [("l1", f"w{i}", c) for i, c in enumerate(cells)])
-    (tmp_path / rel).write_text(text, encoding="utf-8")
-    read = [segments for _, _, segments in pipeline._read(tmp_path, rel)]
-    assert read == cells
-    with pytest.raises(DataError, match=re.escape(f"{tmp_path / rel}: {message}")):
-        pipeline._json_column(tmp_path / rel, read)
 
 
 @settings(max_examples=25)
@@ -1067,7 +1177,7 @@ def test_bulk_reader_rejects_a_cell_without_exactly_one_value(tmp_path, cells, m
 )
 def test_decoded_rows_match_per_row_json(rows, block, dump):
     # whatever the block size, the kept rows come out in file order with
-    # their file row numbers and their cells decoded as json.loads does
+    # their cells decoded as json.loads does
     rel = "cache/segmentations.csv"
     cells = [(l, w, dump(b)) for l, w, b, _ in rows]
     kept = {(l, w, c) for (l, w, c), (*_, keep) in zip(cells, rows) if keep}
@@ -1076,48 +1186,4 @@ def test_decoded_rows_match_per_row_json(rows, block, dump):
         (out / "cache").mkdir()
         (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
         decoded = list(pipeline._decoded_rows(out, rel, kept.__contains__))
-    assert decoded == [(n, row, json.loads(row[-1])) for n, row in enumerate(cells, 1) if row in kept]
-
-
-@pytest.mark.parametrize(
-    "cells, message",
-    [
-        (['["a"]', '["\\x"]'], "row 6: malformed JSON cell: Invalid \\escape"),
-        (['["a"]', '["b"]\n["c"]'], "row 6: malformed JSON cell: Extra data"),
-        (['["a"]', '["\\u12"]'], "row 6: malformed JSON cell: Invalid \\uXXXX escape"),
-    ],
-)
-def test_bulk_reader_checks_the_cells_it_does_not_decode(tmp_path, cells, message):
-    # the second cell is not wanted, but a malformed one still names its row
-    with pytest.raises(DataError, match=re.escape(f"{tmp_path}: {message}")):
-        pipeline._json_column(tmp_path, cells, 5, [True, False])
-    assert pipeline._json_column(tmp_path, ['["a"]', '["\\u00e9\\n"]'], 5, [False, True]) == [["\u00e9\n"]]
-
-
-def test_cache_reader_rejects_a_row_of_the_wrong_width(tmp_path):
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache/roundtrips.csv").write_text(
-        'color,language,foreign_word,back_translations\nred,l1,w1,"[""red""]"\nred,l1\n',
-        encoding="utf-8",
-    )
-    rows = pipeline._read(tmp_path, "cache/roundtrips.csv", ("language", "foreign_word"))
-    # rows stream: the first is yielded before the second is read
-    assert next(rows) == ("l1", "w1")
-    with pytest.raises(DataError, match="row 2 has 2 fields, expected 4"):
-        next(rows)
-
-
-def test_compounds_reader_checks_the_rows_it_does_not_keep(tmp_path):
-    # the accepted-compounds reader keeps only accepted rows, but a short
-    # rejected row or an empty file is still a data error
-    header = "language,word,left,glue,right,left_concept,right_concept,support,accepted\n"
-    (tmp_path / "compounds.csv").write_text(
-        header + "l1,ab,a,,b,x,y,2,1\nl1,abc,a,b\n", encoding="utf-8"
-    )
-    with pytest.raises(DataError, match="row 2 has 4 fields, expected 9"):
-        pipeline._read_accepted_compounds(tmp_path)
-    (tmp_path / "compounds.csv").write_text(header + "l1,ab,a,,b,x,y,2,1\nl1,abc,a,b,c,x,y,1,0\n", encoding="utf-8")
-    assert pipeline._read_accepted_compounds(tmp_path) == ([("l1", "ab", "")], 2)
-    (tmp_path / "compounds.csv").write_text("", encoding="utf-8")
-    with pytest.raises(DataError, match="empty file"):
-        pipeline._read_accepted_compounds(tmp_path)
+    assert decoded == [(row, json.loads(row[-1])) for row in cells if row in kept]
