@@ -18,9 +18,11 @@ built in between.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import product
-from operator import itemgetter
+from functools import partial
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -54,9 +56,13 @@ class CompoundRow(NamedTuple):
     accepted: bool
 
 
-# (language, word, left, glue): split position order, since a shorter left
-# (or glue) of the same word is a prefix of the longer one
-_POSITION = itemgetter(0, 1, 2, 3)
+# a split's (language, left, right) key and its (language, word)
+_KEY = itemgetter(0, 2, 4)
+_WORD = itemgetter(0, 1)
+_SUPPORT = itemgetter(2)
+_AFFIX_SIDE = (DER_AFFIX_CONCEPT,)
+# a CompoundRow from its nine fields, without a Python-level call
+_new_row = partial(tuple.__new__, CompoundRow)
 
 
 def enumerate_splits(word: str, language: str = "") -> list[Split]:
@@ -86,64 +92,55 @@ def extract_candidates(
     unconstrained.  Output order is deterministic: by word, then split
     position.
     """
-    words = table.words_of(lang)
-    affixes = set(derivational_affixes)
+    words = table.glossary(lang)
+    rights = words.keys() | set(derivational_affixes)
     out = []
-    # In sorted order, every word that is a proper prefix of a word comes
-    # before it, and every word in between has that prefix too; so after
-    # popping the entries that are not prefixes of the current word, the
-    # stack holds exactly its proper prefixes that are words, shortest
-    # first.  These are the left parts enumerate_splits would keep.
+    append = out.append
+    # The table keeps the words sorted.  In sorted order, every word that
+    # is a proper prefix of a word comes before it, and every word in
+    # between has that prefix too; so after popping the entries that are
+    # not prefixes of the current word, the stack holds exactly its proper
+    # prefixes that are words, shortest first.  These are the left parts
+    # enumerate_splits would keep.
     prefixes: list[str] = []
-    for word in sorted(words):
+    for word in words:
         while prefixes and not word.startswith(prefixes[-1]):
             prefixes.pop()
         n = len(word)
         for left in prefixes:
             i = len(left)
             for j in range(i, n):
-                right = word[j:]
-                if right in words or right in affixes:
-                    out.append((lang, word, left, word[i:j], right))
+                if word[j:] in rights:
+                    append((lang, word, left, word[i:j], word[j:]))
         prefixes.append(word)
     return out
 
 
-def _concept_pairs(
-    table: TranslationTable, candidates
-) -> dict[tuple[str, str, str], tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Per (language, left, right) key of ``candidates``, the sorted
-    concepts of its left and of its right side; the key's concept pairs
-    are their product, in ascending order."""
-    pairs = {}
-    for language, _, left, _, right in candidates:
-        key = language, left, right
-        if key not in pairs:
-            # a right side that is not a word was matched as an affix
-            rights = table.glosses(language, right) or (DER_AFFIX_CONCEPT,)
-            pairs[key] = (table.glosses(language, left), rights)
-    return pairs
-
-
-def _score(pairs) -> dict[tuple[str, str, str], tuple[str, str, int]]:
-    """Per (language, left, right) key of ``pairs``, its best concept pair
-    and that pair's support, counted as the languages of the keys in
-    ``pairs``.  Max support wins and ties prefer the lexicographically
-    smallest pair, which comes first in the product of the sorted concepts."""
-    by_language: dict[str, set[tuple[str, str]]] = {}
-    for (language, _, _), (lefts, rights) in pairs.items():
-        by_language.setdefault(language, set()).update(product(lefts, rights))
-    support: Counter = Counter()
-    for attested in by_language.values():
-        support.update(attested)
+def _score(sides, threshold) -> dict[tuple[str, str, str], tuple[str, str, int, bool]]:
+    """Per (language, left, right) key of ``sides``, the last four fields
+    of its splits' rows: its best concept pair, that pair's support,
+    counted as the languages of the keys in ``sides``, and whether the
+    support reaches ``threshold``.  ``sides`` maps each key to the sorted
+    concepts of its left and of its right part; the key's concept pairs
+    are their product, in ascending order.  Max support wins and ties
+    prefer the lexicographically smallest pair, which comes first in that
+    product."""
+    attested = set()
+    attest = attested.add
+    for (language, _, _), (lefts, rights) in sides.items():
+        for left in lefts:
+            for right in rights:
+                attest((language, left, right))
+    support = Counter(map(itemgetter(1, 2), attested))
     scored = {}
-    for key, (lefts, rights) in pairs.items():
+    for key, (lefts, rights) in sides.items():
         if len(lefts) == len(rights) == 1:
             # most keys have a single pair, which max() would only slow down
-            scored[key] = (lefts[0], rights[0], support[lefts[0], rights[0]])
+            left, right = lefts[0], rights[0]
         else:
-            best = max(product(lefts, rights), key=support.__getitem__)
-            scored[key] = (*best, support[best])
+            left, right = max(product(lefts, rights), key=support.__getitem__)
+        count = support[left, right]
+        scored[key] = (left, right, count, count >= threshold)
     return scored
 
 
@@ -164,38 +161,52 @@ def score_and_filter(
     ``table``, so every left part is a word with at least one gloss and
     every split has a concept pair.  A split's concept pairs, and so its
     row in either pass, depend only on its (language, left, right) key,
-    so each distinct key is looked up and scored once per pass.  Returns
-    one row per split, in split position order.
+    so each distinct key is looked up and scored once per pass, and each
+    split's row is built once, from its key's score.  Returns one row per
+    split, in split position order.
     """
     if threshold < 1:
         raise ConfigError("compound support threshold must be at least 1")
     candidates = list(candidates)
-    pairs = _concept_pairs(table, candidates)
-    first = _score(pairs)
+    sides = {}
+    last_language = None
+    for key in dict.fromkeys(map(_KEY, candidates)):
+        language, left, right = key
+        if language != last_language:
+            # the splits of a language mostly come together
+            last_language, words = language, table.glossary(language)
+        # a right part that is not a word was matched as an affix
+        sides[key] = (words[left], words.get(right, _AFFIX_SIDE))
+    # pass one accepts nothing: its keepers are accepted in pass two
+    scored = list(map(_score(sides, math.inf).__getitem__, map(_KEY, candidates)))
 
-    # keep only the best-scoring split of each (language, word); the
-    # earliest candidate wins a tie
-    best: dict[tuple[str, str], tuple[int, int]] = {}
-    for idx, (language, word, left, _, right) in enumerate(candidates):
-        support = first[language, left, right][2]
-        kept = best.get((language, word))
-        if kept is None or support > kept[1]:
-            best[language, word] = (idx, support)
-    survivors = {idx for idx, support in best.values() if support >= threshold}
-    del best
-    keys = {(c[0], c[2], c[4]) for c in map(candidates.__getitem__, survivors)}
-    second = _score({key: pairs[key] for key in keys})
-    # only the two score tables and the survivors are used from here on
-    del pairs, keys
-
-    rows = []
-    for idx, c in enumerate(candidates):
-        if idx in survivors:
-            scored = second[c[0], c[2], c[4]]
-            rows.append(CompoundRow._make((*c, *scored, scored[2] >= threshold)))
-        else:
-            rows.append(CompoundRow._make((*c, *first[c[0], c[2], c[4]], False)))
-    rows.sort(key=_POSITION)
+    # the best-scoring split of each (language, word), the earliest
+    # winning a tie: the last index a word gets when the indices are taken
+    # by ascending support, and among equal supports from the last to the
+    # first, is its best split
+    support = list(map(_SUPPORT, scored))
+    order = sorted(range(len(candidates) - 1, -1, -1), key=support.__getitem__)
+    best = dict(zip(map(_WORD, map(candidates.__getitem__, order)), order))
+    survivors = [idx for idx in best.values() if support[idx] >= threshold]
+    del support, order, best
+    keys = list(map(_KEY, map(candidates.__getitem__, survivors)))
+    second = _score(dict(zip(keys, map(sides.__getitem__, keys))), threshold)
+    for idx, key in zip(survivors, keys):
+        scored[idx] = second[key]
+    del sides, keys, second, survivors
+    # A split's (language, word, left, glue) is distinct, and in ascending
+    # order it is split position order, since a shorter left (or glue) of
+    # a word is a prefix of the longer one; so the plain rows sort by
+    # position as they stand.  Each CompoundRow then replaces the plain row
+    # it is built from: the rows are the stage's one set of long-lived
+    # objects the cyclic collector tracks, and built this way they leave
+    # its count of new objects about where it was, so they set off no
+    # collection that would move them on to the oldest generation, whose
+    # collections walk the whole heap.
+    rows = sorted(map(add, candidates, scored))
+    del candidates, scored
+    for i, row in enumerate(rows):
+        rows[i] = _new_row(row)
     return rows
 
 
@@ -208,11 +219,11 @@ def compound_counts(
     out: dict[str, tuple[int, float]] = {}
     missing: set[str] = set()
     for color, pairs in translations.items():
-        distinct = sorted(set(pairs))
+        distinct = set(pairs)
         if not distinct:
             missing.add(color)
             out[color] = (0, 0.0)
             continue
-        count = sum(1 for p in distinct if p in accepted_pairs)
+        count = len(distinct.intersection(accepted_pairs))
         out[color] = (count, count / len(distinct))
     return out, missing

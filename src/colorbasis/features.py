@@ -10,7 +10,9 @@ are filled with the column median, and rows keep seed-list order.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DataError
 from .lexicon import normalize_term, numbered_lines
@@ -61,13 +63,18 @@ def word_concreteness(color: str, lex: ConcretenessLexicon) -> float | None:
 
 
 def weighted_concreteness(weights: dict[str, int], lex: ConcretenessLexicon) -> float | None:
-    """Weighted mean rating over rated senses; None if none is rated."""
+    """Weighted mean rating over rated senses; None if none is rated.
+
+    The products are summed in sorted sense order, so the last bit of the
+    sum does not depend on the order in which ``weights`` was filled (set
+    iteration order varies with the hash seed)."""
     num = 0.0
     den = 0
-    for sense, weight in weights.items():
+    for sense in sorted(weights):
         r = lex.rating(sense)
         if r is None:
             continue
+        weight = weights[sense]
         num += weight * r
         den += weight
     return num / den if den else None
@@ -76,13 +83,8 @@ def weighted_concreteness(weights: dict[str, int], lex: ConcretenessLexicon) -> 
 def translation_concreteness(color: str, records, lex: ConcretenessLexicon) -> float | None:
     """Mean concreteness of a color's back-translations, each weighted by
     the number of languages whose round-trip set contains it."""
-    by_lang: dict[str, set[str]] = {}
-    for rec in records:
-        by_lang.setdefault(rec.language, set()).update(rec.back_translations)
-    weights: dict[str, int] = {}
-    for senses in by_lang.values():
-        for sense in senses:
-            weights[sense] = weights.get(sense, 0) + 1
+    attested = {(rec.language, sense) for rec in records for sense in rec.back_translations}
+    weights = Counter(map(itemgetter(1), attested))
     return weighted_concreteness(weights, lex)
 
 
@@ -215,7 +217,7 @@ def word_length_feature(color: str, translations) -> float | None:
     """Mean Unicode-scalar length over all of the color's foreign
     translations (every (language, word) pair counted once); None when
     there is none."""
-    pairs = sorted(set(translations))
+    pairs = set(translations)
     if not pairs:
         return None
     return sum(len(word) for _, word in pairs) / len(pairs)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,39 +53,44 @@ class LoadReport:
     skipped: int
 
 
-@dataclass
 class TranslationTable:
     """Immutable-after-load store of (language, foreign word, gloss) edges.
 
     Glosses are normalized by ``normalize_term``; foreign words are only
     stripped and NFC-normalized, keeping their case since capitalization
     can be contrastive in some scripts.
-    All query methods are read-only and safe to call concurrently.
+
+    The store is one map, language -> foreign word -> sorted glosses, with
+    the languages and each language's words in sorted order, so that
+    walking it gives the edges sorted.  All query methods are read-only
+    and safe to call concurrently.
     """
 
-    entries: frozenset[tuple[str, str, str]]
-    load_report: LoadReport | None = None
-    _glosses: dict[str, dict[str, tuple[str, ...]]] = field(init=False, repr=False)
+    def __init__(self, glosses: dict[str, dict[str, tuple[str, ...]]], load_report: LoadReport | None = None):
+        self._glosses = glosses
+        self.load_report = load_report
 
-    def __post_init__(self):
-        # language -> word -> sorted glosses, in tuples, which the cyclic
-        # garbage collector stops tracking
-        self._glosses = {}
-        for lang, word, gloss in self.entries:
-            words = self._glosses.get(lang)
-            if words is None:
-                words = self._glosses[lang] = {}
-            glosses = words.get(word)
-            words[word] = (gloss,) if glosses is None else tuple(sorted((*glosses, gloss)))
-
-    @cached_property
-    def _forward(self) -> dict[tuple[str, str], set[str]]:
-        """(language, gloss) -> foreign words, built on first use: only
-        ``translate`` reads it, and only the ingest stage translates."""
-        forward: dict[tuple[str, str], set[str]] = {}
-        for lang, word, gloss in self.entries:
-            forward.setdefault((lang, gloss), set()).add(word)
-        return forward
+    @classmethod
+    def from_sorted(cls, entries) -> "TranslationTable":
+        """The table of ``entries``, distinct normalized (language, word,
+        gloss) edges given in sorted order, built as they stream: the
+        glosses of a word come together and in order."""
+        glosses: dict[str, dict[str, tuple[str, ...]]] = {}
+        words: dict[str, tuple[str, ...]] = {}
+        # most words have one gloss, and the table holds far fewer glosses
+        # than words: the words of one gloss share one 1-tuple
+        single: dict[str, tuple[str]] = {}
+        last_lang = last_word = None
+        for lang, word, gloss in entries:
+            if lang != last_lang:
+                words = glosses[lang] = {}
+                last_lang, last_word = lang, None
+            if word == last_word:
+                words[word] += (gloss,)
+            else:
+                words[word] = single.get(gloss) or single.setdefault(gloss, (gloss,))
+                last_word = word
+        return cls(glosses)
 
     @classmethod
     def from_rows(cls, rows) -> "TranslationTable":
@@ -95,13 +101,45 @@ class TranslationTable:
             gloss = normalize_term(gloss)
             if lang and word and gloss:
                 normalized.add((lang, word, gloss))
-        return cls(entries=frozenset(normalized))
+        return cls.from_sorted(sorted(normalized))
+
+    def __iter__(self):
+        """The (language, word, gloss) edges, in sorted order."""
+        for lang, words in self._glosses.items():
+            for word, glosses in words.items():
+                for gloss in glosses:
+                    yield lang, word, gloss
+
+    def __len__(self) -> int:
+        return sum(len(glosses) for words in self._glosses.values() for glosses in words.values())
+
+    @property
+    def entries(self) -> frozenset[tuple[str, str, str]]:
+        """Every edge, derived from the map on each call."""
+        return frozenset(self)
+
+    @cached_property
+    def _forward(self) -> dict[tuple[str, str], set[str]]:
+        """(language, gloss) -> foreign words, built on first use: only
+        ``translate`` reads it, and only the ingest stage translates."""
+        forward: dict[tuple[str, str], set[str]] = {}
+        for lang, words in self._glosses.items():
+            for word, glosses in words.items():
+                for gloss in glosses:
+                    forward.setdefault((lang, gloss), set()).add(word)
+        return forward
 
     def languages(self) -> list[str]:
-        return sorted(self._glosses)
+        return list(self._glosses)
 
     def words_of(self, lang: str) -> set[str]:
         return set(self._glosses.get(lang, ()))
+
+    def glossary(self, lang: str) -> dict[str, tuple[str, ...]]:
+        """The words of ``lang``, in sorted order, each with its sorted
+        glosses; empty for a language the table does not hold.  The
+        table's own map: read it, never change it."""
+        return self._glosses.get(lang, {})
 
     def glosses(self, lang: str, word: str) -> tuple[str, ...]:
         """The sorted glosses of (lang, word), which must be normalized
@@ -138,18 +176,10 @@ def load_lexicon(path) -> TranslationTable:
             )
         rows.append(tuple(parts[:3]))
     table = TranslationTable.from_rows(rows)
-    table.load_report = LoadReport(
-        rows_read=rows_read, entries=len(table.entries), skipped=skipped
-    )
-    if not table.entries:
+    table.load_report = LoadReport(rows_read=rows_read, entries=len(table), skipped=skipped)
+    if not len(table):
         raise EmptyLexiconError(f"{path}: no valid lexicon rows")
-    log.info(
-        "%s: %d rows read, %d entries, %d skipped",
-        path,
-        rows_read,
-        len(table.entries),
-        skipped,
-    )
+    log.info("%s: %d rows read, %d entries, %d skipped", path, rows_read, len(table), skipped)
     return table
 
 
@@ -223,13 +253,14 @@ class RoundTripRecord(NamedTuple):
     """One forward edge plus everything it leads back to.
 
     ``back_translations`` is the union of glosses of ``foreign_word``
-    within the same language.
+    within the same language: a frozenset from ``round_trip``, the sorted
+    list cached in ``cache/roundtrips.csv`` when read back from there.
     """
 
     color: str
     language: str
     foreign_word: str
-    back_translations: frozenset[str]
+    back_translations: Collection[str]
 
 
 def round_trip(table: TranslationTable, color: str, lang: str) -> list[RoundTripRecord]:

@@ -48,8 +48,9 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import groupby, islice
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 from . import __version__
@@ -137,21 +138,36 @@ def _csv_text(rel: str, rows) -> str:
     return buf.getvalue()
 
 
-def _read(out: Path, rel: str, names=None):
+def _read(out: Path, rel: str, names=None, keep=None):
     """Yield the ``names`` cells (two or more; by default every column of
     ``COLUMNS[rel]``) of each row of the cached CSV artifact ``rel``, as a
     tuple, one row at a time.  The file is the one its stage wrote, so its
-    header is ``COLUMNS[rel]``."""
+    header is ``COLUMNS[rel]``, and no cell holds a line break (words,
+    glosses and colors come from single lines of the inputs, and JSON
+    cells escape control characters), so each line is one row.  With ``keep``, only the lines
+    that ``keep`` accepts, line end included, are parsed."""
     columns = COLUMNS[rel]
     pick = itemgetter(*(columns.index(name) for name in names or columns))
     with (out / rel).open(encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        yield from map(pick, rows)
+        next(fh)
+        yield from map(pick, csv.reader(fh if keep is None else filter(keep, fh)))
 
 
-#: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``
-_DECODE_BLOCK = 4096
+#: whether a ``compounds.csv`` line holds an accepted row: a row's last
+#: cell is ``1`` when it is accepted and ``0`` when not
+_ACCEPTED = methodcaller("endswith", ",1\n")
+#: a row's first and last cells
+_FIRST = itemgetter(0)
+_LAST = itemgetter(-1)
+#: a translation pair, (language, foreign word), of a round-trip row or record
+_PAIR = itemgetter(1, 2)
+#: a RoundTripRecord from its four fields, without a Python-level call
+_new_record = partial(tuple.__new__, RoundTripRecord)
+
+#: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``: few
+#: enough that a block's decoded lists are gone before the cyclic
+#: collector moves them on to its oldest generation
+_DECODE_BLOCK = 512
 
 
 def _decoded_rows(out: Path, rel: str, keep=None):
@@ -161,9 +177,9 @@ def _decoded_rows(out: Path, rel: str, keep=None):
     rows are taken ``_DECODE_BLOCK`` at a time, and each block's cells are
     decoded with one ``json.loads``; a row that is not kept is dropped as
     it is read."""
-    kept = (row for row in _read(out, rel) if keep is None or keep(row))
+    kept = _read(out, rel) if keep is None else filter(keep, _read(out, rel))
     while block := list(islice(kept, _DECODE_BLOCK)):
-        yield from zip(block, json.loads("[" + ",".join(row[-1] for row in block) + "]"))
+        yield from zip(block, json.loads("[" + ",".join(map(_LAST, block)) + "]"))
 
 
 def _fmt(value: float) -> str:
@@ -175,17 +191,19 @@ def _fmt(value: float) -> str:
 
 
 def _read_lexicon_cache(out: Path) -> TranslationTable:
-    """The ingested lexicon, built from its cached entries as they stand:
-    ingest wrote them normalized, and normalizing is idempotent."""
-    lines = numbered_lines(out / "cache/lexicon_normalized.tsv")
-    return TranslationTable(entries=frozenset(tuple(line.split("\t")) for _, line in lines))
+    """The ingested lexicon, built from its cached entries as they stand
+    and as they stream: ingest wrote them normalized, distinct and sorted,
+    and normalizing is idempotent."""
+    lines = map(itemgetter(1), numbered_lines(out / "cache/lexicon_normalized.tsv"))
+    return TranslationTable.from_sorted(map(methodcaller("split", "\t"), lines))
 
 
-def _translation_pairs(roundtrips) -> dict[str, list[tuple[str, str]]]:
-    pairs: dict[str, set[tuple[str, str]]] = {}
-    for color, lang, word, *_ in roundtrips:
-        pairs.setdefault(color, set()).add((lang, word))
-    return {color: sorted(p) for color, p in pairs.items()}
+def _translation_pairs(rows) -> dict[str, list[tuple[str, str]]]:
+    """Per color, its translation pairs, from ``cache/roundtrips.csv``
+    rows as (color, language, foreign word, ...): ingest writes each
+    color's rows together, sorted by language and word and each pair once,
+    so a color's pairs are its rows' pairs in file order."""
+    return {color: list(map(_PAIR, group)) for color, group in groupby(rows, key=_FIRST)}
 
 
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
@@ -198,18 +216,6 @@ def _read_feature_matrix(out: Path) -> FeatureMatrix:
     return FeatureMatrix(colors=colors, columns=FEATURE_COLUMNS, values=values)
 
 
-def _read_accepted_compounds(out: Path) -> tuple[list[tuple[str, str, str]], int]:
-    """The accepted rows of ``compounds.csv`` as (language, word, glue),
-    and the number of rows."""
-    kept = []
-    total = 0
-    rows = _read(out, "compounds.csv", ("language", "word", "glue", "accepted"))
-    for total, (language, word, glue, accepted) in enumerate(rows, 1):
-        if accepted == "1":
-            kept.append((language, word, glue))
-    return kept, total
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -218,7 +224,7 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
     table = load_lexicon(cfg.lexicon)
     seeds = load_seeds(cfg.seeds)
 
-    lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in sorted(table.entries)]
+    lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in table]
 
     rows = []
     for concept in seeds:
@@ -234,7 +240,7 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
                 )
     report = table.load_report
     return {
-        "lexicon_entries": len(table.entries),
+        "lexicon_entries": len(lex_lines),
         "lexicon_rows_skipped": report.skipped if report else 0,
         "languages": len(table.languages()),
         "colors": len(seeds),
@@ -290,7 +296,7 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
     jobs = [
         (
             lang,
-            sorted(table.words_of(lang)),
+            list(table.glossary(lang)),
             sorted(color_words.get(lang, ())),
             cfg.alpha,
             cfg.max_iters,
@@ -300,7 +306,9 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         for lang in table.languages()
     ]
     if cfg.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all of its workers at the first task, so it gets no
+        # more of them than there are languages
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             results = list(pool.map(_train_language, jobs))
     else:
         results = [_train_language(j) for j in jobs]
@@ -335,6 +343,7 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
     for lang in table.languages():
         candidates.extend(extract_candidates(table, lang, suffixes.get(lang, ())))
     rows = score_and_filter(candidates, table, cfg.compound_threshold)
+    del candidates
     return {
         "candidates": len(rows),
         "accepted": sum(row.accepted for row in rows),
@@ -351,17 +360,16 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     seeds = load_seeds(cfg.seeds)
     colors = [c.term for c in seeds]
     conc = ConcretenessLexicon.load(cfg.concreteness)
-    # ingest writes each color's rows together, so each color's round-trip
-    # records are reduced to its translation concreteness as soon as its
-    # rows end, and only that float is kept
+    # each color's round-trip rows are reduced, as soon as they end, to its
+    # translation pairs and its translation concreteness (see
+    # ``_translation_pairs``)
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
     for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[0][0]):
-        group = list(group)
-        translations.update(_translation_pairs(row for row, _ in group))
-        records = [RoundTripRecord(color, lang, word, frozenset(b)) for (_, lang, word, _), b in group]
+        records = [_new_record((*row[:3], senses)) for row, senses in group]
+        translations[color] = list(map(_PAIR, records))
         concreteness[color] = translation_concreteness(color, records, conc)
-    accepted = {(language, word) for language, word, _ in _read_accepted_compounds(out)[0]}
+    accepted = set(_read(out, "compounds.csv", ("language", "word"), _ACCEPTED))
 
     ngram = CorpusSummary.load(cfg.ngram)
     treebank = CorpusSummary.load(cfg.treebank)
@@ -419,16 +427,19 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     translations = _translation_pairs(
         _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
     )
-    # the affix-presence feature looks up only the translation pairs, so
-    # only their segmentations are decoded, each keyed by the pair tuple
-    # that ``translations`` already holds
+    # the affix-presence feature looks up nothing but the segmentations of
+    # more than one segment of the translation pairs: only the pairs' rows
+    # are decoded and only those segmentations kept, each keyed by the pair
+    # tuple that ``translations`` already holds
     pairs = {pair: pair for color_pairs in translations.values() for pair in color_pairs}
     segmentations = {
         pairs[row[:2]]: tuple(segments)
         for row, segments in _decoded_rows(
             out, "cache/segmentations.csv", lambda row: row[:2] in pairs
         )
+        if len(segments) > 1
     }
+    del pairs
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -603,9 +614,16 @@ def stage_report(cfg: PipelineConfig) -> StageResult:
     lines += ["| " + " | ".join(row) + " |" for row in _read(out, "gamma.csv")]
     lines.append("")
 
-    accepted, candidates = _read_accepted_compounds(out)
-    dist = Counter(len(glue) for _, _, glue in accepted)
-    lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {candidates} candidates", ""]
+    candidates = 0
+
+    def accepted(line):
+        nonlocal candidates
+        candidates += 1
+        return _ACCEPTED(line)
+
+    glues = [glue for _, glue in _read(out, "compounds.csv", ("word", "glue"), accepted)]
+    dist = Counter(map(len, glues))
+    lines += ["## Compounds", "", f"accepted analyses: {len(glues)} of {candidates} candidates", ""]
     if dist:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")

@@ -1034,9 +1034,13 @@ def affix_presence_feature(
             missing.add(color)
             continue
         matches = 0
-        for lang, word in pairs:
-            segs = segmentations.get((lang, word))
-            if segs and len(segs) >= 2 and segs[-1] in strong.get(lang, ()):
-                matches += 1
+        for pair in pairs:
+            # most languages have no strong suffix, and their pairs need
+            # no segmentation
+            suffixes = strong.get(pair[0])
+            if suffixes:
+                segs = segmentations.get(pair)
+                if segs and len(segs) >= 2 and segs[-1] in suffixes:
+                    matches += 1
         scores[color] = matches / len(pairs)
     return scores, missing

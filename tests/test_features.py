@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from colorbasis.errors import DataError
 from colorbasis.features import (
@@ -101,6 +103,21 @@ def test_translation_concreteness_weights_count_languages_not_edges(conc):
 
 def test_weighted_concreteness_shared_rating_is_exact(conc):
     assert weighted_concreteness({"dark": 3, "dirty": 0}, conc) == 4.29
+
+
+@given(
+    st.lists(st.tuples(st.floats(1.0, 5.0), st.integers(1, 6)), min_size=3, max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_weighted_concreteness_does_not_depend_on_insertion_order(rated, rng):
+    # the weights of translation concreteness are filled from sets, whose
+    # order follows the hash seed; the features stage writes the repr of
+    # the mean, so the same weights must give the same bits in any order
+    lex = ConcretenessLexicon({f"sense{i}": rating for i, (rating, _) in enumerate(rated)})
+    weights = [(f"sense{i}", weight) for i, (_, weight) in enumerate(rated)]
+    shuffled = list(weights)
+    rng.shuffle(shuffled)
+    assert weighted_concreteness(dict(shuffled), lex).hex() == weighted_concreteness(dict(weights), lex).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,35 @@ def test_segment_counts_report_each_language(demo_run):
     assert counts["edge_split_capped"] == [lang for lang, f in per_language.items() if f["edge_split_capped"]]
 
 
+def test_segment_pool_has_no_more_workers_than_languages(demo_run, tmp_path, monkeypatch):
+    # a process pool forks all of its workers at the first task, so it is
+    # sized to the languages there are to train; a stand-in pool records
+    # its size and trains in this process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    before = {rel: (cfg.output_dir / rel).read_bytes() for rel in ("cache/segmentations.csv", "affixes.csv")}
+    languages = demo_run[1]["stages"]["ingest"]["counts"]["languages"]
+    for jobs in (2, languages, 8):
+        run_stage(dataclasses.replace(cfg, jobs=jobs), "segment")
+        assert {rel: (cfg.output_dir / rel).read_bytes() for rel in before} == before
+    assert sizes == [2, languages, languages] and languages < 8
+
+
 def test_segment_counts_report_em_cap(tmp_path, caplog):
     cfg = load_config(write_demo(tmp_path))
     cfg.max_iters = 1  # nld needs a second pass on the demo

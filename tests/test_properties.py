@@ -3,8 +3,9 @@
 Each example starts from the bundled demo inputs, drops some of its
 lexicon rows and adds generated ones (new words for the demo colors and
 for a few non-color glosses, in the demo languages and in new ones), then
-runs the pipeline through the command line.  The exit-code test also
-adds malformed rows and may drop every demo row.
+runs the pipeline through the command line.  The exit-code tests also
+add malformed rows and may drop every demo row, or make one edit to any
+one input file or the config.
 """
 
 import json
@@ -12,11 +13,13 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorbasis.cli import main
+from colorbasis.config import load_config
 from colorbasis.demo import write_demo
+from colorbasis.pipeline import STAGE_ORDER, run_stage
 
 LANGUAGES = ["deu", "spa", "xa", "xb", "xc"]
 GLOSSES = ["white", "black", "red", "green", "blue", "pink", "dark", "light", "sky"]
@@ -32,11 +35,23 @@ _odd_text = st.text(st.sampled_from(["a", "B", " ", "\t", "\n", "\r", "\x02", "\
 _odd_row = st.tuples(_odd_text, _odd_text, _odd_text)
 
 
+#: words the cached artifacts must carry through: a word and a longer
+#: word it is a prefix of, each with three glosses, the longer one
+#: holding a comma or a quote, which the CSV artifacts must quote
+_shaped_rows = st.tuples(
+    st.sampled_from(LANGUAGES),
+    st.text("aeiklmnorstu", min_size=1, max_size=4),
+    st.sampled_from([",", '"', 'e,"', "ne,", '"rot']),
+).map(lambda t: [(t[0], word, gloss) for word in (t[1], t[1] + t[2]) for gloss in GLOSSES[len(t[1]) % 3 :: 3]])
+
+
 @st.composite
-def datasets(draw, max_drop=0.5, odd_rows=False):
+def datasets(draw, max_drop=0.5, odd_rows=False, shaped=False):
     """(share of demo lexicon rows to drop, generated rows, shuffle seed)."""
     drop = draw(st.sampled_from([0.0, 0.3, max_drop]))
     rows = draw(st.lists(st.one_of(_row, _odd_row) if odd_rows else _row, max_size=40))
+    if shaped:
+        rows += [row for shaped in draw(st.lists(_shaped_rows, min_size=1, max_size=4)) for row in shaped]
     return drop, rows, draw(st.integers(0, 2**16))
 
 
@@ -73,12 +88,86 @@ def _outputs(out: Path) -> dict:
     return files
 
 
+def _untimed(out: Path) -> dict:
+    """Every artifact's bytes, the manifest without its timings."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            for stage in manifest["stages"].values():
+                stage.pop("duration_s")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[str(path.relative_to(out))] = data
+    return files
+
+
 @settings(max_examples=8)
 @given(datasets(max_drop=1.0, odd_rows=True))
 def test_generated_data_exits_0_or_3(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         config = _write(Path(tmp), dataset)
         assert _run(config, Path(tmp) / "out") in (0, 3)
+
+
+_INPUTS = ["lexicon.tsv", "seeds.txt", "concreteness.tsv", "ngram.tsv", "treebank.tsv", "etymology.tsv", "wcs.tsv", "config.yaml"]
+_odd_cell = st.lists(
+    st.sampled_from(["a", "B", "7", "-1", "1e400", " ", "\t", ",", '"', ":", "*", "@", "#", "[", "é", "\u0301", "\x02"]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _one_edit(draw, text: str) -> str:
+    """``text`` with one edit: an inserted character, a replaced cell, a
+    duplicated or inserted line, or a truncation."""
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["insert", "cell", "duplicate", "line", "truncate"]))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(_odd_cell.filter(bool)) + text[at:]
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "cell":
+        sep = ": " if ": " in lines[i] else "\t"
+        cells = lines[i].split(sep)
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_odd_cell)
+        lines[i] = sep.join(cells)
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines.insert(i, draw(_odd_cell))
+    return "\n".join(lines)
+
+
+@settings(max_examples=16)
+@given(st.sampled_from(_INPUTS), st.data())
+def test_one_edit_to_any_input_exits_0_2_or_3(name, data):
+    # the baseline fuzzer's one-edit mutations, for every input and the
+    # config: a damaged input is a data or configuration error, never an
+    # internal one
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_demo(Path(tmp))
+        path = Path(tmp) / name
+        path.write_text(data.draw(_one_edit(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        assert _run(config, Path(tmp) / "out") in (0, 2, 3)
+
+
+@settings(max_examples=5)
+@given(datasets(shaped=True))
+def test_stage_reruns_reproduce_the_full_run(dataset):
+    # every stage after segment reads cached artifacts back; re-running
+    # each one over a full run's outputs must write the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = _write(tmp, dataset)
+        assume(_run(config, tmp / "out") == 0)
+        full = _untimed(tmp / "out")
+        cfg = load_config(config, {"output_dir": str(tmp / "out")})
+        for stage in STAGE_ORDER[STAGE_ORDER.index("segment") + 1 :]:
+            run_stage(cfg, stage)
+        assert _untimed(tmp / "out") == full
 
 
 @settings(max_examples=5)
