@@ -15,43 +15,37 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DataError
-from .lexicon import normalize_term, numbered_lines
+from .lexicon import TSV, normalize_term, read_tsv
 from .stats import FEATURE_COLUMNS
 
-ETYMOLOGY_PROCESSES = (
-    "inheritance",
-    "derivation",
-    "suffix-derivation",
-    "cognate",
-    "borrowing",
-)
+ETYMOLOGY_PROCESSES = ("inheritance", "derivation", "suffix-derivation", "cognate", "borrowing")
 
 _VALID_PROCESSES = set(ETYMOLOGY_PROCESSES) | {"none"}
 
 
+def _rating(cell: str) -> float:
+    try:
+        rating = float(cell)
+    except ValueError:
+        raise ValueError(f"bad rating {cell!r}") from None
+    if not 1.0 <= rating <= 5.0:
+        raise ValueError(f"concreteness rating out of range: {rating}")
+    return rating
+
+
+#: ``word<TAB>rating``, a rating on the 1..5 scale
+CONCRETENESS = TSV({"word": normalize_term, "rating": _rating}, 1, None, "refuse", "concreteness_repeats")
+
+
 class ConcretenessLexicon:
-    """Word -> human concreteness rating on the 1..5 scale."""
+    """Word (by ``normalize_term``) -> human concreteness rating, 1..5."""
 
     def __init__(self, ratings: dict[str, float]):
-        for w, r in ratings.items():
-            if not 1.0 <= r <= 5.0:
-                raise DataError(f"concreteness rating out of range for {w!r}: {r}")
-        self._ratings = {normalize_term(w): float(r) for w, r in ratings.items()}
+        self._ratings = ratings
 
     @classmethod
-    def load(cls, path) -> "ConcretenessLexicon":
-        ratings = {}
-        for lineno, line in numbered_lines(path):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>rating")
-            try:
-                ratings[parts[0]] = float(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad rating {parts[1]!r}")
-        return cls(ratings)
+    def load(cls, path, counts: dict | None = None) -> "ConcretenessLexicon":
+        return cls(dict(row for _, row in read_tsv(path, CONCRETENESS, counts)))
 
     def rating(self, word: str) -> float | None:
         return self._ratings.get(normalize_term(word))
@@ -88,40 +82,39 @@ def translation_concreteness(color: str, records, lex: ConcretenessLexicon) -> f
     return weighted_concreteness(weights, lex)
 
 
-def _counts(path, lineno, cells) -> tuple[int, ...]:
-    """``cells`` as integers, each small enough to become a float, as the
+def _count(cell) -> int:
+    """A non-negative integer small enough to become a float, as the
     features turn counts into frequencies and fractions."""
     try:
-        counts = tuple(int(cell) for cell in cells)
-        for count in counts:
-            float(count)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: non-integer count") from None
+        count = int(cell)
+        float(count)
     except OverflowError:
-        raise DataError(f"{path}:{lineno}: count too large for a float") from None
-    return counts
+        raise ValueError("count too large for a float") from None
+    except ValueError:
+        raise ValueError("non-integer count") from None
+    if count < 0:
+        raise ValueError("negative count")
+    return count
+
+
+#: ``word<TAB>total<TAB>adj<TAB>noun``, for the n-gram corpus and the treebank
+NGRAM = TSV({"word": normalize_term, "total": _count, "adj": _count, "noun": _count}, 1, None, "refuse", "ngram_repeats")
+TREEBANK = NGRAM._replace(repeated="treebank_repeats")
 
 
 class CorpusSummary:
-    """Per-word total/adjective/noun tallies from one tagged corpus."""
+    """Word (by ``normalize_term``) -> total/adjective/noun tallies in one tagged corpus."""
 
     def __init__(self, rows: dict[str, tuple[int, int, int]]):
-        self._rows = {}
-        for word, (total, adj, noun) in rows.items():
-            if min(total, adj, noun) < 0 or adj + noun > total:
-                raise DataError(f"inconsistent counts for {word!r}")
-            self._rows[normalize_term(word)] = (total, adj, noun)
+        self._rows = rows
 
     @classmethod
-    def load(cls, path) -> "CorpusSummary":
+    def load(cls, path, counts: dict | None = None, spec: TSV = NGRAM) -> "CorpusSummary":
         rows = {}
-        for lineno, line in numbered_lines(path):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>total<TAB>adj<TAB>noun")
-            rows[parts[0]] = _counts(path, lineno, parts[1:4])
+        for lineno, (word, *tallies) in read_tsv(path, spec, counts):
+            total, adj, noun = rows[word] = tuple(tallies)
+            if adj + noun > total:
+                raise DataError(f"{path}:{lineno}: inconsistent counts for {word!r}")
         return cls(rows)
 
     def lookup(self, word: str) -> tuple[int, int, int] | None:
@@ -142,6 +135,17 @@ def pos_features(color: str, corpus: CorpusSummary) -> tuple[float | None, float
     return float(total), pct
 
 
+def _process(cell: str) -> str:
+    process = cell.strip()
+    if process not in _VALID_PROCESSES:
+        raise ValueError(f"unknown process {process!r}")
+    return process
+
+
+#: ``color<TAB>process<TAB>count<TAB>total``, a color's counts of a process summed
+ETYMOLOGY = TSV({"color": normalize_term, "process": _process, "count": _count, "total": _count}, 2, None, "all")
+
+
 class EtymologyTable:
     """Per-color counts of word-formation processes, with totals."""
 
@@ -150,47 +154,31 @@ class EtymologyTable:
         self._totals: dict[str, int] = {}
 
     @classmethod
-    def load(cls, path) -> "EtymologyTable":
+    def load(cls, path, counts: dict | None = None) -> "EtymologyTable":
+        """Read as ``ETYMOLOGY`` declares.  Raises DataError naming the line
+        for a color's second total and a summed count too large for a
+        float, and the color for suffix-derivation exceeding derivation
+        (suffix cases are a subset of derivation cases)."""
         table = cls()
-        for lineno, line in numbered_lines(path):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 4:
-                raise DataError(
-                    f"{path}:{lineno}: expected color<TAB>process<TAB>count<TAB>total"
-                )
-            color = normalize_term(parts[0])
-            process = parts[1].strip()
-            if process not in _VALID_PROCESSES:
-                raise DataError(f"{path}:{lineno}: unknown process {process!r}")
-            count, total = _counts(path, lineno, parts[2:4])
-            if count < 0 or total < 0:
-                raise DataError(f"{path}:{lineno}: negative count")
-            table.add(color, process, count, total)
-            # the color's count of this process, summed over its lines
-            _counts(path, lineno, [table.count(color, process)])
-        table.validate()
+        for lineno, row in read_tsv(path, ETYMOLOGY, counts):
+            try:
+                _count(table.add(*row))
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+        for color in table._totals:
+            if table.count(color, "suffix-derivation") > table.count(color, "derivation"):
+                raise DataError(f"{path}: suffix-derivation exceeds derivation for color {color!r}")
         return table
 
-    def add(self, color: str, process: str, count: int, total: int):
+    def add(self, color: str, process: str, count: int, total: int) -> int:
+        """Add to the color's count of ``process`` and return the sum;
+        raises ValueError for a total other than the color's earlier one."""
         color = normalize_term(color)
+        if self._totals.setdefault(color, total) != total:
+            raise ValueError(f"conflicting totals for color {color!r}")
         key = (color, process)
-        prior_total = self._totals.get(color)
-        if prior_total is not None and prior_total != total:
-            raise DataError(f"conflicting totals for color {color!r}")
         self._counts[key] = self._counts.get(key, 0) + count
-        self._totals[color] = total
-
-    def validate(self):
-        # suffix cases are a subset of derivation cases
-        for color in self._totals:
-            suffix = self._counts.get((color, "suffix-derivation"), 0)
-            deriv = self._counts.get((color, "derivation"), 0)
-            if suffix > deriv:
-                raise DataError(
-                    f"suffix-derivation exceeds derivation for color {color!r}"
-                )
+        return self._counts[key]
 
     def count(self, color: str, process: str) -> int:
         return self._counts.get((normalize_term(color), process), 0)

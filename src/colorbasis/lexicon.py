@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -46,11 +46,60 @@ def numbered_lines(path):
             yield number, line.rstrip("\n")
 
 
-@dataclass(frozen=True)
-class LoadReport:
-    rows_read: int
-    entries: int
-    skipped: int
+class TSV(NamedTuple):
+    """How ``read_tsv`` reads one tab-separated input.  ``columns`` names
+    the leading cells of a row, each with the parser that returns its
+    value or raises ValueError saying what is wrong (``None`` keeps the
+    text); later cells are ignored.  The first ``key`` values are the
+    row's key.  A row with fewer cells or a blank one is skipped and
+    counted under ``skipped``, or refused if that is None.  A row whose
+    key an earlier row has is, by ``repeat``, refused if its value differs
+    and else dropped and counted under ``repeated`` (``"refuse"``), dropped
+    and counted (``"first"``), or kept for the table to merge (``"all"``)."""
+
+    columns: dict[str, Callable[[str], object] | None]
+    key: int
+    skipped: str | None
+    repeat: str
+    repeated: str | None = None
+
+
+def read_tsv(path, spec: TSV, counts: dict | None = None):
+    """Yield ``(line number, values)`` for each row of the TSV at ``path``
+    that ``spec`` keeps, its cells parsed; blank lines are passed over.
+    Sets ``spec``'s counts of rows skipped and repeats dropped in
+    ``counts``.  Raises DataError naming ``path:line`` for a row it
+    refuses, and the earlier line as well for a repeated key."""
+    counts = {} if counts is None else counts
+    counts.update((name, 0) for name in (spec.skipped, spec.repeated) if name)
+    width = len(spec.columns)
+    parsers = [(i, parse) for i, parse in enumerate(spec.columns.values()) if parse]
+    seen: dict[tuple, tuple[int, tuple]] = {}
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        cells = line.split("\t", width)[:width]
+        if len(cells) < width or not all(map(str.strip, cells)):
+            if spec.skipped is None:
+                raise DataError(f"{path}:{lineno}: expected {'<TAB>'.join(spec.columns)}")
+            counts[spec.skipped] += 1
+            log.warning("%s:%d: malformed row skipped", path, lineno)
+            continue
+        try:
+            for i, parse in parsers:
+                cells[i] = parse(cells[i])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        row = tuple(cells)
+        if spec.repeat != "all":
+            first, earlier = seen.setdefault(row[: spec.key], (lineno, row))
+            if first != lineno:
+                if spec.repeat == "refuse" and earlier != row:
+                    key = " ".join(map(repr, row[: spec.key]))
+                    raise DataError(f"{path}:{lineno}: {key} repeats line {first} with another value")
+                counts[spec.repeated] += 1
+                continue
+        yield lineno, row
 
 
 class TranslationTable:
@@ -66,9 +115,8 @@ class TranslationTable:
     and safe to call concurrently.
     """
 
-    def __init__(self, glosses: dict[str, dict[str, tuple[str, ...]]], load_report: LoadReport | None = None):
+    def __init__(self, glosses: dict[str, dict[str, tuple[str, ...]]]):
         self._glosses = glosses
-        self.load_report = load_report
 
     @classmethod
     def from_sorted(cls, entries) -> "TranslationTable":
@@ -110,14 +158,6 @@ class TranslationTable:
                 for gloss in glosses:
                     yield lang, word, gloss
 
-    def __len__(self) -> int:
-        return sum(len(glosses) for words in self._glosses.values() for glosses in words.values())
-
-    @property
-    def entries(self) -> frozenset[tuple[str, str, str]]:
-        """Every edge, derived from the map on each call."""
-        return frozenset(self)
-
     @cached_property
     def _forward(self) -> dict[tuple[str, str], set[str]]:
         """(language, gloss) -> foreign words, built on first use: only
@@ -148,38 +188,28 @@ class TranslationTable:
         return words.get(word, ()) if words else ()
 
 
-def load_lexicon(path) -> TranslationTable:
-    """Load a lexicon TSV: ``language<TAB>foreign_word<TAB>english_gloss``.
+_SENTINELS = frozenset(RESERVED_SENTINELS)
 
-    Rows with fewer than three non-empty fields are skipped and counted;
-    extra columns are ignored.  Raises DataError naming ``path:line`` for
-    a foreign word holding a reserved word-boundary sentinel,
-    EmptyLexiconError when no valid row remains, and propagates I/O errors
-    for unreadable files.
-    """
-    rows = []
-    rows_read = 0
-    skipped = 0
-    for lineno, line in numbered_lines(path):
-        if not line:
-            continue
-        rows_read += 1
-        parts = line.split("\t")
-        if len(parts) < 3 or not all(p.strip() for p in parts[:3]):
-            skipped += 1
-            log.warning("%s:%d: malformed lexicon row skipped", path, lineno)
-            continue
-        if any(ch in parts[1] for ch in RESERVED_SENTINELS):
-            raise DataError(
-                f"{path}:{lineno}: foreign word {parts[1]!r} contains a reserved "
-                "word-boundary character"
-            )
-        rows.append(tuple(parts[:3]))
-    table = TranslationTable.from_rows(rows)
-    table.load_report = LoadReport(rows_read=rows_read, entries=len(table), skipped=skipped)
-    if not len(table):
+
+def _boundary_free(word: str) -> str:
+    if not _SENTINELS.isdisjoint(word):
+        raise ValueError(f"foreign word {word!r} contains a reserved word-boundary character")
+    return word
+
+
+#: ``language<TAB>foreign_word<TAB>english_gloss``, kept as it stands for
+#: ``TranslationTable.from_rows`` to normalize and merge
+LEXICON = TSV({"language": None, "foreign_word": _boundary_free, "english_gloss": None}, 3, "lexicon_rows_skipped", "all")
+
+
+def load_lexicon(path, counts: dict | None = None) -> TranslationTable:
+    """Load a lexicon TSV as ``LEXICON`` declares it: rows with fewer than
+    three non-blank fields are skipped and counted.  Raises DataError for
+    a foreign word holding a reserved word-boundary sentinel, and
+    EmptyLexiconError when no valid row remains."""
+    table = TranslationTable.from_rows(row for _, row in read_tsv(path, LEXICON, counts))
+    if not table.languages():
         raise EmptyLexiconError(f"{path}: no valid lexicon rows")
-    log.info("%s: %d rows read, %d entries, %d skipped", path, rows_read, len(table), skipped)
     return table
 
 

@@ -58,6 +58,8 @@ from .compounds import CompoundRow, compound_counts, extract_candidates, score_a
 from .config import PipelineConfig
 from .errors import DataError, DependencyError, StageError, UndefinedGammaError
 from .features import (
+    NGRAM,
+    TREEBANK,
     ConcretenessLexicon,
     CorpusSummary,
     EtymologyTable,
@@ -221,7 +223,8 @@ def _read_feature_matrix(out: Path) -> FeatureMatrix:
 
 
 def stage_ingest(cfg: PipelineConfig) -> StageResult:
-    table = load_lexicon(cfg.lexicon)
+    counts = {}
+    table = load_lexicon(cfg.lexicon, counts)
     seeds = load_seeds(cfg.seeds)
 
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in table]
@@ -238,10 +241,9 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
                         json.dumps(sorted(rec.back_translations)),
                     )
                 )
-    report = table.load_report
     return {
         "lexicon_entries": len(lex_lines),
-        "lexicon_rows_skipped": report.skipped if report else 0,
+        **counts,
         "languages": len(table.languages()),
         "colors": len(seeds),
         "roundtrip_rows": len(rows),
@@ -359,7 +361,8 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = load_seeds(cfg.seeds)
     colors = [c.term for c in seeds]
-    conc = ConcretenessLexicon.load(cfg.concreteness)
+    counts = {"colors": len(colors)}
+    conc = ConcretenessLexicon.load(cfg.concreteness, counts)
     # each color's round-trip rows are reduced, as soon as they end, to its
     # translation pairs and its translation concreteness (see
     # ``_translation_pairs``)
@@ -371,9 +374,9 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
         concreteness[color] = translation_concreteness(color, records, conc)
     accepted = set(_read(out, "compounds.csv", ("language", "word"), _ACCEPTED))
 
-    ngram = CorpusSummary.load(cfg.ngram)
-    treebank = CorpusSummary.load(cfg.treebank)
-    etym = EtymologyTable.load(cfg.etymology)
+    ngram = CorpusSummary.load(cfg.ngram, counts, NGRAM)
+    treebank = CorpusSummary.load(cfg.treebank, counts, TREEBANK)
+    etym = EtymologyTable.load(cfg.etymology, counts)
 
     compound_feats, compound_missing = compound_counts(
         accepted, {c: translations.get(c, []) for c in colors}
@@ -406,7 +409,7 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
             v = maps[col][color]
             row.append("" if v is None else repr(v))
         rows.append(row)
-    return {"colors": len(colors)}, {
+    return counts, {
         "cache/features_base.csv": _csv_text("cache/features_base.csv", rows),
     }
 
@@ -453,6 +456,8 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
             f"needs at least {PRESENCE_TOP_COLORS}"
         )
 
+    imputed = {col: sum(matrix.missing[col]) for col in NON_AFFIX_COLUMNS}
+
     def affix_fn(bootstrap_ranking):
         scores, missing = affix_presence_feature(
             matrix.colors,
@@ -463,6 +468,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         )
         present = [scores[c] for c in matrix.colors if c not in missing]
         med = statistics.median(present) if present else 0.0
+        imputed[AFFIX_COLUMN] = len(missing)
         return {c: med if c in missing else scores[c] for c in matrix.colors}
 
     boot, final, matrix = bootstrap_then_full_aggregate(
@@ -485,6 +491,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         "colors_dropped": len(matrix.dropped),
         "dropped": [c for c, _ in matrix.dropped],
         "top_color": final.colors[0],
+        "imputed": imputed,
     }, {
         "features.csv": _csv_text("features.csv", feat_rows),
         "ranking.csv": _csv_text("ranking.csv", ranking_rows(final)),
@@ -584,14 +591,10 @@ def stage_rfe(cfg: PipelineConfig) -> StageResult:
 
 
 def stage_wcs(cfg: PipelineConfig) -> StageResult:
-    table = load_wcs(cfg.wcs)
+    counts = {}
+    table = load_wcs(cfg.wcs, counts)
     summaries, consensus, inventory, svg = heterogeneity_report(table)
-    return {
-        "languages": len(summaries),
-        "responses": len(table.rows),
-        "conflicts": table.conflicts,
-        "rows_skipped": table.skipped,
-    }, {
+    return {"languages": len(summaries), "responses": len(table.rows), **counts}, {
         "consensus.csv": _csv_text("consensus.csv", consensus),
         "inventory.csv": _csv_text("inventory.csv", inventory),
         "heterogeneity.svg": svg,

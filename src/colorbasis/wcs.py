@@ -12,28 +12,22 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .lexicon import numbered_lines
+from .lexicon import TSV, read_tsv
 
 
 def _norm(s: str) -> str:
     return unicodedata.normalize("NFC", s.strip())
 
 
-@dataclass
 class ElicitationTable:
     """Deduplicated (language, speaker, chip) -> term responses."""
 
-    rows: list[tuple[str, str, str, str]]
-    conflicts: int = 0
-    skipped: int = 0
-    _by_language: dict[str, list[tuple[str, str, str]]] = field(
-        init=False, repr=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        for lang, speaker, chip, term in self.rows:
+    def __init__(self, rows: list[tuple[str, str, str, str]]):
+        self.rows = rows
+        self._by_language: dict[str, list[tuple[str, str, str]]] = {}
+        for lang, speaker, chip, term in rows:
             self._by_language.setdefault(lang, []).append((speaker, chip, term))
 
     def languages(self) -> list[str]:
@@ -45,34 +39,17 @@ class ElicitationTable:
         return list(self._by_language[language])
 
 
-def load_wcs(path) -> ElicitationTable:
-    """Load elicitation TSV: ``language<TAB>speaker<TAB>chip<TAB>term``.
+#: ``language<TAB>speaker<TAB>chip<TAB>term``: the first response of a
+#: speaker to a chip is kept
+WCS = TSV(dict.fromkeys(("language", "speaker", "chip", "term"), _norm), 3, "rows_skipped", "first", "conflicts")
 
-    Later rows duplicating a (language, speaker, chip) key are dropped
-    and counted as conflicts; rows with an empty term are skipped.
-    """
-    rows = []
-    seen = set()
-    conflicts = 0
-    skipped = 0
-    for _, line in numbered_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 4:
-            skipped += 1
-            continue
-        lang, speaker, chip, term = (_norm(p) for p in parts[:4])
-        if not term or not lang or not speaker or not chip:
-            skipped += 1
-            continue
-        key = (lang, speaker, chip)
-        if key in seen:
-            conflicts += 1
-            continue
-        seen.add(key)
-        rows.append((lang, speaker, chip, term))
-    return ElicitationTable(rows=rows, conflicts=conflicts, skipped=skipped)
+
+def load_wcs(path, counts: dict | None = None) -> ElicitationTable:
+    """Load the elicitation TSV as ``WCS`` declares it: a row with fewer
+    than four fields or a blank one is skipped and counted under
+    ``rows_skipped``, and a later row repeating a (language, speaker,
+    chip) key dropped and counted under ``conflicts``."""
+    return ElicitationTable(rows=[row for _, row in read_tsv(path, WCS, counts)])
 
 
 def term_consensus(table: ElicitationTable, language: str) -> dict[str, float]:

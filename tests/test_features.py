@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,9 +40,11 @@ def test_word_concreteness_lookup(conc):
     assert word_concreteness("chartreuse", conc) is None
 
 
-def test_concreteness_rating_range():
-    with pytest.raises(DataError):
-        ConcretenessLexicon({"x": 0.5})
+def test_concreteness_rating_range(tmp_path):
+    path = tmp_path / "conc.tsv"
+    path.write_text("orange\t4.66\nx\t0.5\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: concreteness rating out of range: 0.5$"):
+        ConcretenessLexicon.load(path)
 
 
 def test_concreteness_load(tmp_path, conc):
@@ -144,9 +148,11 @@ def test_pos_features_no_tags():
     assert pos_features("red", corpus) == (60.0, None)
 
 
-def test_corpus_rejects_inconsistent_counts():
-    with pytest.raises(DataError):
-        CorpusSummary({"red": (10, 9, 9)})
+def test_corpus_rejects_inconsistent_counts(tmp_path):
+    path = tmp_path / "ngram.tsv"
+    path.write_text("blue\t5\t1\t1\nred\t10\t9\t9\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: inconsistent counts for 'red'$"):
+        CorpusSummary.load(path)
 
 
 def test_corpus_load(tmp_path):

@@ -5,7 +5,8 @@ lexicon rows and adds generated ones (new words for the demo colors and
 for a few non-color glosses, in the demo languages and in new ones), then
 runs the pipeline through the command line.  The exit-code tests also
 add malformed rows and may drop every demo row, or make one edit to any
-one input file or the config.
+one input file or the config.  The table row-order test adds rows to the
+concreteness, n-gram, treebank, etymology and survey inputs instead.
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from colorbasis import demo
 from colorbasis.cli import main
 from colorbasis.config import load_config
 from colorbasis.demo import write_demo
@@ -181,6 +183,65 @@ def test_shuffled_lexicon_rows_give_identical_outputs(dataset):
         ]
         assert codes[0] == codes[1]
         assert _outputs(tmp / "ordered" / "out") == _outputs(tmp / "shuffled" / "out")
+
+
+def _another_value(name: str, cells: list[str]) -> list[str]:
+    """A demo row of ``name`` with its key kept and another value."""
+    if name == "concreteness.tsv":
+        return [cells[0], "1.25" if cells[1] != "1.25" else "4.95"]
+    if name == "etymology.tsv":
+        # the counts of one color and process are summed, in any order
+        return [*cells[:2], str(int(cells[2]) + 3), cells[3]]
+    total, adj, noun = map(int, cells[1:])
+    return [cells[0], str(total + 7), str(adj), str(noun + 1)]
+
+
+@st.composite
+def _repeated_table_rows(draw):
+    """Per table input, the demo's lines and drawn lines to add: copies
+    of demo rows (identical repeats), demo keys with another value
+    (conflicting repeats) and new keys.  Survey rows are copies of demo
+    rows or responses under new keys, never another response to a
+    speaker's chip, since the first response is kept by design."""
+    kinds = st.sampled_from(["copy", "another", "new"] if draw(st.booleans()) else ["copy", "new"])
+    tables = {}
+    for name in ("concreteness.tsv", "ngram.tsv", "treebank.tsv", "etymology.tsv", "wcs.tsv"):
+        lines = getattr(demo, f"build_{name[:-4]}")().splitlines()
+        extra = []
+        for kind, i in draw(st.lists(st.tuples(kinds, st.integers(0, 999)), max_size=3)):
+            cells = lines[i % len(lines)].split("\t")
+            if kind == "copy":
+                extra.append(cells)
+            elif name == "wcs.tsv":
+                extra.append(["zzz", f"s{i % 3}", f"c{i}", cells[3]])
+            elif kind == "another":
+                extra.append(_another_value(name, cells))
+            else:
+                extra.append([f"zz{i}", *cells[1:]])
+        tables[name] = lines + ["\t".join(cells) for cells in extra]
+    return tables
+
+
+@settings(max_examples=8)
+@given(_repeated_table_rows(), st.randoms(use_true_random=False))
+def test_shuffled_table_rows_give_identical_outputs(tables, rng):
+    # a repeated key with another value is refused whatever the row order,
+    # an identical one is dropped, and etymology counts are summed, so no
+    # table keeps whichever of two rows comes last.  A shuffle and its
+    # reverse put every two rows in opposite orders, so one of them swaps
+    # any two rows of the original.
+    shuffled = {name: rng.sample(lines, len(lines)) for name, lines in tables.items()}
+    orders = [tables, shuffled, {name: lines[::-1] for name, lines in shuffled.items()}]
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for i, order in enumerate(orders):
+            root = Path(tmp) / str(i)
+            config = write_demo(root)
+            for name, lines in order.items():
+                (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            results.append((_run(config, root / "out"), _outputs(root / "out")))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
 
 @settings(max_examples=3)

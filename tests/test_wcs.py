@@ -26,9 +26,10 @@ def test_load_valid_rows(tmp_path):
             ("aaa", "s2", "c1", "mol"),
         ],
     )
-    table = load_wcs(path)
+    counts = {}
+    table = load_wcs(path, counts)
     assert len(table.rows) == 3
-    assert table.conflicts == 0
+    assert counts["conflicts"] == 0
 
 
 def test_load_duplicate_keeps_first(tmp_path):
@@ -36,10 +37,11 @@ def test_load_duplicate_keeps_first(tmp_path):
         tmp_path,
         [("aaa", "s1", "c1", "mol"), ("aaa", "s1", "c1", "kib")],
     )
-    table = load_wcs(path)
+    counts = {}
+    table = load_wcs(path, counts)
     assert len(table.rows) == 1
     assert table.rows[0][3] == "mol"
-    assert table.conflicts == 1
+    assert counts["conflicts"] == 1
 
 
 def test_load_skips_empty_terms(tmp_path):
@@ -47,9 +49,10 @@ def test_load_skips_empty_terms(tmp_path):
         tmp_path,
         [("aaa", "s1", "c1", "mol"), ("aaa", "s1", "c2", " ")],
     )
-    table = load_wcs(path)
+    counts = {}
+    table = load_wcs(path, counts)
     assert len(table.rows) == 1
-    assert table.skipped == 1
+    assert counts["rows_skipped"] == 1
 
 
 def _table(rows):
