@@ -74,10 +74,12 @@ def weighted_concreteness(weights: dict[str, int], lex: ConcretenessLexicon) -> 
     return num / den if den else None
 
 
-def translation_concreteness(color: str, records, lex: ConcretenessLexicon) -> float | None:
-    """Mean concreteness of a color's back-translations, each weighted by
-    the number of languages whose round-trip set contains it."""
-    attested = {(rec.language, sense) for rec in records for sense in rec.back_translations}
+def translation_concreteness(rows, lex: ConcretenessLexicon) -> float | None:
+    """Mean concreteness of a color's back-translations, given as
+    ``(language, back-translations)`` for each of its round-trip rows,
+    each sense weighted by the number of languages whose round-trip set
+    contains it."""
+    attested = {(lang, sense) for lang, senses in rows for sense in senses}
     weights = Counter(map(itemgetter(1), attested))
     return weighted_concreteness(weights, lex)
 
@@ -229,19 +231,32 @@ class FeatureMatrix:
         return list(self.values[name])
 
     def with_column(self, name: str, values) -> "FeatureMatrix":
+        """A copy with column ``name`` set to ``values``, its missing (None)
+        cells filled and marked as ``assemble_feature_matrix`` does."""
         if name not in self.columns:
             raise ValueError(f"unknown column {name!r}")
         if len(values) != len(self.colors):
             raise ValueError("column length mismatch")
         new_values = {c: list(v) for c, v in self.values.items()}
-        new_values[name] = [float(v) for v in values]
+        missing = {c: list(m) for c, m in self.missing.items()}
+        new_values[name], missing[name] = _median_filled(name, values)
         return FeatureMatrix(
             colors=list(self.colors),
             columns=self.columns,
             values=new_values,
-            missing={c: list(m) for c, m in self.missing.items()},
+            missing=missing,
             dropped=list(self.dropped),
         )
+
+
+def _median_filled(name: str, raw) -> tuple[list[float], list[bool]]:
+    """Column ``name``'s values with each missing (None) cell filled with
+    the median of the present ones, and the mask of the filled cells."""
+    present = [v for v in raw if v is not None]
+    if not present:
+        raise DataError(f"feature column {name!r} is entirely missing")
+    med = float(statistics.median(present))
+    return [med if v is None else float(v) for v in raw], [v is None for v in raw]
 
 
 def assemble_feature_matrix(
@@ -281,13 +296,7 @@ def assemble_feature_matrix(
     values: dict[str, list[float]] = {}
     missing: dict[str, list[bool]] = {}
     for col in columns:
-        raw = [feature_maps[col].get(c) for c in survivors]
-        present = [v for v in raw if v is not None]
-        if not present:
-            raise DataError(f"feature column {col!r} is entirely missing")
-        med = statistics.median(present)
-        values[col] = [float(v) if v is not None else float(med) for v in raw]
-        missing[col] = [v is None for v in raw]
+        values[col], missing[col] = _median_filled(col, [feature_maps[col].get(c) for c in survivors])
 
     return FeatureMatrix(
         colors=survivors,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -282,15 +282,15 @@ def load_seeds(path) -> list[ColorConcept]:
 class RoundTripRecord(NamedTuple):
     """One forward edge plus everything it leads back to.
 
-    ``back_translations`` is the union of glosses of ``foreign_word``
-    within the same language: a frozenset from ``round_trip``, the sorted
-    list cached in ``cache/roundtrips.csv`` when read back from there.
+    ``back_translations`` is every gloss of ``foreign_word`` within the
+    same language, sorted: the table's own tuple, which
+    ``cache/roundtrips.csv`` holds as a JSON list.
     """
 
     color: str
     language: str
     foreign_word: str
-    back_translations: Collection[str]
+    back_translations: tuple[str, ...]
 
 
 def round_trip(table: TranslationTable, color: str, lang: str) -> list[RoundTripRecord]:
@@ -299,14 +299,7 @@ def round_trip(table: TranslationTable, color: str, lang: str) -> list[RoundTrip
     One record per foreign word, ordered by foreign word; the union of
     all back-translation sets is the color's sense set through ``lang``.
     """
-    records = []
-    for word in sorted(translate(table, color, lang)):
-        records.append(
-            RoundTripRecord(
-                color=color,
-                language=lang,
-                foreign_word=word,
-                back_translations=frozenset(back_translate(table, word, lang)),
-            )
-        )
-    return records
+    return [
+        RoundTripRecord(color, lang, word, table.glosses(lang, word))
+        for word in sorted(translate(table, color, lang))
+    ]

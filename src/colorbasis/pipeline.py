@@ -42,14 +42,12 @@ import json
 import logging
 import os
 import resource
-import statistics
 import sys
 import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from itertools import groupby, islice
+from itertools import compress, groupby, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
@@ -73,7 +71,6 @@ from .features import (
 )
 from .lexicon import (
     ColorConcept,
-    RoundTripRecord,
     TranslationTable,
     load_lexicon,
     load_seeds,
@@ -122,7 +119,7 @@ COLUMNS = {
     "cache/segmentations.csv": ("language", "word", "segments"),
     "affixes.csv": ("language", "affix", "position", "class", "color_coverage", "global_coverage"),
     "compounds.csv": CompoundRow._fields,
-    "cache/features_base.csv": ("color", "has_translations", *NON_AFFIX_COLUMNS),
+    "cache/features_base.csv": ("color", *NON_AFFIX_COLUMNS),
     "features.csv": ("color", *FEATURE_COLUMNS),
     "ranking.csv": _RANKING_COLUMNS,
     "ranking_bootstrap.csv": _RANKING_COLUMNS,
@@ -161,10 +158,9 @@ _ACCEPTED = methodcaller("endswith", ",1\n")
 #: a row's first and last cells
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
-#: a translation pair, (language, foreign word), of a round-trip row or record
+#: a round-trip row's language, and its translation pair (language, foreign word)
+_LANGUAGE = itemgetter(1)
 _PAIR = itemgetter(1, 2)
-#: a RoundTripRecord from its four fields, without a Python-level call
-_new_record = partial(tuple.__new__, RoundTripRecord)
 
 #: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``: few
 #: enough that a block's decoded lists are gone before the cyclic
@@ -238,7 +234,7 @@ def stage_ingest(cfg: PipelineConfig) -> StageResult:
                         rec.color,
                         rec.language,
                         rec.foreign_word,
-                        json.dumps(sorted(rec.back_translations)),
+                        json.dumps(rec.back_translations),
                     )
                 )
     return {
@@ -279,6 +275,8 @@ def _train_language(args):
     )
     facts = {
         "words": len(model.segmentations),
+        "segments": len(model.counts),
+        "affixes": len(affix_rows),
         "edge_split_moves": model.edge_split_moves,
         "edge_split_capped": model.edge_split_capped,
         "em_passes": model.em_passes,
@@ -369,9 +367,9 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
     for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[0][0]):
-        records = [_new_record((*row[:3], senses)) for row, senses in group]
-        translations[color] = list(map(_PAIR, records))
-        concreteness[color] = translation_concreteness(color, records, conc)
+        color_rows, senses = zip(*group)
+        translations[color] = list(map(_PAIR, color_rows))
+        concreteness[color] = translation_concreteness(zip(map(_LANGUAGE, color_rows), senses), conc)
     accepted = set(_read(out, "compounds.csv", ("language", "word"), _ACCEPTED))
 
     ngram = CorpusSummary.load(cfg.ngram, counts, NGRAM)
@@ -404,7 +402,7 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 
     rows = []
     for color in colors:
-        row = [color, "1" if translations.get(color) else "0"]
+        row = [color]
         for col in NON_AFFIX_COLUMNS:
             v = maps[col][color]
             row.append("" if v is None else repr(v))
@@ -417,19 +415,19 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
 def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     seeds = {c.term: c for c in load_seeds(cfg.seeds)}
+    translations = _translation_pairs(
+        _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
+    )
     colors = []
     maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
-    for color, translated, *cells in _read(out, "cache/features_base.csv"):
+    for color, *cells in _read(out, "cache/features_base.csv"):
         colors.append(color)
         for col, cell in zip(NON_AFFIX_COLUMNS, cells):
             maps[col][color] = float(cell) if cell else None
         # The affix column is bootstrap-dependent; before the bootstrap it
         # is a placeholder that only contributes its missingness (colors
         # without translations can never receive a score) to the drop rule.
-        maps[AFFIX_COLUMN][color] = 0.0 if translated == "1" else None
-    translations = _translation_pairs(
-        _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
-    )
+        maps[AFFIX_COLUMN][color] = 0.0 if color in translations else None
     # the affix-presence feature looks up nothing but the segmentations of
     # more than one segment of the translation pairs: only the pairs' rows
     # are decoded and only those segmentations kept, each keyed by the pair
@@ -456,8 +454,6 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
             f"needs at least {PRESENCE_TOP_COLORS}"
         )
 
-    imputed = {col: sum(matrix.missing[col]) for col in NON_AFFIX_COLUMNS}
-
     def affix_fn(bootstrap_ranking):
         scores, missing = affix_presence_feature(
             matrix.colors,
@@ -466,10 +462,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
             bootstrap_ranking,
             min_support=cfg.affix_min_support,
         )
-        present = [scores[c] for c in matrix.colors if c not in missing]
-        med = statistics.median(present) if present else 0.0
-        imputed[AFFIX_COLUMN] = len(missing)
-        return {c: med if c in missing else scores[c] for c in matrix.colors}
+        return {c: None if c in missing else scores[c] for c in matrix.colors}
 
     boot, final, matrix = bootstrap_then_full_aggregate(
         matrix, cfg.negated, cfg.transforms, affix_fn
@@ -491,7 +484,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         "colors_dropped": len(matrix.dropped),
         "dropped": [c for c, _ in matrix.dropped],
         "top_color": final.colors[0],
-        "imputed": imputed,
+        "imputed": {col: sum(cells) for col, cells in matrix.missing.items()},
     }, {
         "features.csv": _csv_text("features.csv", feat_rows),
         "ranking.csv": _csv_text("ranking.csv", ranking_rows(final)),
@@ -500,15 +493,19 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
 
 
 def _targets_for(matrix: FeatureMatrix, seeds: dict[str, ColorConcept], scope: str):
+    """The basic flags of ``matrix``'s colors; and the matrix the sequence
+    is measured on, with its sequence target: under ``basic-only`` its
+    basic colors alone, else ``matrix`` itself."""
     basic_flags = [1.0 if seeds[c].is_basic else 0.0 for c in matrix.colors]
+    if scope == "basic-only":
+        matrix = FeatureMatrix(
+            colors=list(compress(matrix.colors, basic_flags)),
+            columns=matrix.columns,
+            values={col: list(compress(values, basic_flags)) for col, values in matrix.values.items()},
+        )
     stages = {c.term: c.bk_stage for c in seeds.values() if c.bk_stage is not None}
     is_basic = {c.term: c.is_basic for c in seeds.values()}
-    seq = sequence_target(matrix.colors, is_basic, stages)
-    if scope == "basic-only":
-        idx = [i for i, c in enumerate(matrix.colors) if seeds[c].is_basic]
-    else:
-        idx = list(range(len(matrix.colors)))
-    return basic_flags, seq, idx
+    return basic_flags, matrix, sequence_target(matrix.colors, is_basic, stages)
 
 
 def _gamma_or_nan(x, y) -> float:
@@ -522,21 +519,18 @@ def stage_gamma(cfg: PipelineConfig) -> StageResult:
     out = cfg.output_dir
     matrix = _read_feature_matrix(out)
     seeds = {c.term: c for c in load_seeds(cfg.seeds)}
-    basic_flags, seq, seq_idx = _targets_for(matrix, seeds, cfg.sequence_scope)
+    basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
 
     rows = []
     for col in matrix.columns:
-        series = matrix.column(col)
-        if col in cfg.negated:
-            series = [-v for v in series]
-        gb = _gamma_or_nan(series, basic_flags)
-        gs = _gamma_or_nan([series[i] for i in seq_idx], [seq[i] for i in seq_idx])
+        sign = -1.0 if col in cfg.negated else 1.0  # exact: v or -v
+        gb = _gamma_or_nan([sign * v for v in matrix.values[col]], basic_flags)
+        gs = _gamma_or_nan([sign * v for v in scoped.values[col]], seq)
         rows.append((col, _fmt(gb), _fmt(gs)))
 
-    ranking = aggregate(matrix, cfg.negated, transforms=cfg.transforms)
-    scores = [ranking.scores_by_color[c] for c in matrix.colors]
-    gb = _gamma_or_nan(scores, basic_flags)
-    gs = _gamma_or_nan([scores[i] for i in seq_idx], [seq[i] for i in seq_idx])
+    scores = aggregate(matrix, cfg.negated, transforms=cfg.transforms).scores_by_color
+    gb = _gamma_or_nan([scores[c] for c in matrix.colors], basic_flags)
+    gs = _gamma_or_nan([scores[c] for c in scoped.colors], seq)
     rows.append(("aggregate", _fmt(gb), _fmt(gs)))
 
     return {
@@ -553,25 +547,12 @@ def stage_rfe(cfg: PipelineConfig) -> StageResult:
         return {"enabled": False}, {"rfe.json": json.dumps({"enabled": False}, indent=2) + "\n"}
     matrix = _read_feature_matrix(out)
     seeds = {c.term: c for c in load_seeds(cfg.seeds)}
-    basic_flags, seq, seq_idx = _targets_for(matrix, seeds, cfg.sequence_scope)
+    basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
+    targets = {"basic": (matrix, basic_flags), "sequence": (scoped, seq)}
 
     payload = {"enabled": True}
     for target_name in cfg.rfe_targets:
-        if target_name == "basic":
-            target = basic_flags
-            m = matrix
-        else:
-            target = [seq[i] for i in seq_idx]
-            m = matrix
-            if len(seq_idx) != len(matrix.colors):
-                m = FeatureMatrix(
-                    colors=[matrix.colors[i] for i in seq_idx],
-                    columns=matrix.columns,
-                    values={
-                        col: [matrix.values[col][i] for i in seq_idx]
-                        for col in matrix.columns
-                    },
-                )
+        m, target = targets[target_name]
         if len(set(target)) < 2:
             # every pair is tied in a constant target, so no gamma is defined
             payload[target_name] = {"trajectory": [], "best_features": [], "best_gamma": None}
@@ -740,9 +721,10 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     for it (DataError); it records the sha256 of each artifact it writes.
     A failing stage writes nothing, so earlier artifacts and the manifest
     stay as they were; a failure of the stage itself, these refusals
-    included, is raised as a StageError.  Logs the memory
-    high-water mark of the process, and of its reaped child processes
-    such as ``segment``'s pool, once the stage is done: a mark for the
+    included, is raised as a StageError.  Once the stage is done, logs
+    its counts at INFO, with each language's facts (``per_language``) at
+    DEBUG only, and the memory high-water mark of the process, and of its
+    reaped child processes such as ``segment``'s pool: a mark for the
     whole process so far, not a peak of this stage alone.
     """
     if stage not in STAGE_FUNCS:
@@ -790,6 +772,11 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     if stage == "aggregate":
         manifest["dropped_colors"] = counts["dropped"]
     _store_manifest(out, manifest)
+    facts = counts.get("per_language", {})
+    brief = {k: v for k, v in counts.items() if k != "per_language"}
+    log.info("stage %s done: %s%s", stage, brief, "; per-language facts in manifest.json" if facts else "")
+    for lang, f in facts.items():
+        log.debug("stage %s %s: %s", stage, lang, f)
     memory_log.info(
         "stage %s memory high-water mark: process %.1f MB, reaped children %.1f MB",
         stage,
@@ -814,12 +801,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         staging = Path(staging)
         staged = dataclasses.replace(cfg, output_dir=staging)
         for stage in STAGE_ORDER:
-            counts = run_stage(staged, stage)
-            facts = counts.get("per_language", {})
-            brief = {k: v for k, v in counts.items() if k != "per_language"}
-            log.info("stage %s done: %s%s", stage, brief, "; per-language facts in manifest.json" if facts else "")
-            for lang, f in facts.items():
-                log.debug("stage %s %s: %s", stage, lang, f)
+            run_stage(staged, stage)
         manifest = _load_manifest(staging)
         last = staging / "manifest.json"
         for path in sorted(p for p in staging.rglob("*") if p.is_file() and p != last):

@@ -17,7 +17,6 @@ from colorbasis.features import (
     word_concreteness,
     word_length_feature,
 )
-from colorbasis.lexicon import RoundTripRecord
 from colorbasis.stats import FEATURE_COLUMNS
 
 
@@ -55,18 +54,9 @@ def test_concreteness_load(tmp_path, conc):
     assert lex.rating("beige") == 3.41
 
 
-def _records(color, lang_senses):
-    out = []
-    for i, senses in enumerate(lang_senses):
-        out.append(
-            RoundTripRecord(
-                color=color,
-                language=f"l{i:04d}",
-                foreign_word=f"w{i}",
-                back_translations=frozenset(senses),
-            )
-        )
-    return out
+def _rows(lang_senses):
+    """One round-trip row's (language, back-translations) per language."""
+    return [(f"l{i:04d}", sorted(senses)) for i, senses in enumerate(lang_senses)]
 
 
 def test_translation_concreteness_weighted_mean(conc):
@@ -75,8 +65,7 @@ def test_translation_concreteness_weighted_mean(conc):
     lang_senses = (
         [["black"]] * 1065 + [["dark"]] * 467 + [["dirty"]] * 162
     )
-    records = _records("black", lang_senses)
-    value = translation_concreteness("black", records, conc)
+    value = translation_concreteness(_rows(lang_senses), conc)
     expected = (1065 * 3.76 + 467 * 4.29 + 162 * 4.23) / (1065 + 467 + 162)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(6693.09 / 1694, rel=1e-12)
@@ -84,24 +73,18 @@ def test_translation_concreteness_weighted_mean(conc):
 
 
 def test_translation_concreteness_single_sense(conc):
-    records = _records("black", [["dark"]])
-    assert translation_concreteness("black", records, conc) == 4.29
+    assert translation_concreteness(_rows([["dark"]]), conc) == 4.29
 
 
 def test_translation_concreteness_unrated(conc):
-    records = _records("black", [["umbrous"], ["tenebrous"]])
-    assert translation_concreteness("black", records, conc) is None
+    assert translation_concreteness(_rows([["umbrous"], ["tenebrous"]]), conc) is None
 
 
 def test_translation_concreteness_weights_count_languages_not_edges(conc):
     # one language contributes a sense once no matter how many of its
     # words back-translate to it
-    records = [
-        RoundTripRecord("black", "l1", "w1", frozenset({"black"})),
-        RoundTripRecord("black", "l1", "w2", frozenset({"black"})),
-        RoundTripRecord("black", "l2", "w3", frozenset({"dark"})),
-    ]
-    value = translation_concreteness("black", records, conc)
+    rows = [("l1", ["black"]), ("l1", ["black"]), ("l2", ["dark"])]
+    value = translation_concreteness(rows, conc)
     assert value == pytest.approx((3.76 + 4.29) / 2)
 
 

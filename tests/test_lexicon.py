@@ -131,7 +131,7 @@ def test_round_trip_single_word():
     assert len(records) == 1
     rec = records[0]
     assert rec.foreign_word == "rot"
-    assert rec.back_translations == {"red", "rust"}
+    assert rec.back_translations == ("red", "rust")
 
 
 def test_round_trip_empty():

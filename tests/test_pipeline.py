@@ -11,6 +11,7 @@ import re
 import shutil
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -455,6 +456,7 @@ def test_segment_counts_report_each_language(demo_run):
     for line in (cfg.output_dir / "cache/lexicon_normalized.tsv").read_text(encoding="utf-8").splitlines():
         lang, word, _ = line.split("\t")
         words.setdefault(lang, set()).add(word)
+    affixes = Counter(lang for lang, *_ in _csv_rows(cfg.output_dir / "affixes.csv"))
     per_language = counts["per_language"]
     assert list(per_language) == sorted(words)
     for lang, facts in per_language.items():
@@ -463,6 +465,8 @@ def test_segment_counts_report_each_language(demo_run):
         )
         assert facts == {
             "words": len(words[lang]),
+            "segments": len(model.counts),
+            "affixes": affixes[lang],
             "edge_split_moves": model.edge_split_moves,
             "edge_split_capped": model.edge_split_capped,
             "em_passes": model.em_passes,
@@ -547,6 +551,20 @@ def test_run_log_gives_per_language_facts_at_debug_only(tmp_path, caplog):
     assert [prefix for prefix, _ in debug] == [f"stage segment {lang}" for lang in facts]
     assert [ast.literal_eval(f) for _, f in debug] == list(facts.values())
     assert len(debug) == 6
+
+
+def test_single_stage_run_logs_its_counts(demo_run, tmp_path, caplog):
+    # the stage line is written by run_stage, so a stage run on its own
+    # reports its counts as it does in a full run
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    config_path = write_demo(tmp_path)
+    with caplog.at_level("INFO", logger="colorbasis.pipeline"):
+        assert main(["features", "--config", str(config_path)]) == 0
+    counts = json.loads((cfg.output_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]["features"]["counts"]
+    (line,) = (r.getMessage() for r in caplog.records if r.name == "colorbasis.pipeline")
+    prefix, logged = line.split(": ", 1)
+    assert prefix == "stage features done"
+    assert ast.literal_eval(logged) == counts and counts["colors"] == 20
 
 
 def test_summary_report_sections(demo_run):
@@ -721,12 +739,12 @@ _LEXICON, _FIRST_ENTRY = "cache/lexicon_normalized.tsv", "cmn\t棕\tbrown\n"
 DAMAGED_ARTIFACTS = {
     # cells that are not numbers, or not finite ones
     "features-cell": ("features.csv", _replace("white,3.05,", "white,abc,"), "gamma"),
-    "features_base-cell": ("cache/features_base.csv", _replace("white,1,3.05,", "white,1,abc,"), "aggregate"),
+    "features_base-cell": ("cache/features_base.csv", _replace("white,3.05,", "white,abc,"), "aggregate"),
     "features-nan": ("features.csv", _replace("white,3.05,", "white,nan,"), "gamma"),
     "features-inf": ("features.csv", _replace("white,3.05,", "white,-inf,"), "rfe"),
-    "features_base-nan": ("cache/features_base.csv", _replace("white,1,3.05,", "white,1,nan,"), "aggregate"),
+    "features_base-nan": ("cache/features_base.csv", _replace("white,3.05,", "white,nan,"), "aggregate"),
     "features_base-unknown-color": (
-        "cache/features_base.csv", _replace("white,1,3.05,", "mauve,1,3.05,"), "aggregate",
+        "cache/features_base.csv", _replace("white,3.05,", "mauve,3.05,"), "aggregate",
     ),
     # a number that still reads as one
     "features-number-edited": ("features.csv", _replace("white,3.05,", "white,3.06,"), "gamma"),
@@ -737,8 +755,8 @@ DAMAGED_ARTIFACTS = {
     "compounds-column": ("compounds.csv", _replace(",glue,", ",paste,"), "features"),
     "ranking-two-columns": ("ranking.csv", _drop_columns("score", "basic"), "report"),
     "gamma-one-column": ("gamma.csv", _drop_columns("gamma_basic", "gamma_sequence"), "report"),
-    "features_base-no-has_translations": (
-        "cache/features_base.csv", _drop_columns("has_translations"), "aggregate",
+    "features_base-no-translation-concreteness": (
+        "cache/features_base.csv", _drop_columns("translation-concreteness"), "aggregate",
     ),
     "features-no-color": ("features.csv", _drop_columns("color"), "gamma"),
     "affixes-no-class": ("affixes.csv", _drop_columns("class"), "report"),
@@ -969,17 +987,18 @@ def test_features_reduces_each_color_as_its_rows_end(demo_run, tmp_path, monkeyp
     calls = []
     translation_concreteness = pipeline.translation_concreteness
 
-    def recording(color, records, lex):
-        calls.append((color, [(r.language, r.foreign_word) for r in records]))
-        return translation_concreteness(color, records, lex)
+    def recording(rows, lex):
+        rows = list(rows)
+        calls.append(rows)
+        return translation_concreteness(rows, lex)
 
     monkeypatch.setattr(pipeline, "translation_concreteness", recording)
     before = (out / "cache/features_base.csv").read_bytes()
     run_stage(cfg, "features")
     expected = {}
-    for color, lang, word, _ in roundtrips:
-        expected.setdefault(color, []).append((lang, word))
-    assert calls == list(expected.items())
+    for color, lang, _, senses in roundtrips:
+        expected.setdefault(color, []).append((lang, json.loads(senses)))
+    assert calls == list(expected.values())
     assert (out / "cache/features_base.csv").read_bytes() == before
 
 

@@ -6,12 +6,15 @@ for a few non-color glosses, in the demo languages and in new ones), then
 runs the pipeline through the command line.  The exit-code tests also
 add malformed rows and may drop every demo row, or make one edit to any
 one input file or the config.  The table row-order test adds rows to the
-concreteness, n-gram, treebank, etymology and survey inputs instead.
+concreteness, n-gram, treebank, etymology and survey inputs instead.  The
+scaling and order tests draw the demo's treebank and etymology counts, or
+map its concreteness ratings, in place.
 """
 
 import json
 import random
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -252,3 +255,88 @@ def test_jobs_1_and_2_give_identical_outputs(dataset):
         config = _write(tmp, dataset)
         assert _run(config, tmp / "serial", jobs=1) == _run(config, tmp / "parallel", jobs=2)
         assert _outputs(tmp / "serial") == _outputs(tmp / "parallel")
+
+
+@st.composite
+def _count_tables(draw):
+    """The demo's treebank and etymology rows with drawn counts, each row
+    as (its key cells, its counts): a word's adjective and noun tallies, not
+    both 0, and a total of at least their sum, and per color a total and a
+    count per process, suffix-derivation at most derivation."""
+    small = st.integers(0, 99)
+    treebank = []
+    for line in demo.build_treebank().splitlines():
+        adj = draw(small)
+        noun = draw(st.integers(0 if adj else 1, 99))
+        treebank.append((line.split("\t")[:1], (adj + noun + draw(small), adj, noun)))
+    etymology, totals, derivation = [], {}, {}
+    for line in demo.build_etymology().splitlines():
+        color, process = line.split("\t")[:2]
+        count = draw(small)
+        if process == "derivation":
+            derivation[color] = count
+        elif process == "suffix-derivation":
+            count = min(count, derivation[color])
+        etymology.append(([color, process], (count, totals.setdefault(color, draw(st.integers(1, 400))))))
+    return {"treebank.tsv": treebank, "etymology.tsv": etymology}
+
+
+@settings(max_examples=6)
+@given(_count_tables(), st.sampled_from(["treebank.tsv", "etymology.tsv"]), st.integers(1, 8))
+def test_power_of_two_counts_give_identical_outputs(tables, scaled, k):
+    # the treebank feature is a share of a word's tallies and the etymology
+    # features are fractions of a color's total: multiplying every count of
+    # one of them by 2**k is exact in binary and changes no output, only
+    # the digests of the inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for factor in (1, 2**k):
+            root = Path(tmp) / str(factor)
+            config = write_demo(root)
+            for name, rows in tables.items():
+                times = factor if name == scaled else 1
+                lines = ["\t".join([*key, *(str(c * times) for c in counts)]) for key, counts in rows]
+                (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            results.append((_run(config, root / "out"), _outputs(root / "out")))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+
+def _gamma_row(root: Path, scope: str, ratings: dict[str, float], feature: str) -> str:
+    """``feature``'s row of gamma.csv after a demo run under ``scope`` with
+    ``ratings`` as its concreteness input."""
+    config = write_demo(root)
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("parameters:\n", f"parameters:\n  sequence_scope: {scope}\n"), encoding="utf-8")
+    lines = [f"{word}\t{rating!r}" for word, rating in ratings.items()]
+    (root / "concreteness.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _run(config, root / "out") == 0
+    rows = (root / "out" / "gamma.csv").read_text(encoding="utf-8").splitlines()
+    (row,) = (row for row in rows if row.startswith(f"{feature},"))
+    return row
+
+
+@settings(max_examples=5)
+@given(st.data())
+def test_increasing_map_of_ratings_keeps_their_gamma_row(data):
+    # gamma depends only on the order of pairs (Goodman & Kruskal 1954).  A
+    # missing rating is filled with the median of the others, which keeps
+    # its place in that order under a strictly increasing map as long as no
+    # median lands on a neighbour: the mapped ratings are a rank's drawn
+    # steps scaled onto 1..5, each at least 0.04 from the next.  So the
+    # word-concreteness row is unchanged, over all colors and over the
+    # basic ones alone.
+    ratings = {w: float(r) for w, r in (line.split("\t") for line in demo.build_concreteness().splitlines())}
+    dropped = data.draw(st.sets(st.sampled_from(sorted(ratings)), max_size=len(ratings) - 2))
+    ratings = {w: r for w, r in ratings.items() if w not in dropped}
+    ranks = sorted(set(ratings.values()))
+    steps = list(accumulate(data.draw(st.lists(st.integers(1, 5), min_size=len(ranks), max_size=len(ranks)))))
+    mapping = {r: 1.0 + 4.0 * step / steps[-1] for r, step in zip(ranks, steps)}
+    mapped = {w: mapping[r] for w, r in ratings.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for scope in ("all", "basic-only"):
+            rows = [
+                _gamma_row(Path(tmp) / scope / name, scope, table, "word-concreteness")
+                for name, table in (("raw", ratings), ("mapped", mapped))
+            ]
+            assert rows[1] == rows[0]
