@@ -13,7 +13,7 @@ import logging
 import unicodedata
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from .errors import DataError, EmptyLexiconError
@@ -142,11 +142,15 @@ class TranslationTable:
 
     @classmethod
     def from_rows(cls, rows) -> "TranslationTable":
+        # a lexicon holds few distinct languages and glosses, so each of
+        # them is normalized once
+        langs = cache(lambda lang: nfc(lang.strip()))
+        glosses = cache(normalize_term)
         normalized = set()
         for lang, word, gloss in rows:
-            lang = nfc(lang.strip())
+            lang = langs(lang)
             word = nfc(word.strip())
-            gloss = normalize_term(gloss)
+            gloss = glosses(gloss)
             if lang and word and gloss:
                 normalized.add((lang, word, gloss))
         return cls.from_sorted(sorted(normalized))
@@ -159,14 +163,15 @@ class TranslationTable:
                     yield lang, word, gloss
 
     @cached_property
-    def _forward(self) -> dict[tuple[str, str], set[str]]:
-        """(language, gloss) -> foreign words, built on first use: only
-        ``translate`` reads it, and only the ingest stage translates."""
-        forward: dict[tuple[str, str], set[str]] = {}
+    def _forward(self) -> dict[tuple[str, str], list[str]]:
+        """(language, gloss) -> its foreign words, in sorted order (as the
+        words are walked), built on first use: only ``translate`` and
+        ``round_trip`` read it, and only the ingest stage translates."""
+        forward: dict[tuple[str, str], list[str]] = {}
         for lang, words in self._glosses.items():
             for word, glosses in words.items():
                 for gloss in glosses:
-                    forward.setdefault((lang, gloss), set()).add(word)
+                    forward.setdefault((lang, gloss), []).append(word)
         return forward
 
     def languages(self) -> list[str]:
@@ -293,13 +298,18 @@ class RoundTripRecord(NamedTuple):
     back_translations: tuple[str, ...]
 
 
+# a RoundTripRecord from its four fields, without a Python-level call
+_new_record = partial(tuple.__new__, RoundTripRecord)
+
+
 def round_trip(table: TranslationTable, color: str, lang: str) -> list[RoundTripRecord]:
     """Round-trip records for one color through one language.
 
     One record per foreign word, ordered by foreign word; the union of
     all back-translation sets is the color's sense set through ``lang``.
     """
-    return [
-        RoundTripRecord(color, lang, word, table.glosses(lang, word))
-        for word in sorted(translate(table, color, lang))
-    ]
+    words = table._forward.get((lang, normalize_term(color)))
+    if not words:
+        return []
+    glossary = table.glossary(lang)
+    return [_new_record((color, lang, word, glossary[word])) for word in words]

@@ -1,35 +1,45 @@
 """Stage-based pipeline orchestration.
 
-Stages run in dependency order and communicate exclusively through files
+Stages run in dependency order, and each writes what it produces as files
 in the output directory, so any stage can be re-run on its own from the
 cached upstream artifacts.  Every output is byte-deterministic: fixed
 orderings, fixed float formatting, and per-language work merged in
 canonical order regardless of the worker-pool size.
 
 A stage function reads its upstream artifacts and returns its counts and
-its artifacts as ``{relative path: text}``.  ``run_stage`` is the one
+its artifacts as ``{relative path: text}``.  ``_execute`` is the one
 executor: it checks the manifest's config hash and input digests, checks
 each artifact the stage reads (``READS``) against the sha256 the
-manifest records for it, runs the stage, and writes the artifacts and
-the updated manifest, with their digests, only after the stage has
-returned.  Hence:
+manifest records for it, runs the stage, and writes the artifacts, and
+records them with their digests, only after the stage has returned.
+``run_stage`` runs it against the stored manifest and stores the
+manifest again.  Hence:
 
 - a stage refuses cached artifacts produced under a different
   configuration or from inputs that have changed since, and any cached
   artifact that is not, byte for byte, the one its stage wrote;
 - a failed stage leaves the earlier artifacts and the manifest untouched;
-- a full run (``run_pipeline``) is ``run_stage`` for each stage in a
-  staging directory inside the output directory, so every stage of it
-  makes the same checks and an input changed during the run fails the
-  next stage to start; the artifacts are moved into place,
-  ``manifest.json`` last, only after every stage has succeeded, so a
-  failed full run leaves the output directory as it was.
+- a full run (``run_pipeline``) is ``_execute`` for each stage in a
+  staging directory inside the output directory, against one manifest
+  held in memory, so every stage of it makes the same checks and an input
+  changed during the run fails the next stage to start; the manifest is
+  stored once, and the artifacts are moved into place, ``manifest.json``
+  last, only after every stage has succeeded, so a failed full run leaves
+  the output directory as it was.
+
+A stage also takes ``built``, the values that earlier stages of the same
+full run built for the artifacts it reads (and the parsed seed list),
+and adds the values it builds for later stages.  Each value is what its
+readers would parse from the artifact's file, so a stage takes each
+input from ``built`` when it is there, in a full run, and else parses
+the digest-checked file (``_handed``), in a re-run: one code path either
+way.  A full run drops each value after its last reader.
 
 Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
-takes its header from it (``_csv_text``), and every cached CSV is read
-through ``_read``, which streams the named cells of each row.  A reader
-checks nothing of what it reads: the digest check has shown that the
-file is exactly what its stage wrote.
+takes its header from it (``_csv_text``), and every cached CSV row is
+parsed by ``_cells``, which picks the named cells; ``_read`` streams a
+file's rows through it.  A reader checks nothing of what it reads: the
+digest check has shown that the file is exactly what its stage wrote.
 """
 
 from __future__ import annotations
@@ -47,14 +57,14 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
 from . import __version__
 from .compounds import CompoundRow, compound_counts, extract_candidates, score_and_filter
 from .config import PipelineConfig
-from .errors import DataError, DependencyError, StageError, UndefinedGammaError
+from .errors import DataError, DependencyError, StageError
 from .features import (
     NGRAM,
     TREEBANK,
@@ -88,7 +98,7 @@ from .stats import (
     FEATURE_COLUMNS,
     aggregate,
     bootstrap_then_full_aggregate,
-    gamma,
+    gamma_or_nan,
     rfe,
     sequence_target,
 )
@@ -129,12 +139,15 @@ COLUMNS = {
 }
 
 
-def _csv_text(rel: str, rows) -> str:
+def _csv_lines(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS[rel])
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _csv_text(rel: str, rows) -> str:
+    """The CSV artifact ``rel``: its header, from ``COLUMNS``, then ``rows``."""
+    return _csv_lines(chain([COLUMNS[rel]], rows))
 
 
 def _read(out: Path, rel: str, names=None, keep=None):
@@ -143,13 +156,19 @@ def _read(out: Path, rel: str, names=None, keep=None):
     tuple, one row at a time.  The file is the one its stage wrote, so its
     header is ``COLUMNS[rel]``, and no cell holds a line break (words,
     glosses and colors come from single lines of the inputs, and JSON
-    cells escape control characters), so each line is one row.  With ``keep``, only the lines
-    that ``keep`` accepts, line end included, are parsed."""
-    columns = COLUMNS[rel]
-    pick = itemgetter(*(columns.index(name) for name in names or columns))
+    cells escape control characters), so each line is one row.  With
+    ``keep``, only the lines that ``keep`` accepts, line end included,
+    are parsed."""
     with (out / rel).open(encoding="utf-8", newline="") as fh:
         next(fh)
-        yield from map(pick, csv.reader(fh if keep is None else filter(keep, fh)))
+        yield from _cells(rel, fh if keep is None else filter(keep, fh), names)
+
+
+def _cells(rel: str, lines, names=None):
+    """The ``names`` cells of each of ``lines``, rows of the CSV artifact
+    ``rel`` without its header, as ``_read`` gives them."""
+    columns = COLUMNS[rel]
+    return map(itemgetter(*(columns.index(name) for name in names or columns)), csv.reader(lines))
 
 
 #: whether a ``compounds.csv`` line holds an accepted row: a row's last
@@ -161,6 +180,9 @@ _LAST = itemgetter(-1)
 #: a round-trip row's language, and its translation pair (language, foreign word)
 _LANGUAGE = itemgetter(1)
 _PAIR = itemgetter(1, 2)
+#: a ``compounds.csv`` row's (language, word), and its glue
+_COMPOUND_WORD = itemgetter(0, 1)
+_GLUE = itemgetter(CompoundRow._fields.index("glue"))
 
 #: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``: few
 #: enough that a block's decoded lists are gone before the cyclic
@@ -180,8 +202,26 @@ def _decoded_rows(out: Path, rel: str, keep=None):
         yield from zip(block, json.loads("[" + ",".join(map(_LAST, block)) + "]"))
 
 
+#: a string as ``json.dumps`` writes it, in C where the C encoder is built
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items) -> str:
+    """The JSON list of the strings ``items``, the same text as
+    ``json.dumps(list(items))``, without ``json.dumps``'s per-call cost."""
+    return "[" + ", ".join(map(_json_string, items)) + "]"
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _handed(built: dict, key: str, read, *args):
+    """The value an earlier stage of this full run built for ``key`` (an
+    artifact's path, or ``"seeds"``), or else ``read(*args)``, which
+    parses the same value from the digest-checked artifact (or the seed
+    file)."""
+    return built[key] if key in built else read(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +244,28 @@ def _translation_pairs(rows) -> dict[str, list[tuple[str, str]]]:
     return {color: list(map(_PAIR, group)) for color, group in groupby(rows, key=_FIRST)}
 
 
+def _color_segmentations(out: Path, translations) -> dict[str, dict[str, tuple[str, ...]]]:
+    """Per language, the segmentations of more than one segment of its
+    translation pairs' words, which are all that the affix-presence
+    feature looks up: only the pairs' rows of ``cache/segmentations.csv``
+    are decoded."""
+    pairs = {pair for color_pairs in translations.values() for pair in color_pairs}
+    by_language: dict[str, dict[str, tuple[str, ...]]] = {}
+    for (lang, word, _), segments in _decoded_rows(out, "cache/segmentations.csv", lambda row: row[:2] in pairs):
+        if len(segments) > 1:
+            by_language.setdefault(lang, {})[word] = tuple(segments)
+    return by_language
+
+
+def _accepted_compounds(out: Path) -> tuple[int, list[tuple[str, ...]]]:
+    """The number of rows of ``compounds.csv``, and its accepted rows; only
+    the accepted lines are parsed.  The lines are read at once, so that
+    they are counted without a call per line."""
+    with (out / "compounds.csv").open(encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()[1:]
+    return len(lines), list(_cells("compounds.csv", filter(_ACCEPTED, lines)))
+
+
 def _read_feature_matrix(out: Path) -> FeatureMatrix:
     colors = []
     values = {col: [] for col in FEATURE_COLUMNS}
@@ -218,42 +280,41 @@ def _read_feature_matrix(out: Path) -> FeatureMatrix:
 # stages
 
 
-def stage_ingest(cfg: PipelineConfig) -> StageResult:
+def stage_ingest(cfg: PipelineConfig, built: dict) -> StageResult:
     counts = {}
-    table = load_lexicon(cfg.lexicon, counts)
-    seeds = load_seeds(cfg.seeds)
+    table = built["cache/lexicon_normalized.tsv"] = load_lexicon(cfg.lexicon, counts)
+    seeds = built["seeds"] = load_seeds(cfg.seeds)
 
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in table]
 
-    rows = []
-    for concept in seeds:
-        for lang in table.languages():
-            for rec in round_trip(table, concept.term, lang):
-                rows.append(
-                    (
-                        rec.color,
-                        rec.language,
-                        rec.foreign_word,
-                        json.dumps(rec.back_translations),
-                    )
-                )
+    languages = table.languages()
+    records = built["cache/roundtrips.csv"] = [
+        rec for concept in seeds for lang in languages for rec in round_trip(table, concept.term, lang)
+    ]
+    # the table's forward index, a cached property, is larger than the
+    # table and serves these round trips alone: clear it before the table
+    # is handed on
+    vars(table).pop("_forward", None)
     return {
         "lexicon_entries": len(lex_lines),
         **counts,
-        "languages": len(table.languages()),
+        "languages": len(languages),
         "colors": len(seeds),
-        "roundtrip_rows": len(rows),
+        "roundtrip_rows": len(records),
     }, {
         "cache/lexicon_normalized.tsv": "\n".join(lex_lines) + "\n",
-        "cache/roundtrips.csv": _csv_text("cache/roundtrips.csv", rows),
+        "cache/roundtrips.csv": _csv_text(
+            "cache/roundtrips.csv",
+            ((color, lang, word, _json_list(senses)) for color, lang, word, senses in records),
+        ),
     }
 
 
 def _train_language(args):
     """Worker for one language: train its segmenter and discover its
-    affixes.  Returns the language, its ``cache/segmentations.csv`` rows,
-    its ``affixes.csv`` rows and its training facts; top-level for
-    picklability."""
+    affixes.  Returns the language, its ``cache/segmentations.csv`` lines,
+    its ``affixes.csv`` rows, its color words' segmentations of more than
+    one segment and its training facts; top-level for picklability."""
     lang, words, color_words, alpha, max_iters, max_segment_len, thresholds = args
     model = train_segmenter(
         words,
@@ -262,10 +323,9 @@ def _train_language(args):
         language=lang,
         max_segment_len=max_segment_len,
     )
-    seg_rows = [
-        (lang, word, json.dumps(list(model.segmentations[word])))
-        for word in sorted(model.segmentations)
-    ]
+    segmentations = model.segmentations
+    # encoded here, in parallel, and sent as one string
+    seg_lines = _csv_lines((lang, word, _json_list(segmentations[word])) for word in sorted(segmentations))
     affix_rows = sorted(
         (
             (lang, a.form, a.position, a.affix_class, _fmt(a.color_coverage), _fmt(a.global_coverage))
@@ -273,8 +333,15 @@ def _train_language(args):
         ),
         key=lambda r: (r[2], r[1]),
     )
+    # in the order of ``color_words``, and each distinct segment once, so
+    # that it is pickled and sent once
+    canonical: dict[str, str] = {}
+    color_segmentations = [
+        tuple(canonical.setdefault(segment, segment) for segment in segments) if len(segments) > 1 else None
+        for segments in map(segmentations.__getitem__, color_words)
+    ]
     facts = {
-        "words": len(model.segmentations),
+        "words": len(segmentations),
         "segments": len(model.counts),
         "affixes": len(affix_rows),
         "edge_split_moves": model.edge_split_moves,
@@ -282,14 +349,14 @@ def _train_language(args):
         "em_passes": model.em_passes,
         "converged": model.converged,
     }
-    return lang, seg_rows, affix_rows, facts
+    return lang, seg_lines, affix_rows, color_segmentations, facts
 
 
-def stage_segment(cfg: PipelineConfig) -> StageResult:
+def stage_segment(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
-    table = _read_lexicon_cache(out)
+    table = _handed(built, "cache/lexicon_normalized.tsv", _read_lexicon_cache, out)
     color_words: dict[str, set[str]] = {}
-    for lang, word in _read(out, "cache/roundtrips.csv", ("language", "foreign_word")):
+    for lang, word in map(_PAIR, _handed(built, "cache/roundtrips.csv", _read, out, "cache/roundtrips.csv")):
         color_words.setdefault(lang, set()).add(word)
 
     thresholds = cfg.affix_thresholds()
@@ -312,11 +379,16 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
             results = list(pool.map(_train_language, jobs))
     else:
         results = [_train_language(j) for j in jobs]
+    # what ``aggregate`` reads of the segmentations (``_color_segmentations``),
+    # keyed by the words the jobs were given: the results are in job order
+    built["cache/segmentations.csv"] = {
+        lang: {word: segments for word, segments in zip(words, kept) if segments}
+        for (lang, _, words, *_), (_, _, _, kept, _) in zip(jobs, results)
+    }
     results.sort(key=lambda r: r[0])  # canonical merge order
 
-    seg_rows = [row for _, rows, _, _ in results for row in rows]
-    affix_rows = [row for _, _, rows, _ in results for row in rows]
-    facts = {lang: facts for lang, _, _, facts in results}
+    affix_rows = built["affixes.csv"] = [row for _, _, rows, _, _ in results for row in rows]
+    facts = {lang: facts for lang, _, _, _, facts in results}
     counts = {
         "languages_trained": len(results),
         "affixes": len(affix_rows),
@@ -327,16 +399,16 @@ def stage_segment(cfg: PipelineConfig) -> StageResult:
         "per_language": facts,
     }
     return counts, {
-        "cache/segmentations.csv": _csv_text("cache/segmentations.csv", seg_rows),
+        "cache/segmentations.csv": "".join([_csv_text("cache/segmentations.csv", ()), *(lines for _, lines, *_ in results)]),
         "affixes.csv": _csv_text("affixes.csv", affix_rows),
     }
 
 
-def stage_compounds(cfg: PipelineConfig) -> StageResult:
+def stage_compounds(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
-    table = _read_lexicon_cache(out)
+    table = _handed(built, "cache/lexicon_normalized.tsv", _read_lexicon_cache, out)
     suffixes: dict[str, set[str]] = {}
-    for lang, affix, position in _read(out, "affixes.csv", ("language", "affix", "position")):
+    for lang, affix, position, *_ in _handed(built, "affixes.csv", _read, out, "affixes.csv"):
         if position == "suffix":
             suffixes.setdefault(lang, set()).add(affix)
     candidates = []
@@ -344,9 +416,12 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
         candidates.extend(extract_candidates(table, lang, suffixes.get(lang, ())))
     rows = score_and_filter(candidates, table, cfg.compound_threshold)
     del candidates
+    # what ``features`` and ``report`` read (``_accepted_compounds``)
+    accepted = list(compress(rows, map(_LAST, rows)))
+    built["compounds.csv"] = (len(rows), accepted)
     return {
         "candidates": len(rows),
-        "accepted": sum(row.accepted for row in rows),
+        "accepted": len(accepted),
     }, {
         "compounds.csv": _csv_text(
             "compounds.csv",
@@ -355,22 +430,29 @@ def stage_compounds(cfg: PipelineConfig) -> StageResult:
     }
 
 
-def stage_features(cfg: PipelineConfig) -> StageResult:
+def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
-    seeds = load_seeds(cfg.seeds)
+    seeds = _handed(built, "seeds", load_seeds, cfg.seeds)
     colors = [c.term for c in seeds]
     counts = {"colors": len(colors)}
     conc = ConcretenessLexicon.load(cfg.concreteness, counts)
-    # each color's round-trip rows are reduced, as soon as they end, to its
-    # translation pairs and its translation concreteness (see
-    # ``_translation_pairs``)
+    # each color's round-trip rows, with their back-translations, are
+    # reduced, as soon as they end, to its translation pairs and its
+    # translation concreteness (see ``_translation_pairs``); the handed
+    # rows hold their back-translations decoded already
+    if "cache/roundtrips.csv" in built:
+        records = built["cache/roundtrips.csv"]
+        decoded = zip(records, map(_LAST, records))
+    else:
+        decoded = _decoded_rows(out, "cache/roundtrips.csv")
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
-    for color, group in groupby(_decoded_rows(out, "cache/roundtrips.csv"), key=lambda r: r[0][0]):
+    for color, group in groupby(decoded, key=lambda r: r[0][0]):
         color_rows, senses = zip(*group)
         translations[color] = list(map(_PAIR, color_rows))
         concreteness[color] = translation_concreteness(zip(map(_LANGUAGE, color_rows), senses), conc)
-    accepted = set(_read(out, "compounds.csv", ("language", "word"), _ACCEPTED))
+    _, accepted_rows = _handed(built, "compounds.csv", _accepted_compounds, out)
+    accepted = set(map(_COMPOUND_WORD, accepted_rows))
 
     ngram = CorpusSummary.load(cfg.ngram, counts, NGRAM)
     treebank = CorpusSummary.load(cfg.treebank, counts, TREEBANK)
@@ -400,7 +482,7 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
             maps[process][color] = value
         maps["word-length"][color] = word_length_feature(color, pairs)
 
-    rows = []
+    rows = built["cache/features_base.csv"] = []
     for color in colors:
         row = [color]
         for col in NON_AFFIX_COLUMNS:
@@ -412,15 +494,15 @@ def stage_features(cfg: PipelineConfig) -> StageResult:
     }
 
 
-def stage_aggregate(cfg: PipelineConfig) -> StageResult:
+def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
-    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
+    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
     translations = _translation_pairs(
-        _read(out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
+        _handed(built, "cache/roundtrips.csv", _read, out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
     )
     colors = []
     maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
-    for color, *cells in _read(out, "cache/features_base.csv"):
+    for color, *cells in _handed(built, "cache/features_base.csv", _read, out, "cache/features_base.csv"):
         colors.append(color)
         for col, cell in zip(NON_AFFIX_COLUMNS, cells):
             maps[col][color] = float(cell) if cell else None
@@ -428,19 +510,15 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         # is a placeholder that only contributes its missingness (colors
         # without translations can never receive a score) to the drop rule.
         maps[AFFIX_COLUMN][color] = 0.0 if color in translations else None
-    # the affix-presence feature looks up nothing but the segmentations of
-    # more than one segment of the translation pairs: only the pairs' rows
-    # are decoded and only those segmentations kept, each keyed by the pair
-    # tuple that ``translations`` already holds
-    pairs = {pair: pair for color_pairs in translations.values() for pair in color_pairs}
+    by_language = _handed(built, "cache/segmentations.csv", _color_segmentations, out, translations)
+    # keyed by the pair tuples that ``translations`` already holds
     segmentations = {
-        pairs[row[:2]]: tuple(segments)
-        for row, segments in _decoded_rows(
-            out, "cache/segmentations.csv", lambda row: row[:2] in pairs
-        )
-        if len(segments) > 1
+        pair: segments
+        for color_pairs in translations.values()
+        for pair in color_pairs
+        if (segments := by_language.get(pair[0], {}).get(pair[1]))
     }
-    del pairs
+    del by_language
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -467,6 +545,8 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
     boot, final, matrix = bootstrap_then_full_aggregate(
         matrix, cfg.negated, cfg.transforms, affix_fn
     )
+    # what ``gamma`` and ``rfe`` read (``_read_feature_matrix``)
+    built["features.csv"] = FeatureMatrix(colors=matrix.colors, columns=FEATURE_COLUMNS, values=matrix.values)
 
     feat_rows = [
         [color, *(repr(matrix.values[col][i]) for col in FEATURE_COLUMNS)]
@@ -479,6 +559,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
             for i, (color, score) in enumerate(zip(ranking.colors, ranking.scores))
         ]
 
+    ranking = built["ranking.csv"] = ranking_rows(final)
     return {
         "colors_ranked": len(matrix.colors),
         "colors_dropped": len(matrix.dropped),
@@ -487,7 +568,7 @@ def stage_aggregate(cfg: PipelineConfig) -> StageResult:
         "imputed": {col: sum(cells) for col, cells in matrix.missing.items()},
     }, {
         "features.csv": _csv_text("features.csv", feat_rows),
-        "ranking.csv": _csv_text("ranking.csv", ranking_rows(final)),
+        "ranking.csv": _csv_text("ranking.csv", ranking),
         "ranking_bootstrap.csv": _csv_text("ranking_bootstrap.csv", ranking_rows(boot)),
     }
 
@@ -508,29 +589,22 @@ def _targets_for(matrix: FeatureMatrix, seeds: dict[str, ColorConcept], scope: s
     return basic_flags, matrix, sequence_target(matrix.colors, is_basic, stages)
 
 
-def _gamma_or_nan(x, y) -> float:
-    try:
-        return gamma(x, y).gamma
-    except UndefinedGammaError:
-        return float("nan")
-
-
-def stage_gamma(cfg: PipelineConfig) -> StageResult:
+def stage_gamma(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
-    matrix = _read_feature_matrix(out)
-    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
+    matrix = _handed(built, "features.csv", _read_feature_matrix, out)
+    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
     basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
 
-    rows = []
+    rows = built["gamma.csv"] = []
     for col in matrix.columns:
         sign = -1.0 if col in cfg.negated else 1.0  # exact: v or -v
-        gb = _gamma_or_nan([sign * v for v in matrix.values[col]], basic_flags)
-        gs = _gamma_or_nan([sign * v for v in scoped.values[col]], seq)
+        gb = gamma_or_nan([sign * v for v in matrix.values[col]], basic_flags)
+        gs = gamma_or_nan([sign * v for v in scoped.values[col]], seq)
         rows.append((col, _fmt(gb), _fmt(gs)))
 
     scores = aggregate(matrix, cfg.negated, transforms=cfg.transforms).scores_by_color
-    gb = _gamma_or_nan([scores[c] for c in matrix.colors], basic_flags)
-    gs = _gamma_or_nan([scores[c] for c in scoped.colors], seq)
+    gb = gamma_or_nan([scores[c] for c in matrix.colors], basic_flags)
+    gs = gamma_or_nan([scores[c] for c in scoped.colors], seq)
     rows.append(("aggregate", _fmt(gb), _fmt(gs)))
 
     return {
@@ -541,37 +615,34 @@ def stage_gamma(cfg: PipelineConfig) -> StageResult:
     }
 
 
-def stage_rfe(cfg: PipelineConfig) -> StageResult:
+def stage_rfe(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
     if not cfg.rfe_enabled:
         return {"enabled": False}, {"rfe.json": json.dumps({"enabled": False}, indent=2) + "\n"}
-    matrix = _read_feature_matrix(out)
-    seeds = {c.term: c for c in load_seeds(cfg.seeds)}
+    matrix = _handed(built, "features.csv", _read_feature_matrix, out)
+    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
     basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
     targets = {"basic": (matrix, basic_flags), "sequence": (scoped, seq)}
 
     payload = {"enabled": True}
     for target_name in cfg.rfe_targets:
-        m, target = targets[target_name]
-        if len(set(target)) < 2:
-            # every pair is tied in a constant target, so no gamma is defined
-            payload[target_name] = {"trajectory": [], "best_features": [], "best_gamma": None}
-            continue
-        trajectory, best = rfe(m, target, cfg.negated, cfg.transforms)
+        # an empty trajectory when no gamma is defined for the full set,
+        # as for a constant target, whose every pair is tied
+        trajectory, best = rfe(*targets[target_name], cfg.negated, cfg.transforms)
         payload[target_name] = {
             "trajectory": [
                 {"removed_feature": step["removed"], "gamma": step["gamma"]}
                 for step in trajectory
             ],
             "best_features": list(best),
-            "best_gamma": trajectory[-1]["gamma"],
+            "best_gamma": trajectory[-1]["gamma"] if trajectory else None,
         }
     return {"targets": list(cfg.rfe_targets)}, {
         "rfe.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
     }
 
 
-def stage_wcs(cfg: PipelineConfig) -> StageResult:
+def stage_wcs(cfg: PipelineConfig, built: dict) -> StageResult:
     counts = {}
     table = load_wcs(cfg.wcs, counts)
     summaries, consensus, inventory, svg = heterogeneity_report(table)
@@ -582,43 +653,36 @@ def stage_wcs(cfg: PipelineConfig) -> StageResult:
     }
 
 
-def stage_report(cfg: PipelineConfig) -> StageResult:
+def stage_report(cfg: PipelineConfig, built: dict) -> StageResult:
     out = cfg.output_dir
     lines = ["# Color basicness run summary", ""]
 
     ranked = set()
     lines += ["## Ranking (top 15)", "", "| rank | color | score | basic |", "| --- | --- | --- | --- |"]
-    for i, (color, rank, score, basic) in enumerate(_read(out, "ranking.csv")):
+    for i, (color, rank, score, basic) in enumerate(_handed(built, "ranking.csv", _read, out, "ranking.csv")):
         if i < 15:
             lines.append(f"| {rank} | {color} | {score} | {'yes' if basic == '1' else ''} |")
         ranked.add(color)
     lines.append("")
 
     lines += ["## Rank correlations", "", "| feature | vs basic | vs sequence |", "| --- | --- | --- |"]
-    lines += ["| " + " | ".join(row) + " |" for row in _read(out, "gamma.csv")]
+    lines += ["| " + " | ".join(row) + " |" for row in _handed(built, "gamma.csv", _read, out, "gamma.csv")]
     lines.append("")
 
-    candidates = 0
-
-    def accepted(line):
-        nonlocal candidates
-        candidates += 1
-        return _ACCEPTED(line)
-
-    glues = [glue for _, glue in _read(out, "compounds.csv", ("word", "glue"), accepted)]
-    dist = Counter(map(len, glues))
-    lines += ["## Compounds", "", f"accepted analyses: {len(glues)} of {candidates} candidates", ""]
+    candidates, accepted = _handed(built, "compounds.csv", _accepted_compounds, out)
+    dist = Counter(map(len, map(_GLUE, accepted)))
+    lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {candidates} candidates", ""]
     if dist:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")
 
     lines += ["## Affixes", "", "| language | affix | position | class | color cov. | global cov. |", "| --- | --- | --- | --- | --- | --- |"]
-    lines += ["| " + " | ".join(row) + " |" for row in _read(out, "affixes.csv")]
+    lines += ["| " + " | ".join(row) + " |" for row in _handed(built, "affixes.csv", _read, out, "affixes.csv")]
     lines.append("")
 
     # the seeds missing from the ranking are exactly those the aggregate
     # stage dropped
-    dropped = [c.term for c in load_seeds(cfg.seeds) if c.term not in ranked]
+    dropped = [c.term for c in _handed(built, "seeds", load_seeds, cfg.seeds) if c.term not in ranked]
     if dropped:
         lines += ["## Dropped colors", "", ", ".join(dropped), ""]
 
@@ -653,6 +717,9 @@ READS = {
     "wcs": (),
     "report": ("ranking.csv", "gamma.csv", "compounds.csv", "affixes.csv"),
 }
+#: the last stage that reads each artifact, after which a full run drops
+#: the value built for it
+_LAST_READER = {rel: stage for stage in STAGE_ORDER for rel in READS[stage]}
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +799,15 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(out)
+    counts = _execute(cfg, stage, manifest, {})
+    _store_manifest(out, manifest)
+    return counts
+
+
+def _execute(cfg: PipelineConfig, stage: str, manifest: dict, built: dict) -> dict:
+    """``run_stage`` against ``manifest``, which it updates in place but
+    does not store, with ``built`` handed to the stage."""
+    out = cfg.output_dir
     if manifest.get("config_hash") not in (None, cfg.config_hash()):
         raise DataError(
             "cached artifacts were produced under a different configuration; "
@@ -745,7 +821,6 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
             f"inputs changed since the cached artifacts were produced: {', '.join(changed)}; "
             "re-run the full pipeline"
         )
-    manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
     recorded = {}
     for entry in manifest.get("stages", {}).values():
         recorded.update(entry.get("artifacts", {}))
@@ -757,13 +832,14 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
                 raise DependencyError(f"missing upstream artifact: {path}")
             if _sha256(path.read_bytes()) != recorded.get(rel):
                 raise DataError(f"{path}: not the artifact the manifest records; re-run the full pipeline")
-        counts, artifacts = STAGE_FUNCS[stage](cfg)
+        counts, artifacts = STAGE_FUNCS[stage](cfg, built)
         for rel, text in artifacts.items():
             path = out / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8", newline="")
     except Exception as e:
         raise StageError(stage, e) from e
+    manifest.update(config_hash=cfg.config_hash(), input_digests=digests, tool_version=__version__)
     manifest.setdefault("stages", {})[stage] = {
         "artifacts": {rel: _sha256(text.encode("utf-8")) for rel, text in artifacts.items()},
         "counts": counts,
@@ -771,7 +847,6 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
     }
     if stage == "aggregate":
         manifest["dropped_colors"] = counts["dropped"]
-    _store_manifest(out, manifest)
     facts = counts.get("per_language", {})
     brief = {k: v for k, v in counts.items() if k != "per_language"}
     log.info("stage %s done: %s%s", stage, brief, "; per-language facts in manifest.json" if facts else "")
@@ -789,20 +864,28 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every stage in dependency order and return the manifest.
 
-    Each stage is a ``run_stage`` in a staging directory inside the
-    output directory; the artifacts, then ``manifest.json``, are moved
-    into place only once every stage has succeeded.  On failure the
-    staging directory is removed and the output directory is left as it
-    was.
+    Each stage is executed as ``run_stage`` does, in a staging directory
+    inside the output directory, against one manifest held in memory and
+    with the values earlier stages built handed on; the artifacts, then
+    ``manifest.json``, stored once, are moved into place only once every
+    stage has succeeded.  On failure the staging directory is removed and
+    the output directory is left as it was.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         staging = Path(staging)
         staged = dataclasses.replace(cfg, output_dir=staging)
+        manifest: dict = {}
+        # the seed list is read up to ``report``, the last stage, so it is
+        # kept to the end
+        built: dict = {}
         for stage in STAGE_ORDER:
-            run_stage(staged, stage)
-        manifest = _load_manifest(staging)
+            _execute(staged, stage, manifest, built)
+            for rel in READS[stage]:
+                if _LAST_READER[rel] == stage:
+                    built.pop(rel, None)
+        _store_manifest(staging, manifest)
         last = staging / "manifest.json"
         for path in sorted(p for p in staging.rglob("*") if p.is_file() and p != last):
             target = out / path.relative_to(staging)

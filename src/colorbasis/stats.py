@@ -99,6 +99,14 @@ def gamma(x, y) -> GammaResult:
     return GammaResult(g, concordant, discordant, tied)
 
 
+def gamma_or_nan(x, y) -> float:
+    """``gamma(x, y).gamma``, or NaN where every pair is tied."""
+    try:
+        return gamma(x, y).gamma
+    except UndefinedGammaError:
+        return float("nan")
+
+
 @functools.lru_cache(maxsize=2)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n, k=1)
@@ -262,9 +270,13 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
 
     At each step the single feature whose removal most increases
     gamma(aggregate score, target) is dropped; elimination stops when no
-    removal strictly improves gamma or one feature remains.  Returns the
-    trajectory as a list of {removed, gamma, features} dicts (the first
-    entry is the full set) and the surviving feature tuple.
+    removal strictly improves gamma or one feature remains.  A subset
+    whose gamma is undefined (its scores tie every pair, as a subset of
+    constant columns does) is no improvement.  Returns the trajectory as a
+    list of {removed, gamma, features} dicts (the first entry is the full
+    set) and the surviving feature tuple; when the full set's gamma is
+    undefined, as it is for a constant target, an empty trajectory and no
+    features.
     """
     current = tuple(matrix.columns)
     if len(current) < 2:
@@ -275,9 +287,11 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
     scaled = _scaled_columns(matrix, current, negated, transforms)
 
     def score(subset):
-        return gamma(_rescaled_means(scaled, subset), target).gamma
+        return gamma_or_nan(_rescaled_means(scaled, subset), target)
 
     g = score(current)
+    if math.isnan(g):
+        return [], ()
     trajectory = [{"removed": None, "gamma": g, "features": list(current)}]
     while len(current) > 1:
         # Strict improvement required; scanning feature names in sorted
@@ -287,7 +301,7 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
         for f in sorted(current):
             candidate = tuple(c for c in current if c != f)
             cg = score(candidate)
-            if cg > best_gamma:
+            if cg > best_gamma:  # false for NaN
                 best_feature = f
                 best_gamma = cg
         if best_feature is None:

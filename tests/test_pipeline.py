@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -17,7 +18,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorbasis.cli import main
@@ -358,7 +359,7 @@ def _snapshot(out):
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def _fail_gamma(cfg):
+def _fail_gamma(cfg, built):
     raise RuntimeError("gamma broke")
 
 
@@ -404,8 +405,8 @@ def test_input_changed_during_a_full_run_fails_it(tmp_path, monkeypatch, capsys)
     before = _snapshot(cfg.output_dir)
     segment = pipeline.STAGE_FUNCS["segment"]
 
-    def segment_then_edit_the_survey(cfg):
-        result = segment(cfg)
+    def segment_then_edit_the_survey(cfg, built):
+        result = segment(cfg, built)
         _append_rows(cfg.wcs, [("zzz", "s1", "c1", "red")])
         return result
 
@@ -607,7 +608,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 def test_cli_stage_failure_exit_codes(tmp_path, capsys, monkeypatch, error, code, kind):
     config_path = write_demo(tmp_path)
 
-    def fail(cfg):
+    def fail(cfg, built):
         raise error("boom")
 
     monkeypatch.setitem(pipeline.STAGE_FUNCS, "gamma", fail)
@@ -1037,11 +1038,11 @@ def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkey
         return real_open(file, *args, **kwargs)
 
     def recording(stage, fn):
-        def run(cfg):
+        def run(cfg, built):
             nonlocal current
             current = stage
             try:
-                counts, artifacts = fn(cfg)
+                counts, artifacts = fn(cfg, built)
             finally:
                 current = None
             returned[stage] = artifacts
@@ -1071,6 +1072,74 @@ def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkey
         if rel.endswith(".csv")
     }
     assert headers == {rel: list(names) for rel, names in pipeline.COLUMNS.items()}
+
+
+def test_a_full_run_parses_none_of_its_own_artifacts(tmp_path, monkeypatch):
+    # every stage of a full run takes what earlier stages built, and the
+    # seed file is parsed once; each artifact a stage reads is still hashed
+    # for its digest check before the stage starts
+    cfg = load_config(write_demo(tmp_path))
+    out = cfg.output_dir.resolve()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a full run parsed one of its own artifacts")
+
+    for reader in ("_read", "_cells", "_decoded_rows", "_read_lexicon_cache"):
+        monkeypatch.setattr(pipeline, reader, refused)
+    seeds_parsed = []
+    load_seeds = pipeline.load_seeds
+    monkeypatch.setattr(pipeline, "load_seeds", lambda path: seeds_parsed.append(path) or load_seeds(path))
+    hashed: dict[str, set[str]] = {stage: set() for stage in STAGE_ORDER}
+    current = None
+    execute, read_bytes = pipeline._execute, Path.read_bytes
+
+    def executing(cfg, stage, manifest, built):
+        nonlocal current
+        current = stage
+        return execute(cfg, stage, manifest, built)
+
+    def recording(path):
+        resolved = path.resolve()
+        if current is not None and resolved.is_relative_to(out):
+            # the artifact's path inside the staging directory
+            hashed[current].add(Path(*resolved.relative_to(out).parts[1:]).as_posix())
+        return read_bytes(path)
+
+    monkeypatch.setattr(pipeline, "_execute", executing)
+    monkeypatch.setattr(Path, "read_bytes", recording)
+    run_pipeline(cfg)
+    assert hashed == {stage: set(reads) for stage, reads in pipeline.READS.items()}
+    assert seeds_parsed == [cfg.seeds]
+
+
+def test_a_full_run_stores_the_manifest_once(tmp_path, monkeypatch):
+    cfg = load_config(write_demo(tmp_path))
+    stored = []
+    store = pipeline._store_manifest
+    monkeypatch.setattr(pipeline, "_store_manifest", lambda out, manifest: stored.append(out) or store(out, manifest))
+    manifest = run_pipeline(cfg)
+    assert len(stored) == 1
+    assert list(manifest["stages"]) == list(STAGE_ORDER)
+    assert json.loads((cfg.output_dir / "manifest.json").read_text(encoding="utf-8")) == manifest
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.text(
+            st.one_of(
+                st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f308"]),
+                st.characters(),
+                st.characters(categories=["Cs"]),
+            )
+        )
+    )
+)
+@example([])
+def test_json_list_cells_are_what_json_dumps_writes(items):
+    # quotes, backslashes, control characters, non-ASCII text, lone
+    # surrogates and the empty list
+    assert pipeline._json_list(items) == json.dumps(items)
 
 
 def test_cached_lexicon_is_the_ingested_one(tmp_path):
@@ -1104,6 +1173,33 @@ def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
     assert payload["basic"]["best_gamma"] is not None
     gamma_rows = (tmp_path / "out" / "gamma.csv").read_text(encoding="utf-8")
     assert "aggregate," in gamma_rows
+
+
+def test_cli_rfe_over_constant_feature_subsets_exits_0(tmp_path, capsys):
+    # flat concreteness, n-gram, treebank and etymology tables leave nine
+    # constant columns, and with word-length negated RFE meets a subset of
+    # constant columns alone, which scores every color alike: its gamma is
+    # undefined, which is no improvement rather than an internal error
+    config_path = write_demo(tmp_path)
+    flat = {
+        "concreteness.tsv": (1, ["3.00"]),
+        "ngram.tsv": (1, ["1000", "50", "50"]),
+        "treebank.tsv": (1, ["60", "30", "30"]),
+        "etymology.tsv": (2, ["40", "200"]),
+    }
+    for name, (key, cells) in flat.items():
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join("\t".join(line.split("\t")[:key] + cells) + "\n" for line in lines), encoding="utf-8")
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["parameters"]["negated"] = ["word-length"]
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    payload = json.loads((tmp_path / "out" / "rfe.json").read_text(encoding="utf-8"))
+    for target in ("basic", "sequence"):
+        gammas = [step["gamma"] for step in payload[target]["trajectory"]]
+        assert gammas and not any(map(math.isnan, gammas))
+        assert payload[target]["best_gamma"] == gammas[-1]
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,13 @@ add malformed rows and may drop every demo row, or make one edit to any
 one input file or the config.  The table row-order test adds rows to the
 concreteness, n-gram, treebank, etymology and survey inputs instead.  The
 scaling and order tests draw the demo's treebank and etymology counts, or
-map its concreteness ratings, in place.
+map its concreteness ratings, in place.  The renaming test gives one
+language of a generated lexicon another code.
 """
 
 import json
 import random
+import re
 import tempfile
 from itertools import accumulate
 from pathlib import Path
@@ -186,6 +188,63 @@ def test_shuffled_lexicon_rows_give_identical_outputs(dataset):
         ]
         assert codes[0] == codes[1]
         assert _outputs(tmp / "ordered" / "out") == _outputs(tmp / "shuffled" / "out")
+
+
+def _renamed_cells(out: Path, old: str, new: str) -> dict:
+    """Every output, each line split at tabs, commas and pipes, with each
+    cell equal to ``old`` read as ``new``; the manifest without its timings,
+    its input digests and the digests of the artifacts (which are compared
+    themselves), with the segment stage's languages renamed."""
+    def rename(cell):
+        return new if cell == old else cell
+
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "manifest.json":
+            manifest = json.loads(text)
+            manifest.pop("input_digests")
+            for stage in manifest["stages"].values():
+                stage.pop("duration_s")
+                stage.pop("artifacts")
+            segment = manifest["stages"]["segment"]["counts"]
+            segment["per_language"] = {rename(k): v for k, v in segment["per_language"].items()}
+            for key in ("em_not_converged", "edge_split_capped"):
+                segment[key] = list(map(rename, segment[key]))
+            files[path.name] = manifest
+        else:
+            files[str(path.relative_to(out))] = [
+                [rename(cell.strip()) for cell in re.split(r"[\t,|]", line)] for line in text.split("\n")
+            ]
+    return files
+
+
+@settings(max_examples=4)
+@given(datasets(), st.data())
+def test_renaming_a_language_within_its_sort_position_renames_the_outputs(dataset, data):
+    # only the sort order of the language codes may matter: a code renamed
+    # to one between the same neighbours (the code, or the one sorted just
+    # before it, with digits appended, which no word holds) leaves every
+    # output equal up to the renaming
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = _write(tmp / "old", dataset)
+        lines = (tmp / "old" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        languages = sorted({line.split("\t")[0] for line in lines if line})
+        assume(languages)
+        i = data.draw(st.integers(0, len(languages) - 1))
+        old = languages[i]
+        new = data.draw(st.sampled_from(languages[max(i - 1, 0) : i + 1])) + data.draw(st.text("0123456789", min_size=1, max_size=2))
+        assume(new not in languages)
+        renamed = write_demo(tmp / "new")
+        (tmp / "new" / "lexicon.tsv").write_text(
+            "".join("\t".join(new if k == 0 and cell == old else cell for k, cell in enumerate(line.split("\t"))) + "\n" for line in lines),
+            encoding="utf-8",
+        )
+        code = _run(config, tmp / "old" / "out")
+        assert _run(renamed, tmp / "new" / "out") == code
+        assume(code == 0)
+        assert _renamed_cells(tmp / "old" / "out", old, new) == _renamed_cells(tmp / "new" / "out", old, new)
 
 
 def _another_value(name: str, cells: list[str]) -> list[str]:

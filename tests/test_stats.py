@@ -488,6 +488,24 @@ def test_rfe_matches_exhaustive_single_removal_oracle():
     assert gammas == sorted(gammas)
 
 
+def test_rfe_takes_an_undefined_subset_gamma_as_no_improvement():
+    # f1 and f2 are constant, so the subset left by removing f3 scales to a
+    # flat 0.5 and ties every pair: its gamma is undefined, which is no
+    # improvement, and RFE stops at the full set
+    m = _matrix(["a", "b", "c", "d"], ["f1", "f2", "f3"], [[5, 1, 1], [5, 1, 2], [5, 1, 3], [5, 1, 4]])
+    trajectory, remaining = rfe(m, [1, 2, 3, 4], negated=frozenset(), transforms={})
+    assert [(step["removed"], step["gamma"]) for step in trajectory] == [(None, 1.0)]
+    assert remaining == ("f1", "f2", "f3")
+
+
+def test_rfe_with_an_undefined_full_set_gamma_has_no_trajectory():
+    # every column constant, or a constant target: every pair is tied
+    flat = _matrix(["a", "b", "c"], ["f1", "f2"], [[5, 1], [5, 1], [5, 1]])
+    assert rfe(flat, [1, 2, 3], negated=frozenset(), transforms={}) == ([], ())
+    m = _matrix(["a", "b", "c"], ["f1", "f2"], [[1, 3], [2, 2], [3, 1]])
+    assert rfe(m, [2, 2, 2], negated=frozenset(), transforms={}) == ([], ())
+
+
 def test_rfe_requires_two_features():
     m = _matrix(["a", "b"], ["f1"], [[1], [2]])
     with pytest.raises(ValueError):
@@ -534,16 +552,19 @@ def _old_aggregate_scores(matrix, negated, subset, transforms):
 
 def _old_rfe(matrix, target, negated, transforms):
     def score(subset):
-        return _old_gamma(_old_aggregate_scores(matrix, negated, subset, transforms), target)
+        # an undefined gamma is no improvement; on the full set it ends RFE
+        return _outcome(lambda: _old_gamma(_old_aggregate_scores(matrix, negated, subset, transforms), target))
 
     current = tuple(matrix.columns)
     g = score(current)
+    if g == "undefined":
+        return [], ()
     trajectory = [(None, g)]
     while len(current) > 1:
         best_feature, best_gamma = None, g
         for f in sorted(current):
             cg = score(tuple(c for c in current if c != f))
-            if cg > best_gamma:
+            if cg != "undefined" and cg > best_gamma:
                 best_feature, best_gamma = f, cg
         if best_feature is None:
             break
