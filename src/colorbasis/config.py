@@ -103,6 +103,21 @@ _NUMBER_BOUNDS = {
 }
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key given twice in one mapping,
+    where ``yaml.safe_load`` would keep the last one."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise ConfigError(f"line {key_node.start_mark.line + 1}: repeated key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _reject_unknown(mapping: dict, known, context: str):
     unknown = sorted(set(mapping) - set(known), key=str)
     if unknown:
@@ -135,15 +150,17 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     ``overrides`` (e.g. from CLI flags) replace ``output_dir`` and
     ``jobs``; an overriding ``output_dir`` is taken as given, so a
     relative one is taken from the working directory.  Unknown keys, in
-    the file or among the overrides, are config errors.  A parameter the
-    file leaves out, or sets to null where that is allowed, keeps its
-    ``PipelineConfig`` default.
+    the file or among the overrides, and a key repeated in one mapping of
+    the file are config errors.  A parameter the file leaves out, or sets
+    to null where that is allowed, keeps its ``PipelineConfig`` default.
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}")
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}")
     if not isinstance(raw, dict):

@@ -31,21 +31,30 @@ the same float operations in the same order as a rebuild from scratch.
 Ties are broken on a key unique per candidate, so the segmentations are
 bit-for-bit those of the plain algorithm.
 
-Decoding is batched (``_Lattice``).  The substrings of a word list are
-numbered once, and the ids of every word's candidate segments are laid
-out as ``int32`` arrays, one per end position; that id table is also
-the smoothing event space.  One numpy dynamic program then decodes every
-word at once, with the subtraction ``score[i] - log p(word[i:j])`` of the
-per-word recursion, and picks the minimum of (score, segment count,
-segment tuple).  Of two segmentations of one string, the smaller tuple
-is the one with the earliest first differing cut, so a segmentation is
-kept as a cut bitmask in which the cut at position ``p`` sets bit
-``64 - p`` (one 64-bit column per 64 positions) and the larger mask
-wins.  Hard EM keeps its segment counts as an ``int64`` vector by
-substring id, and each pass turns it into the log-probability vector the
-decoder reads with one ``math.log`` per distinct count, the float
-operations of ``segment_probability``.  A pass stops when no word's mask
-changes; otherwise only the words whose mask changed are re-counted.
+Each language is trained against one substring table (``_SegmentIds``)
+and one ``int64`` vector of segment counts by id, from the first edge
+split to the final model.  The edge-split phase numbers the affixes,
+edges and stems it meets and keeps the counts of the current
+segmentations in the vector.  Once the phase's candidate maps are freed,
+the decoder numbers into the same table the substrings of at most
+``max_segment_len`` characters that it lacks; all of those substrings
+are the smoothing event space.  Hard EM starts from the phase's vector,
+moved only for the words that the segment cap chunks, and the model's
+counts are the vector's nonzero entries.
+
+Decoding is batched (``_Lattice``).  The ids of every word's candidate
+segments are laid out as ``int32`` arrays, one per end position.  One
+numpy dynamic program then decodes every word at once, with the
+subtraction ``score[i] - log p(word[i:j])`` of the per-word recursion,
+and picks the minimum of (score, segment count, segment tuple).  Of two
+segmentations of one string, the smaller tuple is the one with the
+earliest first differing cut, so a segmentation is kept as a cut bitmask
+in which the cut at position ``p`` sets bit ``64 - p`` (one 64-bit
+column per 64 positions) and the larger mask wins.  Each EM pass turns
+the count vector into the log-probability vector the decoder reads with
+one ``math.log`` per distinct count, the float operations of
+``segment_probability``.  A pass stops when no word's mask changes;
+otherwise only the words whose mask changed are re-counted.
 """
 
 from __future__ import annotations
@@ -163,15 +172,30 @@ def _cut_bit(p: int) -> tuple[int, int]:
     return col, 1 << (_MASK_BITS - 1 - r)
 
 
+class _SegmentIds(dict):
+    """Segment ids, handed out in order of first lookup; ``names[i]`` is
+    the segment with id ``i``."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, segment: str) -> int:
+        i = self[segment] = len(self.names)
+        self.names.append(segment)
+        return i
+
+
 class _Lattice:
     """Every segment of a word list, as substring ids, and a batched
     Viterbi decoder over them.
 
-    The id table ``segments`` numbers each distinct substring of at most
-    ``max_segment_len`` characters (``None``: no cap); it is the smoothing
-    event space of a model trained on the words.  Words are kept longest
-    first, so the words at least ``j`` characters long are a prefix of
-    that order.  ``ids[j - 1]`` is an ``int32`` array with one column for
+    The id table ``segments`` (a new one, or one the caller has begun)
+    gains every distinct substring of at most ``max_segment_len``
+    characters (``None``: no cap) that it lacks; those substrings are the
+    smoothing event space of a model trained on the words.  Words are
+    kept longest first, so the words at least ``j`` characters long are a
+    prefix of that order.  ``ids[j - 1]`` is an ``int32`` array with one column for
     each of them and one row per segment length: row ``k`` holds the id of
     the segment that ends at ``j`` and starts at ``j - len(ids[j - 1]) + k``.
 
@@ -182,7 +206,7 @@ class _Lattice:
     with the larger mask, compared column by column.
     """
 
-    def __init__(self, words, max_segment_len: int | None):
+    def __init__(self, words, max_segment_len: int | None, segments: _SegmentIds | None = None):
         self.words = list(words)
         lengths = np.array([len(w) for w in self.words])
         n = int(lengths.max())
@@ -195,9 +219,12 @@ class _Lattice:
         active = np.cumsum(np.bincount(self.lengths, minlength=n + 1)[::-1])[::-1].tolist()
         self.columns = max(1, -(-(n - 1) // _MASK_BITS))
 
-        # the ids of all segments, end by end, start by start, word by word
+        # the ids of all segments, end by end, start by start, word by word,
+        # the new ones numbered as __missing__ would but without a Python
+        # call each; their names follow
         by_length = [self.words[w] for w in self.order.tolist()]
-        segments: dict[str, int] = {}
+        segments = _SegmentIds() if segments is None else segments
+        known = len(segments)
         intern = segments.setdefault
         self.ids = []
         for j in range(1, n + 1):
@@ -208,6 +235,7 @@ class _Lattice:
                     dtype=np.int32,
                 )
             )
+        segments.names.extend(islice(segments, known, None))
         self.segments = segments
         # row i: the cut at position i (none at 0)
         self.bits = np.zeros((n + 1, self.columns), dtype=np.uint64)
@@ -342,18 +370,18 @@ def _xlogx_table(size: int) -> list[float]:
     return [v * math.log(v) if v else 0.0 for v in range(size)]
 
 
-def _split_delta(added, segments, deltas, counts, total, char_cost, xlogx) -> float:
+def _split_delta(added, segments, deltas, ids, counts, total, char_cost, xlogx) -> float:
     """Description-length change of applying ``_split_changes`` output to
-    the current segment ``counts`` and ``total``: corpus coding cost
-    ``xlogx[total] - sum(xlogx[count])`` plus ``(len + 1) * char_cost``
-    per distinct segment in use, with ``xlogx`` an ``_xlogx_table`` that
-    reaches every count involved.  The float operations run in a fixed
-    order, the total's term first and then the segments' in list order,
-    so equal inputs always give the same bits."""
+    the current segment ``counts`` (a vector by the ids of the table
+    ``ids``, which lists every segment changed) and ``total``: corpus
+    coding cost ``xlogx[total] - sum(xlogx[count])`` plus ``(len + 1) *
+    char_cost`` per distinct segment in use, with ``xlogx`` an
+    ``_xlogx_table`` that reaches every count involved.  The float
+    operations run in a fixed order, the total's term first and then the
+    segments' in list order, so equal inputs always give the same bits."""
     d = xlogx[total + added] - xlogx[total]
-    count = counts.get
-    for s, dc in zip(segments, deltas):
-        old = count(s, 0)
+    olds = counts[[ids[s] for s in segments]].tolist()
+    for s, dc, old in zip(segments, deltas, olds):
         new = old + dc
         d -= xlogx[new] - xlogx[old]
         # dc != 0 and new >= 0: a segment enters or leaves the lexicon
@@ -368,20 +396,6 @@ def _split_delta(added, segments, deltas, counts, total, char_cost, xlogx) -> fl
 _UNIT_ROUNDOFF = 2.0**-53
 #: Rows per block when the first change maps are read off the rows.
 _ROW_BLOCK = 4096
-
-
-class _SegmentIds(dict):
-    """Segment ids, handed out in order of first lookup; ``names[i]`` is
-    the segment with id ``i``."""
-
-    def __init__(self):
-        super().__init__()
-        self.names: list[str] = []
-
-    def __missing__(self, segment: str) -> int:
-        i = self[segment] = len(self.names)
-        self.names.append(segment)
-        return i
 
 
 class _EdgeCandidates:
@@ -404,9 +418,11 @@ class _EdgeCandidates:
     row arrays ``cand``, ``seg`` and ``delta``, one row ``(candidate,
     segment id, delta)`` per map entry: it keeps the rows of the candidates
     unchanged since the last flush and appends those of the changed ones.
-    Segment counts are kept by id in an ``int64`` vector, so ``shortlist``
+    The counts of the current segments, every word whole at the start,
+    are kept by id in the ``int64`` vector ``counts``, so ``shortlist``
     scores every candidate with a few numpy passes over the rows and no
-    Python loop over candidates.
+    Python loop over candidates.  The table ``ids`` and that vector
+    outlive the phase: training goes on with them.
     """
 
     def __init__(self, words, freqs, char_cost):
@@ -442,6 +458,7 @@ class _EdgeCandidates:
         )
         self.maps: list[dict[int, int]] = [dict(islice(items, n)) for n in rows.tolist()]
         self.dirty: set[int] = set()
+        self.add_counts(words, [freqs[w] for w in words])
 
     def _first_rows(self, words):
         """Fill ``keys``, ``hosts`` and ``index`` for ``words``, each still
@@ -563,23 +580,19 @@ class _EdgeCandidates:
         self.penalty[c] = math.inf
         self.dirty.add(c)
 
-    def add_counts(self, changes: Mapping[str, int]):
-        """Apply segment-count changes to the count vector."""
-        ids = [self.ids[s] for s in changes]
-        self._sync()
-        self.counts[ids] += np.fromiter(changes.values(), dtype=np.int64, count=len(ids))
-
-    def _sync(self):
-        """Grow the vectors by segment id to every id handed out so far."""
+    def add_counts(self, segments, deltas):
+        """Add ``deltas`` to the counts of the distinct ``segments``, once
+        the vectors by segment id reach every id handed out so far.  The
+        constructor and each move end here, so ``scores`` finds them grown."""
+        ids = [self.ids[s] for s in segments]
         n = len(self.ids)
-        if n == self.synced:
-            return
         if n > len(self.counts):
             size = max(n, 2 * len(self.counts))
             self.counts = np.concatenate([self.counts, np.zeros(size - len(self.counts), dtype=np.int64)])
             self.cost = np.concatenate([self.cost, np.zeros(size - len(self.cost))])
         self.cost[self.synced : n] = [(len(s) + 1) * self.char_cost for s in self.ids.names[self.synced : n]]
         self.synced = n
+        self.counts[ids] += deltas
 
     def flush(self):
         """Rebuild the rows: those of the candidates unchanged since the
@@ -621,7 +634,6 @@ class _EdgeCandidates:
         with the same terms and ``n_c`` rows summed, within ``(n_c + 8) u
         M_c``.  ``E_c = 8 (n_c + 4) u M_c`` covers both with room to spare.
         """
-        self._sync()
         cand, seg = self.cand, self.seg
         xlogx = self.xlogx_array
         old = self.counts[seg]
@@ -694,74 +706,65 @@ def _edge_split_phase(analyses, freqs, char_cost):
     the one-segment tuple of itself (ValueError otherwise), so the first
     host index and change maps are built in one bulk pass over the words'
     proper prefixes and suffixes (``_EdgeCandidates``).  Rewrites
-    ``analyses`` in place and returns the number of moves made and whether
-    ``MAX_EDGE_SPLIT_MOVES`` stopped it with a move left.
+    ``analyses`` in place and returns the phase's segment table, the
+    segment counts of ``analyses`` as a vector by its ids, the number of
+    moves made and whether ``MAX_EDGE_SPLIT_MOVES`` stopped it with a
+    move left.
     """
     if any(segs != (w,) for w, segs in analyses.items()):
         raise ValueError("the edge-split phase starts from whole words")
-    counts = {w: freqs[w] for w in analyses}
-    total = sum(counts.values())
+    total = sum(freqs[w] for w in analyses)
     candidates = _EdgeCandidates(list(analyses), freqs, char_cost)
-    candidates.add_counts(counts)
+    ids = candidates.ids
 
     moves = 0
     while True:
-        best_key = None
+        best = None
         for c in candidates.shortlist(total):
             key = candidates.keys[c]
             changes = _split_changes(*key, candidates.hosts[c], analyses, freqs)
-            d = _split_delta(*changes, counts, total, char_cost, candidates.xlogx)
+            d = _split_delta(*changes, ids, candidates.counts, total, char_cost, candidates.xlogx)
             if d >= -1e-9:
                 continue
             candidate = (d, 0 if key[0] == "suffix" else 1, key[1])
-            if best_key is None or candidate < best_key:
-                best_key = candidate
-        if best_key is None:
-            return moves, False
-        if moves == MAX_EDGE_SPLIT_MOVES:
-            return moves, True
+            if best is None or candidate < best[0]:
+                best = candidate, changes
+        if best is None or moves == MAX_EDGE_SPLIT_MOVES:
+            return ids, candidates.counts[: len(ids)], moves, best is not None
         moves += 1
 
-        _, pos_rank, affix = best_key
+        (_, pos_rank, affix), (added, segments, deltas) = best
+        position, other = ("suffix", "prefix") if pos_rank == 0 else ("prefix", "suffix")
         # every host leaves the key the move splits off, so it dies now
-        winner = candidates.index["suffix" if pos_rank == 0 else "prefix"][affix]
+        winner = candidates.index[position][affix]
         candidates.kill(winner)
-        changed: dict[str, int] = {}
         for w in candidates.hosts[winner]:
-            f = freqs[w]
             segs = analyses[w]
             if pos_rank == 0:
-                edge = segs[-1]
-                stem = edge[: -len(affix)]
+                edge, stem = segs[-1], segs[-1][: -len(affix)]
                 analyses[w] = segs[:-1] + (stem, affix)
-                candidates.rewrite(w, "suffix", edge, affix)
-                if len(segs) == 1:
-                    candidates.rewrite(w, "prefix", edge, stem)
             else:
-                edge = segs[0]
-                stem = edge[len(affix):]
+                edge, stem = segs[0], segs[0][len(affix):]
                 analyses[w] = (affix, stem) + segs[1:]
-                candidates.rewrite(w, "prefix", edge, affix)
-                if len(segs) == 1:
-                    candidates.rewrite(w, "suffix", edge, stem)
-            for s, dc in ((edge, -f), (stem, f), (affix, f)):
-                counts[s] = counts.get(s, 0) + dc
-                if not counts[s]:
-                    del counts[s]
-                changed[s] = changed.get(s, 0) + dc
-            total += f
-        candidates.add_counts(changed)
+            candidates.rewrite(w, position, edge, affix)
+            if len(segs) == 1:
+                candidates.rewrite(w, other, edge, stem)
+        # the winner's changes are the move's
+        total += added
+        candidates.add_counts(segments, deltas)
         candidates.flush()
 
 
-def _segment_counts(analyses, freqs) -> Counter:
-    """Segment token counts over ``analyses``, each word weighted by its
-    frequency."""
-    counts: Counter = Counter()
-    for w, segs in analyses.items():
-        for s in segs:
-            counts[s] += freqs[w]
-    return counts
+def _reanalyze(analyses, new, freqs, ids, counts):
+    """Give each word of ``new`` its segments there in ``analyses``, and
+    move the word's frequency in ``counts``, a vector by the ids of the
+    table ``ids``, from its old segments to its new ones."""
+    touched, deltas = [], []
+    for w, segs in new.items():
+        old, analyses[w] = analyses[w], segs
+        touched += [ids[s] for s in old + segs]
+        deltas += [-freqs[w]] * len(old) + [freqs[w]] * len(segs)
+    np.add.at(counts, np.array(touched, dtype=np.intp), deltas)
 
 
 def train_segmenter(
@@ -803,57 +806,40 @@ def train_segmenter(
     char_cost = math.log(len(alphabet) + 1)
 
     analyses = {w: (w,) for w in types}
-    moves, capped = _edge_split_phase(analyses, freqs, char_cost)
+    ids, counts, moves, capped = _edge_split_phase(analyses, freqs, char_cost)
     if capped:
         log.warning(
             "%s: edge-split phase stopped at its cap of %d moves with a move left",
             language or "<unnamed>", MAX_EDGE_SPLIT_MOVES,
         )
 
+    # The phase's table gains the rest of the event space; its longer
+    # entries, whole words and stems, stay outside it.
+    lattice = _Lattice(types, max_segment_len, ids)
+    vocab_size = sum(len(s) <= max_segment_len for s in ids.names)
+    counts = np.concatenate([counts, np.zeros(len(ids) - len(counts), dtype=np.int64)])
     # Anything still longer than the segment cap is chunked so that every
     # counted segment lives inside the smoothing event space.
-    analyses = {
-        w: segs
-        if max(map(len, segs)) <= max_segment_len
-        else tuple(
-            piece
-            for s in segs
-            for piece in (s[i : i + max_segment_len] for i in range(0, len(s), max_segment_len))
-        )
+    chunked = {
+        w: tuple(s[i : i + max_segment_len] for s in segs for i in range(0, len(s), max_segment_len))
         for w, segs in analyses.items()
+        if max(map(len, segs)) > max_segment_len
     }
-
-    lattice = _Lattice(types, max_segment_len)
-    ids = lattice.segments
-    vocab_size = len(ids)
-    # EM counts by lattice id: every segment is a substring of its word of
-    # at most max_segment_len characters, so it has one
-    first = _segment_counts(analyses, freqs)
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    counts[[ids[s] for s in first]] = list(first.values())
-    total = sum(first.values())
+    _reanalyze(analyses, chunked, freqs, ids, counts)
 
     # Each pass decodes every word in one batch; only the words whose cuts
     # changed are re-counted.
     masks = lattice.masks_of(analyses.values())
     converged = True
     for passes in range(1, max_iters + 1):
-        _, new_masks = lattice.decode(_count_log_probs(counts, alpha, total + alpha * vocab_size))
+        denom = int(counts.sum()) + alpha * vocab_size
+        _, new_masks = lattice.decode(_count_log_probs(counts, alpha, denom))
         changed = np.flatnonzero((new_masks != masks).any(axis=1))
         if not changed.size:
             break
         masks = new_masks
-        touched, deltas = [], []
-        for k, row in zip(changed.tolist(), masks[changed].tolist()):
-            w = types[k]
-            f = freqs[w]
-            old, new = analyses[w], lattice.split(k, row)
-            analyses[w] = new
-            touched += [ids[s] for s in old]
-            touched += [ids[s] for s in new]
-            deltas += [-f] * len(old) + [f] * len(new)
-            total += f * (len(new) - len(old))
-        np.add.at(counts, touched, deltas)
+        new = {types[k]: lattice.split(k, row) for k, row in zip(changed.tolist(), masks[changed].tolist())}
+        _reanalyze(analyses, new, freqs, ids, counts)
     else:
         converged = False
         log.warning(
@@ -861,11 +847,12 @@ def train_segmenter(
             language or "<unnamed>", max_iters,
         )
 
+    used = np.flatnonzero(counts)
     model = SegmentModel(
         language=language,
         alpha=alpha,
-        counts=_segment_counts(analyses, freqs),
-        total=total,
+        counts=Counter(dict(zip([ids.names[i] for i in used.tolist()], counts[used].tolist()))),
+        total=int(counts.sum()),
         vocab_size=vocab_size,
         segmentations=analyses,
     )

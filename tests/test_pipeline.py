@@ -600,6 +600,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_repeated_config_key(tmp_path, capsys):
+    # taking the last key would run with the demo's max_iters: 20 and exit 0
+    config_path = write_demo(tmp_path)
+    text = config_path.read_text(encoding="utf-8").replace("parameters:\n", "parameters:\n  max_iters: 1\n")
+    config_path.write_text(text, encoding="utf-8")
+    line = text.splitlines().index("  max_iters: 20") + 1
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {config_path}: line {line}: repeated key 'max_iters'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "error, code, kind",
     [(ConfigError, 2, "config error"), (DataError, 3, "data error"),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -554,11 +555,17 @@ def test_split_delta_is_bit_identical_to_reference(counts, moves, char_cost):
         changes[s] += max(dc, -(counts.get(s, 0) + changes[s]))  # counts stay >= 0
     expected = reference.delta(changes)
     nonzero = [(s, dc) for s, dc in changes.items() if dc]
+    # the counts as the phase keeps them: a vector by the ids of a table
+    # that lists every segment involved
+    ids = segmentation._SegmentIds()
+    vector = np.zeros(len(counts.keys() | changes.keys()), dtype=np.int64)
+    vector[[ids[s] for s in counts]] = list(counts.values())
     got = segmentation._split_delta(
         sum(changes.values()),
         tuple(s for s, _ in nonzero),
         tuple(dc for _, dc in nonzero),
-        counts,
+        ids,
+        vector,
         reference.total,
         char_cost,
         # every count and total the changes reach is at most this
@@ -604,7 +611,7 @@ def test_edge_split_matches_reference(words):
     char_cost = math.log(len(set().union(*types)) + 1)
     analyses = {w: (w,) for w in types}
     expected, expected_moves = reference_edge_split(dict(analyses), freqs, char_cost)
-    moves, capped = segmentation._edge_split_phase(analyses, freqs, char_cost)
+    _, _, moves, capped = segmentation._edge_split_phase(analyses, freqs, char_cost)
     assert analyses == expected
     assert list(analyses) == types
     assert (moves, capped) == (expected_moves, False)
@@ -630,7 +637,7 @@ def test_edge_split_breaks_exact_ties_by_position(text):
     freqs = Counter(text.split())
     types = sorted(freqs)
     analyses = {w: (w,) for w in types}
-    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types)) == (1, False)
+    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types))[2:] == (1, False)
     assert analyses == {w: (w[:-2], "yx") if w.endswith("yx") else (w,) for w in types}
 
 
@@ -649,7 +656,7 @@ def test_edge_split_matches_reference_on_mirrored_words(words):
     types = sorted(freqs)
     analyses = {w: (w,) for w in types}
     expected, expected_moves = reference_edge_split(dict(analyses), freqs, _char_cost(types))
-    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types)) == (expected_moves, False)
+    assert segmentation._edge_split_phase(analyses, freqs, _char_cost(types))[2:] == (expected_moves, False)
     assert analyses == expected
 
 
@@ -670,18 +677,21 @@ def test_filter_bound_holds_for_every_candidate_on_every_move(words):
             for s in segs:
                 counts[s] += freqs[w]
         assert sum(counts.values()) == total
+        vector = np.zeros(len(self.ids), dtype=np.int64)
+        vector[[self.ids[s] for s in counts]] = list(counts.values())
+        assert vector.tolist() == self.counts[: len(self.ids)].tolist()
         approx, bound = self.scores(total)
         for c, key in enumerate(self.keys):
             if key[1] not in self.index[key[0]]:
                 continue
             changes = segmentation._split_changes(*key, self.hosts[c], analyses, freqs)
-            exact = segmentation._split_delta(*changes, counts, total, char_cost, xlogx)
+            exact = segmentation._split_delta(*changes, self.ids, vector, total, char_cost, xlogx)
             assert abs(approx[c] - exact) <= bound[c]
         calls.append(total)
         return shortlist(self, total)
 
     with mock.patch.object(segmentation._EdgeCandidates, "shortlist", checked_shortlist):
-        moves, _ = segmentation._edge_split_phase(analyses, freqs, char_cost)
+        _, _, moves, _ = segmentation._edge_split_phase(analyses, freqs, char_cost)
     assert len(calls) == moves + 1
 
 
@@ -739,7 +749,7 @@ def test_flushed_rows_hold_the_current_maps(words):
         mock.patch.object(segmentation._EdgeCandidates, "__init__", checked_init),
         mock.patch.object(segmentation._EdgeCandidates, "flush", checked_flush),
     ):
-        moves, _ = segmentation._edge_split_phase(analyses, freqs, _char_cost(types))
+        _, _, moves, _ = segmentation._edge_split_phase(analyses, freqs, _char_cost(types))
     assert len(calls) == moves + 1
 
 
@@ -967,10 +977,29 @@ def test_presence_suffix_needs_two_supporting_colors():
 # rewrite of training must reproduce them byte for byte
 
 GOLDEN_TRAIN_SHA256 = "d9f79a8984c72c6336b30aea9418b31b6a3e93b3b0d09e2bcae0ba4b690caa07"
+# the same model's sorted segment counts, one "segment<TAB>count" line
+# each, and its other facts
+GOLDEN_TRAIN_COUNTS_SHA256 = "1c3018458869b4e8b075708f55aa844fc522e02cc701c417023998c4444014f8"
+GOLDEN_TRAIN_FACTS = {"total": 2288, "vocab_size": 8596, "edge_split_moves": 11, "em_passes": 4, "converged": True}
+# every artifact of a demo run; manifest.json without the stages'
+# duration_s, as .github/same_outputs.py compares it
 GOLDEN_DEMO_SHA256 = {
     "affixes.csv": "347371d2e55e5e0373fd4c7bbfca91f6e83743ffa9114624fa6660ad6f570070",
+    "cache/features_base.csv": "93fff607d5355cf6d1fa0ca61f706186b3d38a902257e264fc81beb33b028055",
+    "cache/lexicon_normalized.tsv": "57ffa342d32149091a1538d9ac03a03cfaea3ba4b062da72f5e6c9dc7a2c37ed",
+    "cache/roundtrips.csv": "fb754b47c128c173384a15a71d1a5cc4123b8451d89f0b127e2fd51dc8984eb5",
     "cache/segmentations.csv": "bf87048c8ddfe68c18593b628473d8624d4a15a2cfb35bb67a5838a138d77f2e",
     "compounds.csv": "d8064263f5110362c44b6f8918e05c6487e05a4bb5909873867b872224b8d430",
+    "consensus.csv": "59b453786bc1d6243eb9760f9fca8b1c2ea7272aaf1f75f91cabc7d7706a5ce2",
+    "features.csv": "a6df9c7e40a32e7dfc793c5a924b2d4c47143affd59d1d45ea4638da31e7768e",
+    "gamma.csv": "0a6c4dbe1a2b543a99827a875314b662c99211e6b75bf85d8d47334be95b8c6e",
+    "heterogeneity.svg": "28c8f09a4c646b14dc747889df1b0b34333cd7be8d0e14c78b76a54f6af4b15a",
+    "inventory.csv": "6f76eb4ebc612b7d2e47620a31f523b5006d0ecd180c00d0f891dd7702cd3544",
+    "manifest.json": "b6ed5dc67d7e43fc7da8064e990173446034dd8609f76be12da27c5a088c9b1f",
+    "ranking.csv": "20824cb27f3289caeae8f0af12b1ffaf6c0d0e0a3f0032bbffd039850952a18f",
+    "ranking_bootstrap.csv": "96ba3ccaa7d3715b366a488078465e4386535a19de13480533591d9fb9c27012",
+    "rfe.json": "ab7b4937e08a5c73d425602d771a3c2253171f7d5a967d5bc0a3c86fa45d090f",
+    "summary.md": "4061c5f1ee6ce0313ff80d451f24a1bf0205ae81d6b6c7302e75cdd02e78aab0",
 }
 
 
@@ -1000,10 +1029,24 @@ def test_golden_train_segmenter_digest():
         f"{w}\t{' '.join(model.segmentations[w])}\n" for w in sorted(model.segmentations)
     )
     assert _sha256(text) == GOLDEN_TRAIN_SHA256
+    counts = "".join(f"{s}\t{c}\n" for s, c in sorted(model.counts.items()))
+    assert _sha256(counts) == GOLDEN_TRAIN_COUNTS_SHA256
+    assert {name: getattr(model, name) for name in GOLDEN_TRAIN_FACTS} == GOLDEN_TRAIN_FACTS
+
+
+def test_golden_demo_lists_every_artifact(demo_run):
+    cfg, _ = demo_run
+    written = {p.relative_to(cfg.output_dir).as_posix() for p in cfg.output_dir.rglob("*") if p.is_file()}
+    assert written == set(GOLDEN_DEMO_SHA256)
 
 
 @pytest.mark.parametrize("rel", sorted(GOLDEN_DEMO_SHA256))
 def test_golden_demo_artifact_digest(demo_run, rel):
     cfg, _ = demo_run
     data = (cfg.output_dir / rel).read_bytes()
+    if rel == "manifest.json":
+        manifest = json.loads(data)
+        for stage in manifest["stages"].values():
+            del stage["duration_s"]
+        data = json.dumps(manifest, sort_keys=True).encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_DEMO_SHA256[rel]
