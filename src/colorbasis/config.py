@@ -159,6 +159,10 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read the config: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8")
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}")
     except yaml.YAMLError as e:

@@ -10,6 +10,7 @@ two yields the round-trip sense sets that drive most downstream features.
 from __future__ import annotations
 
 import logging
+import re
 import unicodedata
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -40,10 +41,18 @@ def numbered_lines(path):
     numbered from 1.  Line ends are read in universal-newline mode and
     lines end at ``\n`` only, so a field may hold any other line
     separator (U+2028, ``\x0c``, ...).  Every line-oriented input and
-    cache is read through here."""
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            yield number, line.rstrip("\n")
+    cache is read through here.  Raises DataError naming ``path:line`` for
+    the first line that is not valid UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                yield number, line.rstrip("\n")
+    except UnicodeDecodeError:
+        # the decoder reads ahead of the line last yielded: the bad line is
+        # the first that holds a byte it escapes (U+DC80 to U+DCFF)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            number = next(n for n, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
+        raise DataError(f"{path}:{number}: not valid UTF-8") from None
 
 
 class TSV(NamedTuple):

@@ -30,16 +30,18 @@ manifest again.  Hence:
 A stage also takes ``built``, the values that earlier stages of the same
 full run built for the artifacts it reads (and the parsed seed list),
 and adds the values it builds for later stages.  Each value is what its
-readers would parse from the artifact's file, so a stage takes each
-input from ``built`` when it is there, in a full run, and else parses
-the digest-checked file (``_handed``), in a re-run: one code path either
-way.  A full run drops each value after its last reader.
+readers would parse from the artifact's file, in the same shape, so a
+stage takes each input from ``built`` when it is there, in a full run,
+and else parses the digest-checked file (``_handed``), in a re-run: one
+code path either way.  A full run drops each value after its last reader.
 
 Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
 takes its header from it (``_csv_text``), and every cached CSV row is
 parsed by ``_cells``, which picks the named cells; ``_read`` streams a
-file's rows through it.  A reader checks nothing of what it reads: the
-digest check has shown that the file is exactly what its stage wrote.
+file's rows through it, and ``_decoded_rows`` streams them as the records
+their stage hands on, the last cell decoded from JSON.  A reader checks
+nothing of what it reads: the digest check has shown that the file is
+exactly what its stage wrote.
 """
 
 from __future__ import annotations
@@ -150,18 +152,16 @@ def _csv_text(rel: str, rows) -> str:
     return _csv_lines(chain([COLUMNS[rel]], rows))
 
 
-def _read(out: Path, rel: str, names=None, keep=None):
+def _read(out: Path, rel: str, names=None):
     """Yield the ``names`` cells (two or more; by default every column of
     ``COLUMNS[rel]``) of each row of the cached CSV artifact ``rel``, as a
     tuple, one row at a time.  The file is the one its stage wrote, so its
     header is ``COLUMNS[rel]``, and no cell holds a line break (words,
     glosses and colors come from single lines of the inputs, and JSON
-    cells escape control characters), so each line is one row.  With
-    ``keep``, only the lines that ``keep`` accepts, line end included,
-    are parsed."""
+    cells escape control characters), so each line is one row."""
     with (out / rel).open(encoding="utf-8", newline="") as fh:
         next(fh)
-        yield from _cells(rel, fh if keep is None else filter(keep, fh), names)
+        yield from _cells(rel, fh, names)
 
 
 def _cells(rel: str, lines, names=None):
@@ -177,9 +177,10 @@ _ACCEPTED = methodcaller("endswith", ",1\n")
 #: a row's first and last cells
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
-#: a round-trip row's language, and its translation pair (language, foreign word)
-_LANGUAGE = itemgetter(1)
+#: a round-trip record's translation pair (language, foreign word), and
+#: its language with its back-translations
 _PAIR = itemgetter(1, 2)
+_SENSES = itemgetter(1, 3)
 #: a ``compounds.csv`` row's (language, word), and its glue
 _COMPOUND_WORD = itemgetter(0, 1)
 _GLUE = itemgetter(CompoundRow._fields.index("glue"))
@@ -191,15 +192,17 @@ _DECODE_BLOCK = 512
 
 
 def _decoded_rows(out: Path, rel: str, keep=None):
-    """Yield ``(row, value)`` for each row of the cached CSV artifact
-    ``rel`` that ``keep`` accepts (every row by default): its cells as
-    ``_read`` gives them, and its last cell decoded as JSON.  The kept
-    rows are taken ``_DECODE_BLOCK`` at a time, and each block's cells are
-    decoded with one ``json.loads``; a row that is not kept is dropped as
-    it is read."""
+    """Yield each row of the cached CSV artifact ``rel`` that ``keep``
+    accepts (every row by default) as the record its stage handed on: its
+    cells as ``_read`` gives them, the last one decoded as JSON.  The kept
+    rows are taken ``_DECODE_BLOCK`` at a time, and each block's last cells
+    are decoded with one ``json.loads``; a row that is not kept is dropped
+    as it is read."""
     kept = _read(out, rel) if keep is None else filter(keep, _read(out, rel))
     while block := list(islice(kept, _DECODE_BLOCK)):
-        yield from zip(block, json.loads("[" + ",".join(map(_LAST, block)) + "]"))
+        values = json.loads("[" + ",".join(map(_LAST, block)) + "]")
+        # each row's cells but the last, joined to its value as a 1-tuple
+        yield from map(tuple.__add__, map(itemgetter(slice(-1)), block), zip(values))
 
 
 #: a string as ``json.dumps`` writes it, in C where the C encoder is built
@@ -251,7 +254,7 @@ def _color_segmentations(out: Path, translations) -> dict[str, dict[str, tuple[s
     are decoded."""
     pairs = {pair for color_pairs in translations.values() for pair in color_pairs}
     by_language: dict[str, dict[str, tuple[str, ...]]] = {}
-    for (lang, word, _), segments in _decoded_rows(out, "cache/segmentations.csv", lambda row: row[:2] in pairs):
+    for lang, word, segments in _decoded_rows(out, "cache/segmentations.csv", lambda row: row[:2] in pairs):
         if len(segments) > 1:
             by_language.setdefault(lang, {})[word] = tuple(segments)
     return by_language
@@ -436,21 +439,16 @@ def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
     colors = [c.term for c in seeds]
     counts = {"colors": len(colors)}
     conc = ConcretenessLexicon.load(cfg.concreteness, counts)
-    # each color's round-trip rows, with their back-translations, are
+    # each color's round-trip records, with their back-translations, are
     # reduced, as soon as they end, to its translation pairs and its
-    # translation concreteness (see ``_translation_pairs``); the handed
-    # rows hold their back-translations decoded already
-    if "cache/roundtrips.csv" in built:
-        records = built["cache/roundtrips.csv"]
-        decoded = zip(records, map(_LAST, records))
-    else:
-        decoded = _decoded_rows(out, "cache/roundtrips.csv")
+    # translation concreteness (see ``_translation_pairs``)
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
-    for color, group in groupby(decoded, key=lambda r: r[0][0]):
-        color_rows, senses = zip(*group)
-        translations[color] = list(map(_PAIR, color_rows))
-        concreteness[color] = translation_concreteness(zip(map(_LANGUAGE, color_rows), senses), conc)
+    records = _handed(built, "cache/roundtrips.csv", _decoded_rows, out, "cache/roundtrips.csv")
+    for color, group in groupby(records, key=_FIRST):
+        color_records = list(group)
+        translations[color] = list(map(_PAIR, color_records))
+        concreteness[color] = translation_concreteness(map(_SENSES, color_records), conc)
     _, accepted_rows = _handed(built, "compounds.csv", _accepted_compounds, out)
     accepted = set(map(_COMPOUND_WORD, accepted_rows))
 
@@ -458,37 +456,24 @@ def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
     treebank = CorpusSummary.load(cfg.treebank, counts, TREEBANK)
     etym = EtymologyTable.load(cfg.etymology, counts)
 
-    compound_feats, compound_missing = compound_counts(
-        accepted, {c: translations.get(c, []) for c in colors}
-    )
-    maps: dict[str, dict[str, float | None]] = {col: {} for col in NON_AFFIX_COLUMNS}
-    for color in colors:
-        pairs = translations.get(color, [])
-        maps["word-concreteness"][color] = word_concreteness(color, conc)
-        maps["translation-concreteness"][color] = concreteness.get(color)
-        freq, pct = pos_features(color, ngram)
-        maps["ngram-frequency"][color] = freq
-        maps["ngram-pct-adj"][color] = pct
-        _, tb_pct = pos_features(color, treebank)
-        maps["penntb-pct-adj"][color] = tb_pct
-        if color in compound_missing:
-            maps["compound-count"][color] = None
-            maps["compound-frequency"][color] = None
-        else:
-            count, fraction = compound_feats[color]
-            maps["compound-count"][color] = float(count)
-            maps["compound-frequency"][color] = fraction
-        for process, value in etymology_features(color, etym, etym.total(color)).items():
-            maps[process][color] = value
-        maps["word-length"][color] = word_length_feature(color, pairs)
-
+    compound_feats, compound_missing = compound_counts(accepted, {c: translations.get(c, []) for c in colors})
     rows = built["cache/features_base.csv"] = []
     for color in colors:
-        row = [color]
-        for col in NON_AFFIX_COLUMNS:
-            v = maps[col][color]
-            row.append("" if v is None else repr(v))
-        rows.append(row)
+        freq, pct = pos_features(color, ngram)
+        _, tb_pct = pos_features(color, treebank)
+        count, fraction = (None, None) if color in compound_missing else compound_feats[color]
+        values = {
+            "word-concreteness": word_concreteness(color, conc),
+            "translation-concreteness": concreteness.get(color),
+            "ngram-frequency": freq,
+            "ngram-pct-adj": pct,
+            "penntb-pct-adj": tb_pct,
+            "compound-count": None if count is None else float(count),
+            "compound-frequency": fraction,
+            **etymology_features(color, etym, etym.total(color)),
+            "word-length": word_length_feature(color, translations.get(color, [])),
+        }
+        rows.append([color, *("" if (v := values[col]) is None else repr(v) for col in NON_AFFIX_COLUMNS)])
     return counts, {
         "cache/features_base.csv": _csv_text("cache/features_base.csv", rows),
     }

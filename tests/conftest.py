@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -41,3 +44,23 @@ def demo_run(tmp_path_factory):
     cfg = load_config(config_path)
     manifest = run_pipeline(cfg)
     return cfg, manifest
+
+
+def artifacts(out, *dropped) -> dict[str, bytes]:
+    """Every file under the output directory ``out``, by its path relative
+    to ``out``, as bytes; ``manifest.json`` as sorted-key JSON without each
+    stage's ``duration_s`` and without the top-level keys ``dropped``, as
+    ``.github/same_outputs.py`` compares it."""
+    out = Path(out)
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            for key in dropped:
+                del manifest[key]
+            for stage in manifest["stages"].values():
+                del stage["duration_s"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[path.relative_to(out).as_posix()] = data
+    return files

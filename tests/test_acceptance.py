@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion, including measured runtimes for the timed ones.
 """
 
-import json
 import random
 import time
 from collections import Counter
@@ -27,6 +26,7 @@ from colorbasis.segmentation import (
 from colorbasis.stats import aggregate, gamma, rfe
 from colorbasis.wcs import inventory_stats, load_wcs, term_consensus
 
+from conftest import artifacts
 from test_segmentation import NAHUATL_COLORS, NAHUATL_OTHERS, _substring_vocab, exhaustive_best
 from test_stats import gamma_oracle
 
@@ -290,24 +290,10 @@ def test_criterion_11_parallel_determinism(criterion, tmp_path):
     assert cfg_parallel.jobs == 8
     run_pipeline(cfg_serial)
     run_pipeline(cfg_parallel)
-    compared = 0
-    for path in sorted((tmp_path / "serial").rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(tmp_path / "serial")
-        if rel.name == "manifest.json":
-            # carries wall-clock timings; compare all other fields
-            a = json.loads(path.read_text(encoding="utf-8"))
-            b = json.loads((tmp_path / "parallel" / rel).read_text(encoding="utf-8"))
-            for m in (a, b):
-                for stage in m["stages"].values():
-                    stage.pop("duration_s")
-            assert a == b
-            continue
-        other = tmp_path / "parallel" / rel
-        assert path.read_bytes() == other.read_bytes(), rel
-        compared += 1
-    assert compared >= 10
+    # the manifest carries wall-clock timings; all its other fields compare
+    serial = artifacts(tmp_path / "serial")
+    assert artifacts(tmp_path / "parallel") == serial
+    assert len(serial) >= 11
 
 
 def test_criterion_12_wcs_arithmetic(criterion, tmp_path):

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorbasis.cli import main
-from colorbasis.config import PARAMETER_KEYS, load_config
+from colorbasis.config import INPUT_KEYS, PARAMETER_KEYS, load_config
 from colorbasis.demo import write_demo
 from colorbasis.errors import ConfigError, DataError, DependencyError, StageError
 from colorbasis import pipeline, segmentation
@@ -695,6 +695,31 @@ def test_cli_run_accepts_words_holding_line_separators(tmp_path, capsys, name):
     assert after == before
 
 
+@pytest.mark.parametrize("name", [*INPUT_KEYS, "config"])
+def test_cli_input_that_is_not_utf8_names_its_line(tmp_path, capsys, name):
+    # a byte that is not UTF-8 once exited 4 ("internal error").  The
+    # decoder reads ahead of the lines read so far, so the line named must
+    # be the bad one, not the one being read when the error surfaced
+    config_path = write_demo(tmp_path)
+    path = config_path if name == "config" else getattr(load_config(config_path), name)
+    lines = path.read_bytes().split(b"\n")
+    middle = len(lines) // 2
+    lines[middle] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    if name == "config":
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: not valid UTF-8\n"
+    else:
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err.endswith(f" failed: {path}:{middle + 1}: not valid UTF-8\n")
+
+
+def test_cli_config_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    # a directory given as the config once exited 3, as a data error
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: cannot read the config: ")
+
+
 #: how a stage refuses a cached artifact that is not the one its stage wrote
 NOT_RECORDED = "not the artifact the manifest records; re-run the full pipeline"
 
@@ -1356,53 +1381,37 @@ def test_cli_stage_subcommand(tmp_path):
 _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size=6)
 
 
-@settings(max_examples=25)
+@settings(max_examples=40)
 @given(
     st.lists(
-        st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3)),
+        st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3), st.booleans()),
         max_size=8,
     ),
+    st.integers(1, 4),
     st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
 )
-def test_bulk_readers_match_per_row_json(rows, dump):
+def test_cache_readers_match_per_row_json(rows, block, dump):
     # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
     # zero rows and cells not written by json.dumps' defaults all read back
-    # as written, and their JSON columns decode exactly as one json.loads
-    # per row does
-    with tempfile.TemporaryDirectory() as tmp:
+    # as written.  Whatever the block size, the kept rows come out in file
+    # order as the records their stages hand on: their cells, the last
+    # decoded as one json.loads per row does
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pipeline, "_DECODE_BLOCK", block):
         out = Path(tmp)
         (out / "cache").mkdir()
         written = {
-            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
-            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b in rows],
+            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b, _ in rows],
+            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b, _ in rows],
         }
         for rel, cells in written.items():
             (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
-            read = list(pipeline._read(out, rel))
-            assert read == cells
-            assert [value for _, value in pipeline._decoded_rows(out, rel)] == [
-                json.loads(row[-1]) for row in cells
+            assert list(pipeline._read(out, rel)) == cells
+            records = [(*row[:-1], json.loads(row[-1])) for row in cells]
+            assert list(pipeline._decoded_rows(out, rel)) == records
+            kept = {row for row, (*_, keep) in zip(cells, rows) if keep}
+            assert list(pipeline._decoded_rows(out, rel, kept.__contains__)) == [
+                record for row, record in zip(cells, records) if row in kept
             ]
         assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
             (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
         ]
-
-
-@settings(max_examples=25)
-@given(
-    st.lists(st.tuples(_cache_text, _cache_text, st.lists(_cache_text, max_size=3), st.booleans()), max_size=8),
-    st.integers(1, 4),
-    st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
-)
-def test_decoded_rows_match_per_row_json(rows, block, dump):
-    # whatever the block size, the kept rows come out in file order with
-    # their cells decoded as json.loads does
-    rel = "cache/segmentations.csv"
-    cells = [(l, w, dump(b)) for l, w, b, _ in rows]
-    kept = {(l, w, c) for (l, w, c), (*_, keep) in zip(cells, rows) if keep}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pipeline, "_DECODE_BLOCK", block):
-        out = Path(tmp)
-        (out / "cache").mkdir()
-        (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
-        decoded = list(pipeline._decoded_rows(out, rel, kept.__contains__))
-    assert decoded == [(row, json.loads(row[-1])) for row in cells if row in kept]

@@ -27,6 +27,7 @@ from colorbasis.cli import main
 from colorbasis.config import load_config
 from colorbasis.demo import write_demo
 from colorbasis.pipeline import STAGE_ORDER, run_stage
+from conftest import artifacts
 
 LANGUAGES = ["deu", "spa", "xa", "xb", "xc"]
 GLOSSES = ["white", "black", "red", "green", "blue", "pink", "dark", "light", "sky"]
@@ -79,36 +80,6 @@ def _run(config: Path, out: Path, jobs: int = 1) -> int:
     return main(["run", "--config", str(config), "--output-dir", str(out), "--jobs", str(jobs)])
 
 
-def _outputs(out: Path) -> dict:
-    """Every artifact's bytes; the manifest without its timings and the
-    input digests (which name the exact input bytes)."""
-    files = {}
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        if path.name == "manifest.json":
-            manifest = json.loads(data)
-            manifest.pop("input_digests")
-            for stage in manifest["stages"].values():
-                stage.pop("duration_s")
-            data = json.dumps(manifest, sort_keys=True).encode()
-        files[str(path.relative_to(out))] = data
-    return files
-
-
-def _untimed(out: Path) -> dict:
-    """Every artifact's bytes, the manifest without its timings."""
-    files = {}
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        if path.name == "manifest.json":
-            manifest = json.loads(data)
-            for stage in manifest["stages"].values():
-                stage.pop("duration_s")
-            data = json.dumps(manifest, sort_keys=True).encode()
-        files[str(path.relative_to(out))] = data
-    return files
-
-
 @settings(max_examples=8)
 @given(datasets(max_drop=1.0, odd_rows=True))
 def test_generated_data_exits_0_or_3(dataset):
@@ -125,27 +96,34 @@ _odd_cell = st.lists(
 
 
 @st.composite
-def _one_edit(draw, text: str) -> str:
-    """``text`` with one edit: an inserted character, a replaced cell, a
-    duplicated or inserted line, or a truncation."""
-    lines = text.split("\n")
-    kind = draw(st.sampled_from(["insert", "cell", "duplicate", "line", "truncate"]))
+def _one_edit(draw, text: str) -> bytes:
+    """``text``, encoded as UTF-8, with one edit: an inserted character, a
+    replaced cell, a duplicated or inserted line, a truncation, or an
+    inserted byte that is not valid UTF-8."""
+    kind = draw(st.sampled_from(["insert", "cell", "duplicate", "line", "truncate", "byte"]))
+    if kind == "byte":
+        data = text.encode("utf-8")
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xfe", b"\xff"])) + data[at:]
     if kind == "insert":
         at = draw(st.integers(0, len(text)))
-        return text[:at] + draw(_odd_cell.filter(bool)) + text[at:]
-    if kind == "truncate":
-        return text[: draw(st.integers(0, len(text)))]
-    i = draw(st.integers(0, len(lines) - 1))
-    if kind == "cell":
-        sep = ": " if ": " in lines[i] else "\t"
-        cells = lines[i].split(sep)
-        cells[draw(st.integers(0, len(cells) - 1))] = draw(_odd_cell)
-        lines[i] = sep.join(cells)
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
+        text = text[:at] + draw(_odd_cell.filter(bool)) + text[at:]
+    elif kind == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
     else:
-        lines.insert(i, draw(_odd_cell))
-    return "\n".join(lines)
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "cell":
+            sep = ": " if ": " in lines[i] else "\t"
+            cells = lines[i].split(sep)
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_odd_cell)
+            lines[i] = sep.join(cells)
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, draw(_odd_cell))
+        text = "\n".join(lines)
+    return text.encode("utf-8")
 
 
 @settings(max_examples=16)
@@ -157,7 +135,7 @@ def test_one_edit_to_any_input_exits_0_2_or_3(name, data):
     with tempfile.TemporaryDirectory() as tmp:
         config = write_demo(Path(tmp))
         path = Path(tmp) / name
-        path.write_text(data.draw(_one_edit(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        path.write_bytes(data.draw(_one_edit(path.read_text(encoding="utf-8"))))
         assert _run(config, Path(tmp) / "out") in (0, 2, 3)
 
 
@@ -170,11 +148,11 @@ def test_stage_reruns_reproduce_the_full_run(dataset):
         tmp = Path(tmp)
         config = _write(tmp, dataset)
         assume(_run(config, tmp / "out") == 0)
-        full = _untimed(tmp / "out")
+        full = artifacts(tmp / "out")
         cfg = load_config(config, {"output_dir": str(tmp / "out")})
         for stage in STAGE_ORDER[STAGE_ORDER.index("segment") + 1 :]:
             run_stage(cfg, stage)
-        assert _untimed(tmp / "out") == full
+        assert artifacts(tmp / "out") == full
 
 
 @settings(max_examples=5)
@@ -187,7 +165,10 @@ def test_shuffled_lexicon_rows_give_identical_outputs(dataset):
             _run(_write(tmp / "shuffled", dataset, shuffle=True), tmp / "shuffled" / "out"),
         ]
         assert codes[0] == codes[1]
-        assert _outputs(tmp / "ordered" / "out") == _outputs(tmp / "shuffled" / "out")
+        # the inputs differ in their row order, and so in their digests
+        assert artifacts(tmp / "ordered" / "out", "input_digests") == artifacts(
+            tmp / "shuffled" / "out", "input_digests"
+        )
 
 
 def _renamed_cells(out: Path, old: str, new: str) -> dict:
@@ -301,7 +282,7 @@ def test_shuffled_table_rows_give_identical_outputs(tables, rng):
             config = write_demo(root)
             for name, lines in order.items():
                 (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-            results.append((_run(config, root / "out"), _outputs(root / "out")))
+            results.append((_run(config, root / "out"), artifacts(root / "out", "input_digests")))
         assert results[1] == results[0]
         assert results[2] == results[0]
 
@@ -313,7 +294,7 @@ def test_jobs_1_and_2_give_identical_outputs(dataset):
         tmp = Path(tmp)
         config = _write(tmp, dataset)
         assert _run(config, tmp / "serial", jobs=1) == _run(config, tmp / "parallel", jobs=2)
-        assert _outputs(tmp / "serial") == _outputs(tmp / "parallel")
+        assert artifacts(tmp / "serial") == artifacts(tmp / "parallel")
 
 
 @st.composite
@@ -356,7 +337,7 @@ def test_power_of_two_counts_give_identical_outputs(tables, scaled, k):
                 times = factor if name == scaled else 1
                 lines = ["\t".join([*key, *(str(c * times) for c in counts)]) for key, counts in rows]
                 (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-            results.append((_run(config, root / "out"), _outputs(root / "out")))
+            results.append((_run(config, root / "out"), artifacts(root / "out", "input_digests")))
         assert results[0][0] == 0
         assert results[1] == results[0]
 

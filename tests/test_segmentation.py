@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 from collections import Counter
@@ -22,6 +21,7 @@ from colorbasis.segmentation import (
     train_segmenter,
     viterbi_segment,
 )
+from conftest import artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -1036,17 +1036,10 @@ def test_golden_train_segmenter_digest():
 
 def test_golden_demo_lists_every_artifact(demo_run):
     cfg, _ = demo_run
-    written = {p.relative_to(cfg.output_dir).as_posix() for p in cfg.output_dir.rglob("*") if p.is_file()}
-    assert written == set(GOLDEN_DEMO_SHA256)
+    assert set(artifacts(cfg.output_dir)) == set(GOLDEN_DEMO_SHA256)
 
 
 @pytest.mark.parametrize("rel", sorted(GOLDEN_DEMO_SHA256))
 def test_golden_demo_artifact_digest(demo_run, rel):
     cfg, _ = demo_run
-    data = (cfg.output_dir / rel).read_bytes()
-    if rel == "manifest.json":
-        manifest = json.loads(data)
-        for stage in manifest["stages"].values():
-            del stage["duration_s"]
-        data = json.dumps(manifest, sort_keys=True).encode()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_DEMO_SHA256[rel]
+    assert hashlib.sha256(artifacts(cfg.output_dir)[rel]).hexdigest() == GOLDEN_DEMO_SHA256[rel]
