@@ -1381,7 +1381,36 @@ def test_cli_stage_subcommand(tmp_path):
 _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size=6)
 
 
-@settings(max_examples=40)
+@settings(max_examples=25)
+@given(
+    st.lists(
+        st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3)),
+        max_size=8,
+    ),
+    st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
+)
+def test_bulk_readers_match_per_row_json(rows, dump):
+    # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
+    # zero rows and cells not written by json.dumps' defaults all read back
+    # as written, and come out as the records their stages hand on: their
+    # cells, the last decoded exactly as one json.loads per row does
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "cache").mkdir()
+        written = {
+            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
+            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b in rows],
+        }
+        for rel, cells in written.items():
+            (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
+            assert list(pipeline._read(out, rel)) == cells
+            assert list(pipeline._decoded_rows(out, rel)) == [(*row[:-1], json.loads(row[-1])) for row in cells]
+        assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
+            (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
+        ]
+
+
+@settings(max_examples=25)
 @given(
     st.lists(
         st.tuples(_cache_text, _cache_text, _cache_text, st.lists(_cache_text, max_size=3), st.booleans()),
@@ -1390,12 +1419,10 @@ _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size
     st.integers(1, 4),
     st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
 )
-def test_cache_readers_match_per_row_json(rows, block, dump):
-    # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
-    # zero rows and cells not written by json.dumps' defaults all read back
-    # as written.  Whatever the block size, the kept rows come out in file
-    # order as the records their stages hand on: their cells, the last
-    # decoded as one json.loads per row does
+def test_decoded_rows_match_per_row_json(rows, block, dump):
+    # whatever the block size, the kept rows of either JSON-holding cache
+    # come out in file order as records, their last cell decoded as
+    # json.loads does
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pipeline, "_DECODE_BLOCK", block):
         out = Path(tmp)
         (out / "cache").mkdir()
@@ -1405,13 +1432,7 @@ def test_cache_readers_match_per_row_json(rows, block, dump):
         }
         for rel, cells in written.items():
             (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
-            assert list(pipeline._read(out, rel)) == cells
-            records = [(*row[:-1], json.loads(row[-1])) for row in cells]
-            assert list(pipeline._decoded_rows(out, rel)) == records
             kept = {row for row, (*_, keep) in zip(cells, rows) if keep}
             assert list(pipeline._decoded_rows(out, rel, kept.__contains__)) == [
-                record for row, record in zip(cells, records) if row in kept
+                (*row[:-1], json.loads(row[-1])) for row in cells if row in kept
             ]
-        assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
-            (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
-        ]
