@@ -45,7 +45,7 @@ class ConcretenessLexicon:
 
     @classmethod
     def load(cls, path, counts: dict | None = None) -> "ConcretenessLexicon":
-        return cls(dict(row for _, row in read_tsv(path, CONCRETENESS, counts)))
+        return cls(dict(read_tsv(path, CONCRETENESS, counts)[0]))
 
     def rating(self, word: str) -> float | None:
         return self._ratings.get(normalize_term(word))
@@ -113,7 +113,8 @@ class CorpusSummary:
     @classmethod
     def load(cls, path, counts: dict | None = None, spec: TSV = NGRAM) -> "CorpusSummary":
         rows = {}
-        for lineno, (word, *tallies) in read_tsv(path, spec, counts):
+        cells, numbers = read_tsv(path, spec, counts)
+        for lineno, (word, *tallies) in zip(numbers, cells):
             total, adj, noun = rows[word] = tuple(tallies)
             if adj + noun > total:
                 raise DataError(f"{path}:{lineno}: inconsistent counts for {word!r}")
@@ -162,7 +163,8 @@ class EtymologyTable:
         float, and the color for suffix-derivation exceeding derivation
         (suffix cases are a subset of derivation cases)."""
         table = cls()
-        for lineno, row in read_tsv(path, ETYMOLOGY, counts):
+        rows, numbers = read_tsv(path, ETYMOLOGY, counts)
+        for lineno, row in zip(numbers, rows):
             try:
                 _count(table.add(*row))
             except ValueError as e:

@@ -15,6 +15,8 @@ import unicodedata
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import chain
+from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 from .errors import DataError, EmptyLexiconError
@@ -36,23 +38,24 @@ def normalize_term(s: str) -> str:
     return unicodedata.normalize("NFC", s.strip().lower())
 
 
-def numbered_lines(path):
-    """Yield ``(line number, line)`` for each line of a UTF-8 text file,
-    numbered from 1.  Line ends are read in universal-newline mode and
-    lines end at ``\n`` only, so a field may hold any other line
-    separator (U+2028, ``\x0c``, ...).  Every line-oriented input and
-    cache is read through here.  Raises DataError naming ``path:line`` for
-    the first line that is not valid UTF-8."""
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, a byte-order mark at its start
+    dropped.  Line ends are read in universal-newline mode and lines end
+    at ``\n`` only, so a field may hold any other line separator (U+2028,
+    ``\x0c``, ...).  Every line-oriented input is read through here.
+    Raises DataError naming ``path:line`` for the first line that is not
+    valid UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                yield number, line.rstrip("\n")
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except UnicodeDecodeError:
-        # the decoder reads ahead of the line last yielded: the bad line is
-        # the first that holds a byte it escapes (U+DC80 to U+DCFF)
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # the bad line is the first that holds a byte the decoder escapes
+        # (U+DC80 to U+DCFF)
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             number = next(n for n, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
         raise DataError(f"{path}:{number}: not valid UTF-8") from None
+    # the empty text after a final line end is no line
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 class TSV(NamedTuple):
@@ -73,42 +76,48 @@ class TSV(NamedTuple):
     repeated: str | None = None
 
 
-def read_tsv(path, spec: TSV, counts: dict | None = None):
-    """Yield ``(line number, values)`` for each row of the TSV at ``path``
-    that ``spec`` keeps, its cells parsed; blank lines are passed over.
-    Sets ``spec``'s counts of rows skipped and repeats dropped in
+def read_tsv(path, spec: TSV, counts: dict | None = None) -> tuple[list[list], list[int]]:
+    """The rows of the TSV at ``path`` that ``spec`` keeps, each the list
+    of its cells parsed, and their line numbers; blank lines are passed
+    over.  Sets ``spec``'s counts of rows skipped and repeats dropped in
     ``counts``.  Raises DataError naming ``path:line`` for a row it
     refuses, and the earlier line as well for a repeated key."""
     counts = {} if counts is None else counts
     counts.update((name, 0) for name in (spec.skipped, spec.repeated) if name)
     width = len(spec.columns)
     parsers = [(i, parse) for i, parse in enumerate(spec.columns.values()) if parse]
-    seen: dict[tuple, tuple[int, tuple]] = {}
-    for lineno, line in numbered_lines(path):
-        if not line.strip():
-            continue
-        cells = line.split("\t", width)[:width]
-        if len(cells) < width or not all(map(str.strip, cells)):
+    split = list(map(methodcaller("split", "\t", width), read_lines(path)))
+    # few files hold a blank cell (or line), so a row's cells are checked
+    # one by one only when the file's cells, checked at once, hold one
+    blank = not all(map(str.strip, chain.from_iterable(split)))
+    rows, numbers = [], []
+    seen: dict[tuple, tuple[int, list]] = {}
+    for lineno, cells in enumerate(split, 1):
+        if len(cells) < width or blank and not all(map(str.strip, cells[:width])):
+            if not any(map(str.strip, cells)):  # a blank line
+                continue
             if spec.skipped is None:
                 raise DataError(f"{path}:{lineno}: expected {'<TAB>'.join(spec.columns)}")
             counts[spec.skipped] += 1
             log.warning("%s:%d: malformed row skipped", path, lineno)
             continue
+        del cells[width:]
         try:
             for i, parse in parsers:
                 cells[i] = parse(cells[i])
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: {e}") from None
-        row = tuple(cells)
         if spec.repeat != "all":
-            first, earlier = seen.setdefault(row[: spec.key], (lineno, row))
+            first, earlier = seen.setdefault(tuple(cells[: spec.key]), (lineno, cells))
             if first != lineno:
-                if spec.repeat == "refuse" and earlier != row:
-                    key = " ".join(map(repr, row[: spec.key]))
+                if spec.repeat == "refuse" and earlier != cells:
+                    key = " ".join(map(repr, cells[: spec.key]))
                     raise DataError(f"{path}:{lineno}: {key} repeats line {first} with another value")
                 counts[spec.repeated] += 1
                 continue
-        yield lineno, row
+        rows.append(cells)
+        numbers.append(lineno)
+    return rows, numbers
 
 
 class TranslationTable:
@@ -205,15 +214,9 @@ class TranslationTable:
 _SENTINELS = frozenset(RESERVED_SENTINELS)
 
 
-def _boundary_free(word: str) -> str:
-    if not _SENTINELS.isdisjoint(word):
-        raise ValueError(f"foreign word {word!r} contains a reserved word-boundary character")
-    return word
-
-
 #: ``language<TAB>foreign_word<TAB>english_gloss``, kept as it stands for
 #: ``TranslationTable.from_rows`` to normalize and merge
-LEXICON = TSV({"language": None, "foreign_word": _boundary_free, "english_gloss": None}, 3, "lexicon_rows_skipped", "all")
+LEXICON = TSV(dict.fromkeys(("language", "foreign_word", "english_gloss")), 3, "lexicon_rows_skipped", "all")
 
 
 def load_lexicon(path, counts: dict | None = None) -> TranslationTable:
@@ -221,7 +224,14 @@ def load_lexicon(path, counts: dict | None = None) -> TranslationTable:
     three non-blank fields are skipped and counted.  Raises DataError for
     a foreign word holding a reserved word-boundary sentinel, and
     EmptyLexiconError when no valid row remains."""
-    table = TranslationTable.from_rows(row for _, row in read_tsv(path, LEXICON, counts))
+    rows, numbers = read_tsv(path, LEXICON, counts)
+    # the foreign words are searched at once, and one at a time only to
+    # name the first that holds a sentinel
+    words = "".join(map(itemgetter(1), rows))
+    if any(map(words.__contains__, RESERVED_SENTINELS)):
+        lineno, word = next((n, row[1]) for n, row in zip(numbers, rows) if not _SENTINELS.isdisjoint(row[1]))
+        raise DataError(f"{path}:{lineno}: foreign word {word!r} contains a reserved word-boundary character")
+    table = TranslationTable.from_rows(rows)
     if not table.languages():
         raise EmptyLexiconError(f"{path}: no valid lexicon rows")
     return table
@@ -263,7 +273,7 @@ def load_seeds(path) -> list[ColorConcept]:
     terms and ``@N`` appends the acquisition stage (e.g. ``white*@1``)."""
     concepts: list[ColorConcept] = []
     seen = set()
-    for lineno, raw in numbered_lines(path):
+    for lineno, raw in enumerate(read_lines(path), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

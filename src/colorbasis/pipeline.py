@@ -6,12 +6,13 @@ cached upstream artifacts.  Every output is byte-deterministic: fixed
 orderings, fixed float formatting, and per-language work merged in
 canonical order regardless of the worker-pool size.
 
-A stage function reads its upstream artifacts and returns its counts and
-its artifacts as ``{relative path: text}``.  ``_execute`` is the one
-executor: it checks the manifest's config hash and input digests, checks
-each artifact the stage reads (``READS``) against the sha256 the
-manifest records for it, runs the stage, and writes the artifacts, and
-records them with their digests, only after the stage has returned.
+A stage function takes what it reads from ``built`` and returns its
+counts and its artifacts as ``{relative path: text}``; it opens nothing
+in the output directory.  ``_execute`` is the one executor: it checks the
+manifest's config hash and input digests, reads each artifact the stage
+reads (``READS``) and checks those bytes against the sha256 the manifest
+records for it, runs the stage, and writes the artifacts, and records
+them with their digests, only after the stage has returned.
 ``run_stage`` runs it against the stored manifest and stores the
 manifest again.  Hence:
 
@@ -27,21 +28,16 @@ manifest again.  Hence:
   last, only after every stage has succeeded, so a failed full run leaves
   the output directory as it was.
 
-A stage also takes ``built``, the values that earlier stages of the same
-full run built for the artifacts it reads (and the parsed seed list),
-and adds the values it builds for later stages.  Each value is what its
-readers would parse from the artifact's file, in the same shape, so a
-stage takes each input from ``built`` when it is there, in a full run,
-and else parses the digest-checked file (``_handed``), in a re-run: one
-code path either way.  A full run drops each value after its last reader.
+``built`` holds the value of each artifact a stage reads, and the seed
+list under ``"seeds"``; a stage adds the values it builds for later
+stages.  In a full run the earlier stages built them, and each is
+dropped after its last reader; otherwise ``_execute`` parses each from
+the very bytes whose digest it checked, with the artifact's one parser
+in ``PARSERS``, and the seed file with ``load_seeds`` for a stage in
+``TAKES_SEEDS``.  A stage sees the same values either way.
 
 Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
-takes its header from it (``_csv_text``), and every cached CSV row is
-parsed by ``_cells``, which picks the named cells; ``_read`` streams a
-file's rows through it, and ``_decoded_rows`` streams them as the records
-their stage hands on, the last cell decoded from JSON.  A reader checks
-nothing of what it reads: the digest check has shown that the file is
-exactly what its stage wrote.
+takes its header from it (``_csv_text``).
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ import io
 import json
 import logging
 import os
+import re
 import resource
 import sys
 import tempfile
@@ -86,7 +83,6 @@ from .lexicon import (
     TranslationTable,
     load_lexicon,
     load_seeds,
-    numbered_lines,
     round_trip,
 )
 from .segmentation import (
@@ -124,8 +120,8 @@ StageResult = tuple[dict, dict[str, str]]
 _RANKING_COLUMNS = ("color", "rank", "score", "basic")
 
 #: Every CSV artifact, by path relative to the output directory, with its
-#: columns in order.  Writers take their header from here, and ``_read``
-#: finds each column's position here.
+#: columns in order.  Writers take their header from here; a cached
+#: artifact is read by its parser in ``PARSERS``.
 COLUMNS = {
     "cache/roundtrips.csv": ("color", "language", "foreign_word", "back_translations"),
     "cache/segmentations.csv": ("language", "word", "segments"),
@@ -152,28 +148,14 @@ def _csv_text(rel: str, rows) -> str:
     return _csv_lines(chain([COLUMNS[rel]], rows))
 
 
-def _read(out: Path, rel: str, names=None):
-    """Yield the ``names`` cells (two or more; by default every column of
-    ``COLUMNS[rel]``) of each row of the cached CSV artifact ``rel``, as a
-    tuple, one row at a time.  The file is the one its stage wrote, so its
-    header is ``COLUMNS[rel]``, and no cell holds a line break (words,
-    glosses and colors come from single lines of the inputs, and JSON
-    cells escape control characters), so each line is one row."""
-    with (out / rel).open(encoding="utf-8", newline="") as fh:
-        next(fh)
-        yield from _cells(rel, fh, names)
-
-
-def _cells(rel: str, lines, names=None):
-    """The ``names`` cells of each of ``lines``, rows of the CSV artifact
-    ``rel`` without its header, as ``_read`` gives them."""
-    columns = COLUMNS[rel]
-    return map(itemgetter(*(columns.index(name) for name in names or columns)), csv.reader(lines))
-
-
-#: whether a ``compounds.csv`` line holds an accepted row: a row's last
+#: the lines of ``compounds.csv`` that hold an accepted row: a row's last
 #: cell is ``1`` when it is accepted and ``0`` when not
-_ACCEPTED = methodcaller("endswith", ",1\n")
+_ACCEPTED = re.compile(r"^.*,1$", re.MULTILINE)
+#: a line of a CSV artifact, with its line end: no cell its stage writes
+#: holds a line break (words, glosses and colors come from single lines of
+#: the inputs, and JSON cells escape control characters), so each line
+#: after the header is one row
+_LINE = re.compile(r".*\n")
 #: a row's first and last cells
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
@@ -181,28 +163,14 @@ _LAST = itemgetter(-1)
 #: its language with its back-translations
 _PAIR = itemgetter(1, 2)
 _SENSES = itemgetter(1, 3)
-#: a ``compounds.csv`` row's (language, word), and its glue
-_COMPOUND_WORD = itemgetter(0, 1)
-_GLUE = itemgetter(CompoundRow._fields.index("glue"))
+#: a ``compounds.csv`` row's language, word and glue, all that is read
+#: of its accepted rows
+_COMPOUND = itemgetter(*map(CompoundRow._fields.index, ("language", "word", "glue")))
 
-#: kept rows, and JSON cells decoded, at a time by ``_decoded_rows``: few
-#: enough that a block's decoded lists are gone before the cyclic
-#: collector moves them on to its oldest generation
+#: rows, and JSON cells decoded, at a time by ``_records``: few enough
+#: that a block's decoded lists are gone before the cyclic collector moves
+#: them on to its oldest generation
 _DECODE_BLOCK = 512
-
-
-def _decoded_rows(out: Path, rel: str, keep=None):
-    """Yield each row of the cached CSV artifact ``rel`` that ``keep``
-    accepts (every row by default) as the record its stage handed on: its
-    cells as ``_read`` gives them, the last one decoded as JSON.  The kept
-    rows are taken ``_DECODE_BLOCK`` at a time, and each block's last cells
-    are decoded with one ``json.loads``; a row that is not kept is dropped
-    as it is read."""
-    kept = _read(out, rel) if keep is None else filter(keep, _read(out, rel))
-    while block := list(islice(kept, _DECODE_BLOCK)):
-        values = json.loads("[" + ",".join(map(_LAST, block)) + "]")
-        # each row's cells but the last, joined to its value as a 1-tuple
-        yield from map(tuple.__add__, map(itemgetter(slice(-1)), block), zip(values))
 
 
 #: a string as ``json.dumps`` writes it, in C where the C encoder is built
@@ -219,64 +187,85 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _handed(built: dict, key: str, read, *args):
-    """The value an earlier stage of this full run built for ``key`` (an
-    artifact's path, or ``"seeds"``), or else ``read(*args)``, which
-    parses the same value from the digest-checked artifact (or the seed
-    file)."""
-    return built[key] if key in built else read(*args)
-
-
 # ---------------------------------------------------------------------------
-# cached-artifact readers
+# cached-artifact parsers
 
 
-def _read_lexicon_cache(out: Path) -> TranslationTable:
+def _rows(text: str, built: dict) -> list[tuple[str, ...]]:
+    """Each row of a CSV artifact, its cells as a tuple."""
+    return list(map(tuple, csv.reader(_LINE.findall(text)[1:])))
+
+
+def _records(text: str, keep=None, shared: dict | None = None):
+    """Yield each row of a CSV artifact whose last cell is a JSON list that
+    ``keep`` accepts (every row by default) as a record: its cells as a
+    tuple, the last decoded to a tuple, or to the equal tuple ``shared``
+    holds if it is given.  The kept rows are taken ``_DECODE_BLOCK`` at a
+    time, and each block's last cells are decoded with one ``json.loads``.
+    Records come as they are decoded, so a caller that keeps few of them,
+    or shares their lists, leaves few objects for the cyclic collector to
+    track."""
+    rows = csv.reader(_LINE.findall(text)[1:])
+    rows = rows if keep is None else filter(keep, rows)
+    while block := list(islice(rows, _DECODE_BLOCK)):
+        values = list(map(tuple, json.loads("[" + ",".join(map(_LAST, block)) + "]")))
+        if shared is not None:
+            values = map(shared.setdefault, values, values)
+        # each row's cells but the last, joined to its value as a 1-tuple
+        yield from map(tuple.__add__, map(tuple, map(itemgetter(slice(-1)), block)), zip(values))
+
+
+def _parse_lexicon(text: str, built: dict) -> TranslationTable:
     """The ingested lexicon, built from its cached entries as they stand
     and as they stream: ingest wrote them normalized, distinct and sorted,
     and normalizing is idempotent."""
-    lines = map(itemgetter(1), numbered_lines(out / "cache/lexicon_normalized.tsv"))
-    return TranslationTable.from_sorted(map(methodcaller("split", "\t"), lines))
+    return TranslationTable.from_sorted(map(methodcaller("split", "\t"), text.split("\n")[:-1]))
 
 
-def _translation_pairs(rows) -> dict[str, list[tuple[str, str]]]:
-    """Per color, its translation pairs, from ``cache/roundtrips.csv``
-    rows as (color, language, foreign word, ...): ingest writes each
-    color's rows together, sorted by language and word and each pair once,
-    so a color's pairs are its rows' pairs in file order."""
-    return {color: list(map(_PAIR, group)) for color, group in groupby(rows, key=_FIRST)}
-
-
-def _color_segmentations(out: Path, translations) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Per language, the segmentations of more than one segment of its
-    translation pairs' words, which are all that the affix-presence
-    feature looks up: only the pairs' rows of ``cache/segmentations.csv``
-    are decoded."""
-    pairs = {pair for color_pairs in translations.values() for pair in color_pairs}
+def _parse_segmentations(text: str, built: dict) -> dict[str, dict[str, tuple[str, ...]]]:
+    """Per language, the segmentations of more than one segment of the
+    round-trip records' words, which are all that the affix-presence
+    feature looks up: only their rows are decoded.  The round-trip pairs
+    are held as ``language<TAB>word`` strings (no input cell holds a tab),
+    which the cyclic collector does not track."""
+    pairs = set(map("\t".join, map(_PAIR, built["cache/roundtrips.csv"])))
     by_language: dict[str, dict[str, tuple[str, ...]]] = {}
-    for lang, word, segments in _decoded_rows(out, "cache/segmentations.csv", lambda row: row[:2] in pairs):
+    for lang, word, segments in _records(text, lambda row: f"{row[0]}\t{row[1]}" in pairs):
         if len(segments) > 1:
-            by_language.setdefault(lang, {})[word] = tuple(segments)
+            by_language.setdefault(lang, {})[word] = segments
     return by_language
 
 
-def _accepted_compounds(out: Path) -> tuple[int, list[tuple[str, ...]]]:
-    """The number of rows of ``compounds.csv``, and its accepted rows; only
-    the accepted lines are parsed.  The lines are read at once, so that
-    they are counted without a call per line."""
-    with (out / "compounds.csv").open(encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()[1:]
-    return len(lines), list(_cells("compounds.csv", filter(_ACCEPTED, lines)))
+def _parse_compounds(text: str, built: dict) -> tuple[int, list[tuple[str, str, str]]]:
+    """The number of rows of ``compounds.csv``, and its accepted rows'
+    language, word and glue; only the accepted lines are parsed."""
+    return text.count("\n") - 1, list(map(_COMPOUND, csv.reader(_ACCEPTED.findall(text))))
 
 
-def _read_feature_matrix(out: Path) -> FeatureMatrix:
-    colors = []
-    values = {col: [] for col in FEATURE_COLUMNS}
-    for color, *cells in _read(out, "features.csv"):
-        colors.append(color)
-        for col, cell in zip(FEATURE_COLUMNS, cells):
-            values[col].append(float(cell))
-    return FeatureMatrix(colors=colors, columns=FEATURE_COLUMNS, values=values)
+def _parse_feature_matrix(text: str, built: dict) -> FeatureMatrix:
+    rows = _rows(text, built)
+    values = {col: [float(row[i]) for row in rows] for i, col in enumerate(FEATURE_COLUMNS, 1)}
+    return FeatureMatrix(colors=list(map(_FIRST, rows)), columns=FEATURE_COLUMNS, values=values)
+
+
+#: Each artifact a stage reads, with its parser: given the artifact's text
+#: and the values ``_execute`` placed in ``built`` before it, the parser
+#: returns the value the artifact's stage hands on.  It checks nothing of
+#: what it parses: the digest check has shown that the text is exactly
+#: what its stage wrote.
+PARSERS = {
+    "cache/lexicon_normalized.tsv": _parse_lexicon,
+    # a few glosses make up most back-translation lists: equal ones share
+    # one tuple, as they do in the lexicon table
+    "cache/roundtrips.csv": lambda text, built: list(_records(text, shared={})),
+    "cache/segmentations.csv": _parse_segmentations,
+    "affixes.csv": _rows,
+    "compounds.csv": _parse_compounds,
+    "cache/features_base.csv": _rows,
+    "features.csv": _parse_feature_matrix,
+    "ranking.csv": _rows,
+    "gamma.csv": _rows,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +275,7 @@ def _read_feature_matrix(out: Path) -> FeatureMatrix:
 def stage_ingest(cfg: PipelineConfig, built: dict) -> StageResult:
     counts = {}
     table = built["cache/lexicon_normalized.tsv"] = load_lexicon(cfg.lexicon, counts)
-    seeds = built["seeds"] = load_seeds(cfg.seeds)
+    seeds = built["seeds"]
 
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in table]
 
@@ -356,10 +345,9 @@ def _train_language(args):
 
 
 def stage_segment(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
-    table = _handed(built, "cache/lexicon_normalized.tsv", _read_lexicon_cache, out)
+    table = built["cache/lexicon_normalized.tsv"]
     color_words: dict[str, set[str]] = {}
-    for lang, word in map(_PAIR, _handed(built, "cache/roundtrips.csv", _read, out, "cache/roundtrips.csv")):
+    for lang, word in map(_PAIR, built["cache/roundtrips.csv"]):
         color_words.setdefault(lang, set()).add(word)
 
     thresholds = cfg.affix_thresholds()
@@ -382,11 +370,12 @@ def stage_segment(cfg: PipelineConfig, built: dict) -> StageResult:
             results = list(pool.map(_train_language, jobs))
     else:
         results = [_train_language(j) for j in jobs]
-    # what ``aggregate`` reads of the segmentations (``_color_segmentations``),
+    # what ``aggregate`` reads of the segmentations (``_parse_segmentations``),
     # keyed by the words the jobs were given: the results are in job order
     built["cache/segmentations.csv"] = {
-        lang: {word: segments for word, segments in zip(words, kept) if segments}
+        lang: multi
         for (lang, _, words, *_), (_, _, _, kept, _) in zip(jobs, results)
+        if (multi := {word: segments for word, segments in zip(words, kept) if segments})
     }
     results.sort(key=lambda r: r[0])  # canonical merge order
 
@@ -408,10 +397,9 @@ def stage_segment(cfg: PipelineConfig, built: dict) -> StageResult:
 
 
 def stage_compounds(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
-    table = _handed(built, "cache/lexicon_normalized.tsv", _read_lexicon_cache, out)
+    table = built["cache/lexicon_normalized.tsv"]
     suffixes: dict[str, set[str]] = {}
-    for lang, affix, position, *_ in _handed(built, "affixes.csv", _read, out, "affixes.csv"):
+    for lang, affix, position, *_ in built["affixes.csv"]:
         if position == "suffix":
             suffixes.setdefault(lang, set()).add(affix)
     candidates = []
@@ -419,8 +407,8 @@ def stage_compounds(cfg: PipelineConfig, built: dict) -> StageResult:
         candidates.extend(extract_candidates(table, lang, suffixes.get(lang, ())))
     rows = score_and_filter(candidates, table, cfg.compound_threshold)
     del candidates
-    # what ``features`` and ``report`` read (``_accepted_compounds``)
-    accepted = list(compress(rows, map(_LAST, rows)))
+    # what ``features`` and ``report`` read (``_parse_compounds``)
+    accepted = list(map(_COMPOUND, compress(rows, map(_LAST, rows))))
     built["compounds.csv"] = (len(rows), accepted)
     return {
         "candidates": len(rows),
@@ -434,23 +422,20 @@ def stage_compounds(cfg: PipelineConfig, built: dict) -> StageResult:
 
 
 def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
-    seeds = _handed(built, "seeds", load_seeds, cfg.seeds)
-    colors = [c.term for c in seeds]
+    colors = [c.term for c in built["seeds"]]
     counts = {"colors": len(colors)}
     conc = ConcretenessLexicon.load(cfg.concreteness, counts)
-    # each color's round-trip records, with their back-translations, are
-    # reduced, as soon as they end, to its translation pairs and its
-    # translation concreteness (see ``_translation_pairs``)
+    # each color's round-trip records give its translation pairs and its
+    # translation concreteness: ingest makes a color's records together,
+    # sorted by language and word and each pair once
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
-    records = _handed(built, "cache/roundtrips.csv", _decoded_rows, out, "cache/roundtrips.csv")
-    for color, group in groupby(records, key=_FIRST):
+    for color, group in groupby(built["cache/roundtrips.csv"], key=_FIRST):
         color_records = list(group)
         translations[color] = list(map(_PAIR, color_records))
         concreteness[color] = translation_concreteness(map(_SENSES, color_records), conc)
-    _, accepted_rows = _handed(built, "compounds.csv", _accepted_compounds, out)
-    accepted = set(map(_COMPOUND_WORD, accepted_rows))
+    _, accepted_rows = built["compounds.csv"]
+    accepted = {(lang, word) for lang, word, _ in accepted_rows}
 
     ngram = CorpusSummary.load(cfg.ngram, counts, NGRAM)
     treebank = CorpusSummary.load(cfg.treebank, counts, TREEBANK)
@@ -473,21 +458,19 @@ def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
             **etymology_features(color, etym, etym.total(color)),
             "word-length": word_length_feature(color, translations.get(color, [])),
         }
-        rows.append([color, *("" if (v := values[col]) is None else repr(v) for col in NON_AFFIX_COLUMNS)])
+        rows.append((color, *("" if (v := values[col]) is None else repr(v) for col in NON_AFFIX_COLUMNS)))
     return counts, {
         "cache/features_base.csv": _csv_text("cache/features_base.csv", rows),
     }
 
 
 def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
-    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
-    translations = _translation_pairs(
-        _handed(built, "cache/roundtrips.csv", _read, out, "cache/roundtrips.csv", ("color", "language", "foreign_word"))
-    )
+    seeds = {c.term: c for c in built["seeds"]}
+    # each color's translation pairs, in order (see ``stage_features``)
+    translations = {color: list(map(_PAIR, group)) for color, group in groupby(built["cache/roundtrips.csv"], key=_FIRST)}
     colors = []
     maps: dict[str, dict[str, float | None]] = {col: {} for col in FEATURE_COLUMNS}
-    for color, *cells in _handed(built, "cache/features_base.csv", _read, out, "cache/features_base.csv"):
+    for color, *cells in built["cache/features_base.csv"]:
         colors.append(color)
         for col, cell in zip(NON_AFFIX_COLUMNS, cells):
             maps[col][color] = float(cell) if cell else None
@@ -495,7 +478,7 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
         # is a placeholder that only contributes its missingness (colors
         # without translations can never receive a score) to the drop rule.
         maps[AFFIX_COLUMN][color] = 0.0 if color in translations else None
-    by_language = _handed(built, "cache/segmentations.csv", _color_segmentations, out, translations)
+    by_language = built["cache/segmentations.csv"]
     # keyed by the pair tuples that ``translations`` already holds
     segmentations = {
         pair: segments
@@ -503,7 +486,6 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
         for pair in color_pairs
         if (segments := by_language.get(pair[0], {}).get(pair[1]))
     }
-    del by_language
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -530,7 +512,7 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
     boot, final, matrix = bootstrap_then_full_aggregate(
         matrix, cfg.negated, cfg.transforms, affix_fn
     )
-    # what ``gamma`` and ``rfe`` read (``_read_feature_matrix``)
+    # what ``gamma`` and ``rfe`` read (``_parse_feature_matrix``)
     built["features.csv"] = FeatureMatrix(colors=matrix.colors, columns=FEATURE_COLUMNS, values=matrix.values)
 
     feat_rows = [
@@ -558,27 +540,25 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
     }
 
 
-def _targets_for(matrix: FeatureMatrix, seeds: dict[str, ColorConcept], scope: str):
+def _targets_for(matrix: FeatureMatrix, seeds: list[ColorConcept], scope: str):
     """The basic flags of ``matrix``'s colors; and the matrix the sequence
     is measured on, with its sequence target: under ``basic-only`` its
     basic colors alone, else ``matrix`` itself."""
-    basic_flags = [1.0 if seeds[c].is_basic else 0.0 for c in matrix.colors]
+    is_basic = {c.term: c.is_basic for c in seeds}
+    basic_flags = [1.0 if is_basic[c] else 0.0 for c in matrix.colors]
     if scope == "basic-only":
         matrix = FeatureMatrix(
             colors=list(compress(matrix.colors, basic_flags)),
             columns=matrix.columns,
             values={col: list(compress(values, basic_flags)) for col, values in matrix.values.items()},
         )
-    stages = {c.term: c.bk_stage for c in seeds.values() if c.bk_stage is not None}
-    is_basic = {c.term: c.is_basic for c in seeds.values()}
+    stages = {c.term: c.bk_stage for c in seeds if c.bk_stage is not None}
     return basic_flags, matrix, sequence_target(matrix.colors, is_basic, stages)
 
 
 def stage_gamma(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
-    matrix = _handed(built, "features.csv", _read_feature_matrix, out)
-    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
-    basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
+    matrix = built["features.csv"]
+    basic_flags, scoped, seq = _targets_for(matrix, built["seeds"], cfg.sequence_scope)
 
     rows = built["gamma.csv"] = []
     for col in matrix.columns:
@@ -601,12 +581,10 @@ def stage_gamma(cfg: PipelineConfig, built: dict) -> StageResult:
 
 
 def stage_rfe(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
     if not cfg.rfe_enabled:
         return {"enabled": False}, {"rfe.json": json.dumps({"enabled": False}, indent=2) + "\n"}
-    matrix = _handed(built, "features.csv", _read_feature_matrix, out)
-    seeds = {c.term: c for c in _handed(built, "seeds", load_seeds, cfg.seeds)}
-    basic_flags, scoped, seq = _targets_for(matrix, seeds, cfg.sequence_scope)
+    matrix = built["features.csv"]
+    basic_flags, scoped, seq = _targets_for(matrix, built["seeds"], cfg.sequence_scope)
     targets = {"basic": (matrix, basic_flags), "sequence": (scoped, seq)}
 
     payload = {"enabled": True}
@@ -639,35 +617,34 @@ def stage_wcs(cfg: PipelineConfig, built: dict) -> StageResult:
 
 
 def stage_report(cfg: PipelineConfig, built: dict) -> StageResult:
-    out = cfg.output_dir
     lines = ["# Color basicness run summary", ""]
 
     ranked = set()
     lines += ["## Ranking (top 15)", "", "| rank | color | score | basic |", "| --- | --- | --- | --- |"]
-    for i, (color, rank, score, basic) in enumerate(_handed(built, "ranking.csv", _read, out, "ranking.csv")):
+    for i, (color, rank, score, basic) in enumerate(built["ranking.csv"]):
         if i < 15:
             lines.append(f"| {rank} | {color} | {score} | {'yes' if basic == '1' else ''} |")
         ranked.add(color)
     lines.append("")
 
     lines += ["## Rank correlations", "", "| feature | vs basic | vs sequence |", "| --- | --- | --- |"]
-    lines += ["| " + " | ".join(row) + " |" for row in _handed(built, "gamma.csv", _read, out, "gamma.csv")]
+    lines += ["| " + " | ".join(row) + " |" for row in built["gamma.csv"]]
     lines.append("")
 
-    candidates, accepted = _handed(built, "compounds.csv", _accepted_compounds, out)
-    dist = Counter(map(len, map(_GLUE, accepted)))
+    candidates, accepted = built["compounds.csv"]
+    dist = Counter(len(glue) for _, _, glue in accepted)
     lines += ["## Compounds", "", f"accepted analyses: {len(accepted)} of {candidates} candidates", ""]
     if dist:
         lines.append("glue length distribution: " + ", ".join(f"{k}: {dist[k]}" for k in sorted(dist)))
         lines.append("")
 
     lines += ["## Affixes", "", "| language | affix | position | class | color cov. | global cov. |", "| --- | --- | --- | --- | --- | --- |"]
-    lines += ["| " + " | ".join(row) + " |" for row in _handed(built, "affixes.csv", _read, out, "affixes.csv")]
+    lines += ["| " + " | ".join(row) + " |" for row in built["affixes.csv"]]
     lines.append("")
 
     # the seeds missing from the ranking are exactly those the aggregate
     # stage dropped
-    dropped = [c.term for c in _handed(built, "seeds", load_seeds, cfg.seeds) if c.term not in ranked]
+    dropped = [c.term for c in built["seeds"] if c.term not in ranked]
     if dropped:
         lines += ["## Dropped colors", "", ", ".join(dropped), ""]
 
@@ -687,10 +664,11 @@ STAGE_FUNCS = {
 }
 STAGE_ORDER = tuple(STAGE_FUNCS)
 
-#: The cached artifacts each stage reads, which ``run_stage`` checks
-#: against their recorded digests before the stage starts; a stage reads
-#: nothing else of the output directory.  ``rfe`` declares
-#: ``features.csv`` even when it is disabled and does not read it.
+#: The cached artifacts each stage reads, which ``_execute`` reads once
+#: each, checks against their recorded digests and, unless an earlier stage
+#: of the full run handed the value on, parses before the stage starts;
+#: nothing else of the output directory is read for a stage.  ``rfe``
+#: declares ``features.csv`` even when it is disabled and does not use it.
 READS = {
     "ingest": (),
     "segment": ("cache/lexicon_normalized.tsv", "cache/roundtrips.csv"),
@@ -702,6 +680,8 @@ READS = {
     "wcs": (),
     "report": ("ranking.csv", "gamma.csv", "compounds.csv", "affixes.csv"),
 }
+#: the stages that take the seed list
+TAKES_SEEDS = {"ingest", "features", "aggregate", "gamma", "rfe", "report"}
 #: the last stage that reads each artifact, after which a full run drops
 #: the value built for it
 _LAST_READER = {rel: stage for stage in STAGE_ORDER for rel in READS[stage]}
@@ -791,7 +771,9 @@ def run_stage(cfg: PipelineConfig, stage: str) -> dict:
 
 def _execute(cfg: PipelineConfig, stage: str, manifest: dict, built: dict) -> dict:
     """``run_stage`` against ``manifest``, which it updates in place but
-    does not store, with ``built`` handed to the stage."""
+    does not store, with ``built`` handed to the stage; what the stage
+    takes and ``built`` lacks is parsed into it first, each artifact from
+    the bytes whose digest was checked."""
     out = cfg.output_dir
     if manifest.get("config_hash") not in (None, cfg.config_hash()):
         raise DataError(
@@ -815,8 +797,13 @@ def _execute(cfg: PipelineConfig, stage: str, manifest: dict, built: dict) -> di
             path = out / rel
             if not path.exists():
                 raise DependencyError(f"missing upstream artifact: {path}")
-            if _sha256(path.read_bytes()) != recorded.get(rel):
+            data = path.read_bytes()
+            if _sha256(data) != recorded.get(rel):
                 raise DataError(f"{path}: not the artifact the manifest records; re-run the full pipeline")
+            if rel not in built:
+                built[rel] = PARSERS[rel](data.decode("utf-8"), built)
+        if stage in TAKES_SEEDS and "seeds" not in built:
+            built["seeds"] = load_seeds(cfg.seeds)
         counts, artifacts = STAGE_FUNCS[stage](cfg, built)
         for rel, text in artifacts.items():
             path = out / rel

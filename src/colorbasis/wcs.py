@@ -49,7 +49,7 @@ def load_wcs(path, counts: dict | None = None) -> ElicitationTable:
     than four fields or a blank one is skipped and counted under
     ``rows_skipped``, and a later row repeating a (language, speaker,
     chip) key dropped and counted under ``conflicts``."""
-    return ElicitationTable(rows=[row for _, row in read_tsv(path, WCS, counts)])
+    return ElicitationTable(rows=list(map(tuple, read_tsv(path, WCS, counts)[0])))
 
 
 def term_consensus(table: ElicitationTable, language: str) -> dict[str, float]:

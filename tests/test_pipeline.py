@@ -26,7 +26,9 @@ from colorbasis.config import INPUT_KEYS, PARAMETER_KEYS, load_config
 from colorbasis.demo import write_demo
 from colorbasis.errors import ConfigError, DataError, DependencyError, StageError
 from colorbasis import pipeline, segmentation
+from colorbasis.lexicon import TranslationTable
 from colorbasis.pipeline import STAGE_ORDER, run_pipeline, run_stage
+from conftest import artifacts, write_generated
 
 OUTPUT_FILES = [
     "features.csv", "ranking.csv", "ranking_bootstrap.csv", "gamma.csv",
@@ -714,6 +716,24 @@ def test_cli_input_that_is_not_utf8_names_its_line(tmp_path, capsys, name):
         assert capsys.readouterr().err.endswith(f" failed: {path}:{middle + 1}: not valid UTF-8\n")
 
 
+@pytest.mark.parametrize("name", INPUT_KEYS)
+def test_input_with_a_byte_order_mark_reads_as_without(demo_run, tmp_path, capsys, name):
+    # a UTF-8 byte-order mark at the start of an input is no part of its
+    # first line: every artifact is the plain demo's, the input digests
+    # aside; with a bad byte as well, the bad line is still the one named
+    config_path = write_demo(tmp_path)
+    path = getattr(load_config(config_path), name)
+    plain = path.read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert main(["run", "--config", str(config_path)]) == 0, capsys.readouterr().err
+    assert artifacts(tmp_path / "out", "input_digests") == artifacts(demo_run[0].output_dir, "input_digests")
+    lines = plain.split(b"\n")
+    lines[1] += b"\xff"
+    path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    assert main(["run", "--config", str(config_path)]) == 3
+    assert capsys.readouterr().err.endswith(f" failed: {path}:2: not valid UTF-8\n")
+
+
 def test_cli_config_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
     # a directory given as the config once exited 3, as a data error
     assert main(["run", "--config", str(tmp_path)]) == 2
@@ -991,13 +1011,15 @@ def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeyp
     monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
     cfg = _copy_demo_output(demo_run, tmp_path)
     out = cfg.output_dir
-    pairs = {(lang, word) for _, lang, word, _ in _csv_rows(out / "cache/roundtrips.csv")}
+    roundtrips = _csv_rows(out / "cache/roundtrips.csv")
+    pairs = {(lang, word) for _, lang, word, _ in roundtrips}
     segmentations = _csv_rows(out / "cache/segmentations.csv")
     used = [json.loads(cell) for lang, word, cell in segmentations if (lang, word) in pairs]
     assert tuple(segmentations[_UNUSED_SEGMENTATION_ROW - 1][:2]) not in pairs
     assert 0 < len(used) < len(segmentations)
 
-    # every JSON list the stage decodes is a block of cells
+    # every JSON list decoded for the stage is a block of cells: every
+    # round-trip record's, then the round-trip pairs' segmentations
     blocks = []
 
     def recording(text):
@@ -1010,7 +1032,7 @@ def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeyp
     before = {rel: (out / rel).read_bytes() for rel in ("features.csv", "ranking.csv", "ranking_bootstrap.csv")}
     run_stage(cfg, "aggregate")
     assert max(map(len, blocks)) == 2
-    assert [value for block in blocks for value in block] == used
+    assert [value for block in blocks for value in block] == [json.loads(cell) for *_, cell in roundtrips] + used
     assert {rel: (out / rel).read_bytes() for rel in before} == before
 
 
@@ -1034,7 +1056,7 @@ def test_features_reduces_each_color_as_its_rows_end(demo_run, tmp_path, monkeyp
     run_stage(cfg, "features")
     expected = {}
     for color, lang, _, senses in roundtrips:
-        expected.setdefault(color, []).append((lang, json.loads(senses)))
+        expected.setdefault(color, []).append((lang, tuple(json.loads(senses))))
     assert calls == list(expected.values())
     assert (out / "cache/features_base.csv").read_bytes() == before
 
@@ -1056,49 +1078,69 @@ def test_each_stage_logs_the_memory_high_water_mark(tmp_path, caplog):
     assert 0 < process[0] and process == sorted(process)
 
 
-def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkeypatch):
-    # run the stages one at a time, recording what each returns and which
-    # files of the output directory it opens
-    cfg = load_config(write_demo(tmp_path))
+def _run_each_stage_recording(cfg, monkeypatch):
+    """Run the stages one at a time in ``cfg``'s output directory; return
+    what each stage function returned, how often each file of the output
+    directory but the manifest was opened for reading while the stage ran,
+    and which files the stage function itself opened."""
     out = cfg.output_dir.resolve()
     returned: dict[str, dict[str, str]] = {}
+    read: dict[str, Counter] = {stage: Counter() for stage in STAGE_ORDER}
     opened: dict[str, set[str]] = {stage: set() for stage in STAGE_ORDER}
-    current = None
+    current, in_function = None, False
     real_open = io.open
 
-    def recording_open(file, *args, **kwargs):
+    def recording_open(file, mode="r", *args, **kwargs):
         if current is not None and isinstance(file, (str, os.PathLike)):
             path = Path(file).resolve()
-            if path.is_relative_to(out):
-                opened[current].add(path.relative_to(out).as_posix())
-        return real_open(file, *args, **kwargs)
+            if path.is_relative_to(out) and path.name != "manifest.json":
+                rel = path.relative_to(out).as_posix()
+                if in_function:
+                    opened[current].add(rel)
+                if "r" in mode:
+                    read[current][rel] += 1
+        return real_open(file, mode, *args, **kwargs)
 
-    def recording(stage, fn):
+    def recording(fn):
         def run(cfg, built):
-            nonlocal current
-            current = stage
+            nonlocal in_function
+            in_function = True
             try:
                 counts, artifacts = fn(cfg, built)
             finally:
-                current = None
-            returned[stage] = artifacts
+                in_function = False
+            returned[current] = artifacts
             return counts, artifacts
         return run
 
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
     for stage in STAGE_ORDER:
-        monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, recording(stage, pipeline.STAGE_FUNCS[stage]))
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, recording(pipeline.STAGE_FUNCS[stage]))
+        current = stage
         run_stage(cfg, stage)
+        current = None
+    return returned, read, opened
 
-    # a stage opens only the artifacts whose digests were checked before it
-    # started: the demo runs rfe, so every declared read is made
-    assert opened == {stage: set(reads) for stage, reads in pipeline.READS.items()}
-    for stage, rels in opened.items():
+
+def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkeypatch):
+    # run the stages one at a time, recording what each returns and which
+    # files of the output directory are read for it
+    cfg = load_config(write_demo(tmp_path))
+    returned, read, opened = _run_each_stage_recording(cfg, monkeypatch)
+
+    # only the artifacts whose digests are checked are read, before the
+    # stage starts: the demo runs rfe, so every declared read is made; the
+    # stage functions open nothing there
+    assert {stage: set(rels) for stage, rels in read.items()} == {
+        stage: set(reads) for stage, reads in pipeline.READS.items()
+    }
+    assert opened == {stage: set() for stage in STAGE_ORDER}
+    for stage, rels in read.items():
         earlier = STAGE_ORDER[: STAGE_ORDER.index(stage)]
         for rel in rels:
             assert any(rel in returned[s] for s in earlier), (stage, rel)
-    assert {rel for rels in opened.values() for rel in rels if rel.endswith(".csv")} == set(pipeline.COLUMNS) - {
+    assert {rel for rels in read.values() for rel in rels if rel.endswith(".csv")} == set(pipeline.COLUMNS) - {
         "ranking_bootstrap.csv", "consensus.csv", "inventory.csv"
     }
     headers = {
@@ -1108,6 +1150,66 @@ def test_every_cached_read_was_written_earlier_with_its_columns(tmp_path, monkey
         if rel.endswith(".csv")
     }
     assert headers == {rel: list(names) for rel, names in pipeline.COLUMNS.items()}
+
+
+def test_a_rerun_reads_each_artifact_once(tmp_path, monkeypatch):
+    # the bytes whose digest is checked are the bytes that are parsed
+    cfg = load_config(write_demo(tmp_path))
+    _, read, _ = _run_each_stage_recording(cfg, monkeypatch)
+    assert read == {stage: Counter(reads) for stage, reads in pipeline.READS.items()}
+
+
+def test_a_stage_takes_the_bytes_whose_digest_was_checked(demo_run, tmp_path, monkeypatch):
+    # each artifact a stage reads, cut to its first line once its digest
+    # has been checked, changes nothing the stage writes
+    for stage in STAGE_ORDER:
+        if not pipeline.READS[stage]:
+            continue
+        cfg = _copy_demo_output(demo_run, tmp_path / stage)
+        fn = pipeline.STAGE_FUNCS[stage]
+        written = {}
+
+        def overwriting(cfg, built, fn=fn, stage=stage):
+            for rel in pipeline.READS[stage]:
+                path = cfg.output_dir / rel
+                path.write_text(path.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8")
+            counts, artifacts = written[stage] = fn(cfg, built)
+            return counts, artifacts
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, overwriting)
+        run_stage(cfg, stage)
+        originals = demo_run[0].output_dir
+        assert {rel: text.encode("utf-8") for rel, text in written[stage][1].items()} == {
+            rel: (originals / rel).read_bytes() for rel in written[stage][1]
+        }, stage
+
+
+def _comparable(value):
+    # a translation table has no equality of its own: compare its map
+    return value._glosses if isinstance(value, TranslationTable) else value
+
+
+@pytest.mark.parametrize("dataset", ["demo", "generated"])
+def test_each_parser_gives_the_value_its_stage_hands_on(tmp_path, monkeypatch, dataset):
+    # in a full run, each artifact's parser, applied to the text its stage
+    # wrote, gives exactly the value the stage handed on to later stages
+    config_path = write_demo(tmp_path) if dataset == "demo" else write_generated(tmp_path)
+    checked = set()
+
+    def checking(fn):
+        def run(cfg, built):
+            counts, artifacts = fn(cfg, built)
+            for rel in artifacts.keys() & pipeline.PARSERS.keys():
+                parsed = pipeline.PARSERS[rel](artifacts[rel], built)
+                assert _comparable(parsed) == _comparable(built[rel]), rel
+                checked.add(rel)
+            return counts, artifacts
+        return run
+
+    for stage in STAGE_ORDER:
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, checking(pipeline.STAGE_FUNCS[stage]))
+    run_pipeline(load_config(config_path))
+    assert checked == set(pipeline.PARSERS) == {rel for reads in pipeline.READS.values() for rel in reads}
 
 
 def test_a_full_run_parses_none_of_its_own_artifacts(tmp_path, monkeypatch):
@@ -1120,8 +1222,8 @@ def test_a_full_run_parses_none_of_its_own_artifacts(tmp_path, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a full run parsed one of its own artifacts")
 
-    for reader in ("_read", "_cells", "_decoded_rows", "_read_lexicon_cache"):
-        monkeypatch.setattr(pipeline, reader, refused)
+    for rel in pipeline.PARSERS:
+        monkeypatch.setitem(pipeline.PARSERS, rel, refused)
     seeds_parsed = []
     load_seeds = pipeline.load_seeds
     monkeypatch.setattr(pipeline, "load_seeds", lambda path: seeds_parsed.append(path) or load_seeds(path))
@@ -1146,6 +1248,17 @@ def test_a_full_run_parses_none_of_its_own_artifacts(tmp_path, monkeypatch):
     run_pipeline(cfg)
     assert hashed == {stage: set(reads) for stage, reads in pipeline.READS.items()}
     assert seeds_parsed == [cfg.seeds]
+
+
+def test_a_stage_that_takes_no_seed_list_leaves_the_seed_file_alone(tmp_path, capsys):
+    # the executor parses the seed file only for a stage that takes the
+    # seed list, so the survey stage runs alone whatever the seed file holds
+    config_path = write_demo(tmp_path)
+    with (tmp_path / "seeds.txt").open("a", encoding="utf-8") as fh:
+        fh.write("mauve@@\n")
+    assert main(["wcs", "--config", str(config_path)]) == 0, capsys.readouterr().err
+    assert main(["run", "--config", str(config_path)]) == 3
+    assert "seeds.txt:21: bad stage ''" in capsys.readouterr().err
 
 
 def test_a_full_run_stores_the_manifest_once(tmp_path, monkeypatch):
@@ -1187,7 +1300,8 @@ def test_cached_lexicon_is_the_ingested_one(tmp_path):
         fh.write("deu\tjot\tJ\u030c\ndeu\tcafe\u0301\t Brown \n")
     cfg = load_config(config_path)
     run_stage(cfg, "ingest")
-    cached = pipeline._read_lexicon_cache(cfg.output_dir)
+    rel = "cache/lexicon_normalized.tsv"
+    cached = pipeline.PARSERS[rel]((cfg.output_dir / rel).read_bytes().decode("utf-8"), {})
     ingested = pipeline.load_lexicon(lexicon)
     assert frozenset(cached) == frozenset(ingested)
     assert ("deu", "jot", "\u01f0") in frozenset(cached)
@@ -1392,22 +1506,24 @@ _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size
 def test_bulk_readers_match_per_row_json(rows, dump):
     # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
     # zero rows and cells not written by json.dumps' defaults all read back
-    # as written, and come out as the records their stages hand on: their
+    # as written, and come out as the values their stages hand on: their
     # cells, the last decoded exactly as one json.loads per row does
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        (out / "cache").mkdir()
-        written = {
-            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows],
-            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b in rows],
-        }
-        for rel, cells in written.items():
-            (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
-            assert list(pipeline._read(out, rel)) == cells
-            assert list(pipeline._decoded_rows(out, rel)) == [(*row[:-1], json.loads(row[-1])) for row in cells]
-        assert list(pipeline._read(out, "cache/roundtrips.csv", ("foreign_word", "color"))) == [
-            (w, c) for c, _, w, _ in written["cache/roundtrips.csv"]
-        ]
+    roundtrips = [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows]
+    segmentations = [(l, w, dump(b)) for _, l, w, b in rows]
+    texts = {
+        "cache/roundtrips.csv": pipeline._csv_text("cache/roundtrips.csv", roundtrips),
+        "cache/segmentations.csv": pipeline._csv_text("cache/segmentations.csv", segmentations),
+    }
+    assert pipeline._rows(texts["cache/roundtrips.csv"], {}) == roundtrips
+    assert pipeline._rows(texts["cache/segmentations.csv"], {}) == segmentations
+    records = pipeline.PARSERS["cache/roundtrips.csv"](texts["cache/roundtrips.csv"], {})
+    assert records == [(*row[:-1], tuple(json.loads(row[-1]))) for row in roundtrips]
+    expected = {}
+    for lang, word, cell in segmentations:
+        if len(segments := json.loads(cell)) > 1:
+            expected.setdefault(lang, {})[word] = tuple(segments)
+    built = {"cache/roundtrips.csv": records}
+    assert pipeline.PARSERS["cache/segmentations.csv"](texts["cache/segmentations.csv"], built) == expected
 
 
 @settings(max_examples=25)
@@ -1420,19 +1536,18 @@ def test_bulk_readers_match_per_row_json(rows, dump):
     st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
 )
 def test_decoded_rows_match_per_row_json(rows, block, dump):
-    # whatever the block size, the kept rows of either JSON-holding cache
-    # come out in file order as records, their last cell decoded as
-    # json.loads does
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pipeline, "_DECODE_BLOCK", block):
-        out = Path(tmp)
-        (out / "cache").mkdir()
-        written = {
-            "cache/roundtrips.csv": [(c, l, w, dump(sorted(set(b)))) for c, l, w, b, _ in rows],
-            "cache/segmentations.csv": [(l, w, dump(b)) for _, l, w, b, _ in rows],
-        }
-        for rel, cells in written.items():
-            (out / rel).write_text(pipeline._csv_text(rel, cells), encoding="utf-8", newline="")
-            kept = {row for row, (*_, keep) in zip(cells, rows) if keep}
-            assert list(pipeline._decoded_rows(out, rel, kept.__contains__)) == [
-                (*row[:-1], json.loads(row[-1])) for row in cells if row in kept
-            ]
+    # whatever the block size, the round-trip records come out in file
+    # order, their last cell decoded as json.loads does, and of the
+    # segmentations only the rows of the round-trip pairs are decoded
+    with mock.patch.object(pipeline, "_DECODE_BLOCK", block):
+        roundtrips = [(c, l, w, dump(sorted(set(b)))) for c, l, w, b, keep in rows if keep]
+        segmentations = [(l, w, dump(b)) for _, l, w, b, _ in rows]
+        records = pipeline.PARSERS["cache/roundtrips.csv"](pipeline._csv_text("cache/roundtrips.csv", roundtrips), {})
+        assert records == [(*row[:-1], tuple(json.loads(row[-1]))) for row in roundtrips]
+        pairs = {(l, w) for _, l, w, _ in roundtrips}
+        expected = {}
+        for lang, word, cell in segmentations:
+            if (lang, word) in pairs and len(segments := json.loads(cell)) > 1:
+                expected.setdefault(lang, {})[word] = tuple(segments)
+        text = pipeline._csv_text("cache/segmentations.csv", segmentations)
+        assert pipeline.PARSERS["cache/segmentations.csv"](text, {"cache/roundtrips.csv": records}) == expected

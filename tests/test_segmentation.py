@@ -1001,6 +1001,26 @@ GOLDEN_DEMO_SHA256 = {
     "rfe.json": "ab7b4937e08a5c73d425602d771a3c2253171f7d5a967d5bc0a3c86fa45d090f",
     "summary.md": "4061c5f1ee6ce0313ff80d451f24a1bf0205ae81d6b6c7302e75cdd02e78aab0",
 }
+# every artifact of a run over conftest.write_generated's dataset (the demo
+# plus three seeded synthetic languages), compared the same way
+GOLDEN_GENERATED_SHA256 = {
+    "affixes.csv": "b0386432d894aaeb8c927795962f28eda25ddc47f229f8c16cc37a9e3381a678",
+    "cache/features_base.csv": "4b02fe354d9308b40e39e634a18c01af1f41beab79ce554e041751680754cac2",
+    "cache/lexicon_normalized.tsv": "c2b2042710ecc8d47a45dd4147e660c596947a8361f248c9178855434dc53ef4",
+    "cache/roundtrips.csv": "d65c338f8504d86491b27cb38383b7b176b47d0279175c20a9dcd27e39577efd",
+    "cache/segmentations.csv": "cd27a9091ad1da916dc633038769ee3b69b05c33dbda1959e9f4810f70a2c697",
+    "compounds.csv": "6885e9b5ed3341b3c5d8029dd848fe69730116e2885b9a2eadd15307caf9380a",
+    "consensus.csv": "59b453786bc1d6243eb9760f9fca8b1c2ea7272aaf1f75f91cabc7d7706a5ce2",
+    "features.csv": "8fb976b8710a4d43d8e36ca1b6f49b57f4070321373afe6aeddd090c5d24db97",
+    "gamma.csv": "433fcd7b5c9fd339fa47c5d66b8e4106f77bd8a1d6fa508ec28c8c36d9baadbc",
+    "heterogeneity.svg": "28c8f09a4c646b14dc747889df1b0b34333cd7be8d0e14c78b76a54f6af4b15a",
+    "inventory.csv": "6f76eb4ebc612b7d2e47620a31f523b5006d0ecd180c00d0f891dd7702cd3544",
+    "manifest.json": "8115c7b35e8fd51cbad00f50a092eea53d62a600375ad8c34bb1c322ea681caa",
+    "ranking.csv": "e73d6bcd113860f29fa29d1bc4b5be0f57688e19b41d93fec21f02987d9c3897",
+    "ranking_bootstrap.csv": "8970092ce2a22fa45c4a5755c86d26abf6164d0ed527f21f6f8ff7717aa212cd",
+    "rfe.json": "ab7b4937e08a5c73d425602d771a3c2253171f7d5a967d5bc0a3c86fa45d090f",
+    "summary.md": "2eae1dc06ac7d7afd9649d35ce47f3aaa97ff9046c533d55388f1935c1127214",
+}
 
 
 def _golden_words(n=1000, seed=11):
@@ -1043,3 +1063,19 @@ def test_golden_demo_lists_every_artifact(demo_run):
 def test_golden_demo_artifact_digest(demo_run, rel):
     cfg, _ = demo_run
     assert hashlib.sha256(artifacts(cfg.output_dir)[rel]).hexdigest() == GOLDEN_DEMO_SHA256[rel]
+
+
+def test_golden_generated_lists_every_artifact(generated_run):
+    cfg, manifest = generated_run
+    assert set(artifacts(cfg.output_dir)) == set(GOLDEN_GENERATED_SHA256)
+    # the dataset exercises what it is there for: the synthetic languages,
+    # with compounds accepted and no color dropped
+    assert manifest["stages"]["ingest"]["counts"]["languages"] == 9
+    assert manifest["stages"]["compounds"]["counts"]["accepted"] > 0
+    assert manifest["dropped_colors"] == []
+
+
+@pytest.mark.parametrize("rel", sorted(GOLDEN_GENERATED_SHA256))
+def test_golden_generated_artifact_digest(generated_run, rel):
+    cfg, _ = generated_run
+    assert hashlib.sha256(artifacts(cfg.output_dir)[rel]).hexdigest() == GOLDEN_GENERATED_SHA256[rel]
