@@ -149,7 +149,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     Relative paths in it are taken from the file's directory.
     ``overrides`` (e.g. from CLI flags) replace ``output_dir`` and
     ``jobs``; an overriding ``output_dir`` is taken as given, so a
-    relative one is taken from the working directory.  Unknown keys, in
+    relative one is taken from the working directory, and an empty one is
+    refused as the config file's is.  Unknown keys, in
     the file or among the overrides, and a key repeated in one mapping of
     the file are config errors.  A parameter the file leaves out, or sets
     to null where that is allowed, keeps its ``PipelineConfig`` default.
@@ -184,7 +185,9 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError("inputs: referenced paths must be distinct")
 
     out_dir = overrides.pop("output_dir", None)
-    if out_dir:
+    if out_dir == "":
+        raise ConfigError("overrides.output_dir (--output-dir): must not be empty")
+    if out_dir is not None:
         values["output_dir"] = Path(out_dir)
     elif raw.get("output_dir"):
         values["output_dir"] = path.parent / str(raw["output_dir"])

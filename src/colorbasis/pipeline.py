@@ -34,7 +34,13 @@ stages.  In a full run the earlier stages built them, and each is
 dropped after its last reader; otherwise ``_execute`` parses each from
 the very bytes whose digest it checked, with the artifact's one parser
 in ``PARSERS``, and the seed file with ``load_seeds`` for a stage in
-``TAKES_SEEDS``.  A stage sees the same values either way.
+``TAKES_SEEDS``.  A stage sees the same values either way.  Each value
+has the shape its readers use: the round-trip rows are their four cells
+as written, since only ``features`` reads a back-translation cell, and it
+decodes each distinct one once; the segmentations are one
+``{(language, word): segments}`` map of the round-trip words of more than
+one segment, which ``aggregate`` hands to the affix-presence feature as
+it is.
 
 Each CSV artifact's columns are stated once, in ``COLUMNS``: every writer
 takes its header from it (``_csv_text``).
@@ -159,17 +165,15 @@ _LINE = re.compile(r".*\n")
 #: a row's first and last cells
 _FIRST = itemgetter(0)
 _LAST = itemgetter(-1)
-#: a round-trip record's translation pair (language, foreign word), and
-#: its language with its back-translations
+#: a round-trip row's translation pair (language, foreign word)
 _PAIR = itemgetter(1, 2)
-_SENSES = itemgetter(1, 3)
 #: a ``compounds.csv`` row's language, word and glue, all that is read
 #: of its accepted rows
 _COMPOUND = itemgetter(*map(CompoundRow._fields.index, ("language", "word", "glue")))
 
-#: rows, and JSON cells decoded, at a time by ``_records``: few enough
-#: that a block's decoded lists are gone before the cyclic collector moves
-#: them on to its oldest generation
+#: segmentation rows, and JSON cells decoded, at a time by
+#: ``_parse_segmentations``: few enough that a block's decoded lists are
+#: gone before the cyclic collector moves them on to its oldest generation
 _DECODE_BLOCK = 512
 
 
@@ -196,23 +200,13 @@ def _rows(text: str, built: dict) -> list[tuple[str, ...]]:
     return list(map(tuple, csv.reader(_LINE.findall(text)[1:])))
 
 
-def _records(text: str, keep=None, shared: dict | None = None):
-    """Yield each row of a CSV artifact whose last cell is a JSON list that
-    ``keep`` accepts (every row by default) as a record: its cells as a
-    tuple, the last decoded to a tuple, or to the equal tuple ``shared``
-    holds if it is given.  The kept rows are taken ``_DECODE_BLOCK`` at a
-    time, and each block's last cells are decoded with one ``json.loads``.
-    Records come as they are decoded, so a caller that keeps few of them,
-    or shares their lists, leaves few objects for the cyclic collector to
-    track."""
+def _parse_roundtrips(text: str, built: dict) -> list[tuple[str, str, str, str]]:
+    """Each round-trip row's four cells as written: a few glosses make up
+    most back-translation lists, so equal back-translation cells share one
+    string, as ``ingest`` encodes each distinct list once."""
+    cells: dict[str, str] = {}
     rows = csv.reader(_LINE.findall(text)[1:])
-    rows = rows if keep is None else filter(keep, rows)
-    while block := list(islice(rows, _DECODE_BLOCK)):
-        values = list(map(tuple, json.loads("[" + ",".join(map(_LAST, block)) + "]")))
-        if shared is not None:
-            values = map(shared.setdefault, values, values)
-        # each row's cells but the last, joined to its value as a 1-tuple
-        yield from map(tuple.__add__, map(tuple, map(itemgetter(slice(-1)), block)), zip(values))
+    return [(color, lang, word, cells.setdefault(senses, senses)) for color, lang, word, senses in rows]
 
 
 def _parse_lexicon(text: str, built: dict) -> TranslationTable:
@@ -222,18 +216,21 @@ def _parse_lexicon(text: str, built: dict) -> TranslationTable:
     return TranslationTable.from_sorted(map(methodcaller("split", "\t"), text.split("\n")[:-1]))
 
 
-def _parse_segmentations(text: str, built: dict) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Per language, the segmentations of more than one segment of the
-    round-trip records' words, which are all that the affix-presence
-    feature looks up: only their rows are decoded.  The round-trip pairs
-    are held as ``language<TAB>word`` strings (no input cell holds a tab),
-    which the cyclic collector does not track."""
+def _parse_segmentations(text: str, built: dict) -> dict[tuple[str, str], tuple[str, ...]]:
+    """The segmentations of more than one segment of the round-trip words,
+    by (language, word): all that the affix-presence feature looks up.
+    Only the round-trip pairs' rows are decoded, ``_DECODE_BLOCK`` at a
+    time, each block's cells with one ``json.loads``.  The pairs are held
+    as ``language<TAB>word`` strings (no input cell holds a tab), which
+    the cyclic collector does not track."""
     pairs = set(map("\t".join, map(_PAIR, built["cache/roundtrips.csv"])))
-    by_language: dict[str, dict[str, tuple[str, ...]]] = {}
-    for lang, word, segments in _records(text, lambda row: f"{row[0]}\t{row[1]}" in pairs):
-        if len(segments) > 1:
-            by_language.setdefault(lang, {})[word] = segments
-    return by_language
+    rows = filter(lambda row: f"{row[0]}\t{row[1]}" in pairs, csv.reader(_LINE.findall(text)[1:]))
+    segmentations = {}
+    while block := list(islice(rows, _DECODE_BLOCK)):
+        for (lang, word, _), segments in zip(block, json.loads("[" + ",".join(map(_LAST, block)) + "]")):
+            if len(segments) > 1:
+                segmentations[lang, word] = tuple(segments)
+    return segmentations
 
 
 def _parse_compounds(text: str, built: dict) -> tuple[int, list[tuple[str, str, str]]]:
@@ -255,9 +252,10 @@ def _parse_feature_matrix(text: str, built: dict) -> FeatureMatrix:
 #: what its stage wrote.
 PARSERS = {
     "cache/lexicon_normalized.tsv": _parse_lexicon,
-    # a few glosses make up most back-translation lists: equal ones share
-    # one tuple, as they do in the lexicon table
-    "cache/roundtrips.csv": lambda text, built: list(_records(text, shared={})),
+    # the rows as written: only ``features`` reads the back-translation
+    # cells, and it decodes each distinct one
+    "cache/roundtrips.csv": _parse_roundtrips,
+    # needs the round-trip rows, which ``_execute`` places first
     "cache/segmentations.csv": _parse_segmentations,
     "affixes.csv": _rows,
     "compounds.csv": _parse_compounds,
@@ -280,8 +278,13 @@ def stage_ingest(cfg: PipelineConfig, built: dict) -> StageResult:
     lex_lines = [f"{l}\t{w}\t{g}" for l, w, g in table]
 
     languages = table.languages()
-    records = built["cache/roundtrips.csv"] = [
-        rec for concept in seeds for lang in languages for rec in round_trip(table, concept.term, lang)
+    # the rows as written, each distinct back-translation tuple encoded once
+    cells: dict[tuple[str, ...], str] = {}
+    rows = built["cache/roundtrips.csv"] = [
+        (color, lang, word, cells.get(senses) or cells.setdefault(senses, _json_list(senses)))
+        for concept in seeds
+        for lang in languages
+        for color, _, word, senses in round_trip(table, concept.term, lang)
     ]
     # the table's forward index, a cached property, is larger than the
     # table and serves these round trips alone: clear it before the table
@@ -292,13 +295,10 @@ def stage_ingest(cfg: PipelineConfig, built: dict) -> StageResult:
         **counts,
         "languages": len(languages),
         "colors": len(seeds),
-        "roundtrip_rows": len(records),
+        "roundtrip_rows": len(rows),
     }, {
         "cache/lexicon_normalized.tsv": "\n".join(lex_lines) + "\n",
-        "cache/roundtrips.csv": _csv_text(
-            "cache/roundtrips.csv",
-            ((color, lang, word, _json_list(senses)) for color, lang, word, senses in records),
-        ),
+        "cache/roundtrips.csv": _csv_text("cache/roundtrips.csv", rows),
     }
 
 
@@ -306,7 +306,8 @@ def _train_language(args):
     """Worker for one language: train its segmenter and discover its
     affixes.  Returns the language, its ``cache/segmentations.csv`` lines,
     its ``affixes.csv`` rows, its color words' segmentations of more than
-    one segment and its training facts; top-level for picklability."""
+    one segment as ``{word: segments}`` and its training facts; top-level
+    for picklability."""
     lang, words, color_words, alpha, max_iters, max_segment_len, thresholds = args
     model = train_segmenter(
         words,
@@ -325,13 +326,13 @@ def _train_language(args):
         ),
         key=lambda r: (r[2], r[1]),
     )
-    # in the order of ``color_words``, and each distinct segment once, so
-    # that it is pickled and sent once
+    # each distinct segment once, so that it is pickled and sent once
     canonical: dict[str, str] = {}
-    color_segmentations = [
-        tuple(canonical.setdefault(segment, segment) for segment in segments) if len(segments) > 1 else None
-        for segments in map(segmentations.__getitem__, color_words)
-    ]
+    color_segmentations = {
+        word: tuple(canonical.setdefault(segment, segment) for segment in segments)
+        for word in color_words
+        if len(segments := segmentations[word]) > 1
+    }
     facts = {
         "words": len(segmentations),
         "segments": len(model.counts),
@@ -370,14 +371,11 @@ def stage_segment(cfg: PipelineConfig, built: dict) -> StageResult:
             results = list(pool.map(_train_language, jobs))
     else:
         results = [_train_language(j) for j in jobs]
-    # what ``aggregate`` reads of the segmentations (``_parse_segmentations``),
-    # keyed by the words the jobs were given: the results are in job order
-    built["cache/segmentations.csv"] = {
-        lang: multi
-        for (lang, _, words, *_), (_, _, _, kept, _) in zip(jobs, results)
-        if (multi := {word: segments for word, segments in zip(words, kept) if segments})
-    }
     results.sort(key=lambda r: r[0])  # canonical merge order
+    # what ``aggregate`` reads of the segmentations (``_parse_segmentations``)
+    built["cache/segmentations.csv"] = {
+        (lang, word): segments for lang, _, _, multi, _ in results for word, segments in multi.items()
+    }
 
     affix_rows = built["affixes.csv"] = [row for _, _, rows, _, _ in results for row in rows]
     facts = {lang: facts for lang, _, _, _, facts in results}
@@ -425,15 +423,18 @@ def stage_features(cfg: PipelineConfig, built: dict) -> StageResult:
     colors = [c.term for c in built["seeds"]]
     counts = {"colors": len(colors)}
     conc = ConcretenessLexicon.load(cfg.concreteness, counts)
-    # each color's round-trip records give its translation pairs and its
-    # translation concreteness: ingest makes a color's records together,
+    # each color's round-trip rows give its translation pairs and its
+    # translation concreteness: ingest writes a color's rows together,
     # sorted by language and word and each pair once
+    roundtrips = built["cache/roundtrips.csv"]
+    # each distinct back-translation cell, decoded once
+    senses = {cell: tuple(json.loads(cell)) for cell in dict.fromkeys(map(_LAST, roundtrips))}
     translations: dict[str, list[tuple[str, str]]] = {}
     concreteness: dict[str, float | None] = {}
-    for color, group in groupby(built["cache/roundtrips.csv"], key=_FIRST):
-        color_records = list(group)
-        translations[color] = list(map(_PAIR, color_records))
-        concreteness[color] = translation_concreteness(map(_SENSES, color_records), conc)
+    for color, group in groupby(roundtrips, key=_FIRST):
+        color_rows = list(group)
+        translations[color] = list(map(_PAIR, color_rows))
+        concreteness[color] = translation_concreteness([(l, senses[cell]) for _, l, _, cell in color_rows], conc)
     _, accepted_rows = built["compounds.csv"]
     accepted = {(lang, word) for lang, word, _ in accepted_rows}
 
@@ -478,14 +479,6 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
         # is a placeholder that only contributes its missingness (colors
         # without translations can never receive a score) to the drop rule.
         maps[AFFIX_COLUMN][color] = 0.0 if color in translations else None
-    by_language = built["cache/segmentations.csv"]
-    # keyed by the pair tuples that ``translations`` already holds
-    segmentations = {
-        pair: segments
-        for color_pairs in translations.values()
-        for pair in color_pairs
-        if (segments := by_language.get(pair[0], {}).get(pair[1]))
-    }
     matrix = assemble_feature_matrix(maps, colors, FEATURE_COLUMNS, cfg.drop_threshold)
     if matrix.dropped:
         log.info(
@@ -503,7 +496,7 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
         scores, missing = affix_presence_feature(
             matrix.colors,
             translations,
-            segmentations,
+            built["cache/segmentations.csv"],
             bootstrap_ranking,
             min_support=cfg.affix_min_support,
         )

@@ -47,24 +47,30 @@ def demo_run(tmp_path_factory):
     return cfg, manifest
 
 
-def write_generated(directory, seed: int = 29, languages: int = 3, words: int = 160) -> Path:
+def write_generated(
+    directory, seed: int = 29, languages: int = 3, words: int = 160, extra_colors: int = 0, jobs: int = 1
+) -> Path:
     """Write the demo dataset with ``languages`` seeded synthetic languages
     of ``words`` words each appended to its lexicon; returns the config
     path.  Each language has a word for most seed colors, some ending in
     the language's color suffix and some with a second gloss; compounds
     of two basic color words glossed as a secondary color, after recipes
     shared by every language, so the compound filter accepts some; and
-    filler words with a shared prefix or suffix.  The same arguments give
-    the same bytes."""
+    filler words with a shared prefix or suffix.  ``extra_colors``
+    secondary colors join the seeds, each with a concreteness, n-gram,
+    treebank and etymology row, and ``jobs`` is the config's worker-pool
+    size.  The same arguments give the same bytes."""
     from colorbasis.demo import write_demo
+    from colorbasis.features import ETYMOLOGY_PROCESSES
     from colorbasis.lexicon import load_seeds
 
     directory = Path(directory)
     config = write_demo(directory)
     rng = random.Random(seed)
     seeds = load_seeds(directory / "seeds.txt")
+    extra = [f"xhue{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(extra_colors)]
     basic = [c.term for c in seeds if c.is_basic]
-    recipes = [(*rng.sample(basic, 2), c.term) for c in seeds if not c.is_basic]
+    recipes = [(*rng.sample(basic, 2), color) for color in [c.term for c in seeds if not c.is_basic] + extra]
     consonants, vowels = "bdgklmnprstvz", "aeiou"
 
     def stem(syllables):
@@ -84,7 +90,7 @@ def write_generated(directory, seed: int = 29, languages: int = 3, words: int = 
             rows.extend(f"{lang}\t{word}\t{gloss}" for gloss in glosses)
             return True
 
-        for color in (c.term for c in seeds):
+        for color in [c.term for c in seeds] + extra:
             word = stem(rng.randint(1, 2)) + (suffix if rng.random() < 0.4 else "")
             if rng.random() < 0.85 and add(word, color, *(["thing"] if rng.random() < 0.2 else [])):
                 color_words[color] = word
@@ -96,8 +102,22 @@ def write_generated(directory, seed: int = 29, languages: int = 3, words: int = 
             word = stem(rng.randint(2, 3))
             word = rng.choice(["", prefix]) + word + rng.choice(["", suffix, "ta"])
             add(word, f"thing{rng.randrange(60)}")
-    with (directory / "lexicon.tsv").open("a", encoding="utf-8") as fh:
-        fh.write("".join(row + "\n" for row in rows))
+    # the lines appended to each input file
+    appended = {name: [] for name in ("seeds.txt", "concreteness.tsv", "ngram.tsv", "treebank.tsv", "etymology.tsv")}
+    appended["lexicon.tsv"] = rows
+    for color in extra:
+        adj, tb_adj = rng.randint(10, 80), rng.randint(5, 30)
+        appended["seeds.txt"].append(color)
+        appended["concreteness.tsv"].append(f"{color}\t{rng.uniform(3.5, 4.9):.2f}")
+        appended["ngram.tsv"].append(f"{color}\t{rng.randint(100, 3000)}\t{adj}\t{100 - adj}")
+        appended["treebank.tsv"].append(f"{color}\t60\t{tb_adj}\t{50 - tb_adj}")
+        etymology = {p: rng.randint(5, 60) for p in ETYMOLOGY_PROCESSES}
+        etymology["suffix-derivation"] = etymology["derivation"] // 3  # a part of derivation
+        appended["etymology.tsv"] += [f"{color}\t{p}\t{n}\t200" for p, n in etymology.items()]
+    for name, lines in appended.items():
+        with (directory / name).open("a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    config.write_text(config.read_text(encoding="utf-8").replace("jobs: 1", f"jobs: {jobs}"), encoding="utf-8")
     return config
 
 
@@ -108,6 +128,21 @@ def generated_run(tmp_path_factory):
     from colorbasis.pipeline import run_pipeline
 
     cfg = load_config(write_generated(tmp_path_factory.mktemp("generated")))
+    return cfg, run_pipeline(cfg)
+
+
+#: ``write_generated``'s arguments for a dataset shaped like the benchmark's
+#: ``broad`` workload: many small languages, many colors, trained by a pool
+WIDE = {"seed": 31, "languages": 24, "words": 50, "extra_colors": 100, "jobs": 2}
+
+
+@pytest.fixture(scope="session")
+def wide_run(tmp_path_factory):
+    """One full pipeline run over ``write_generated``'s ``WIDE`` dataset."""
+    from colorbasis.config import load_config
+    from colorbasis.pipeline import run_pipeline
+
+    cfg = load_config(write_generated(tmp_path_factory.mktemp("wide"), **WIDE))
     return cfg, run_pipeline(cfg)
 
 

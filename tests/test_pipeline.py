@@ -182,6 +182,15 @@ def test_cli_output_dir_is_taken_from_the_working_directory(tmp_path, monkeypatc
     assert not (tmp_path / "demo" / "rel_out").exists()
 
 
+def test_cli_empty_output_dir_is_config_error(tmp_path, capsys):
+    # an empty --output-dir is refused, as an empty output_dir in the
+    # config file is, and nothing is written to the config's output_dir
+    config = write_demo(tmp_path)
+    assert main(["run", "--config", str(config), "--output-dir", ""]) == 2
+    assert "config error: overrides.output_dir (--output-dir): must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 #: the parent run's hash of the demo config; a change here makes every
 #: cached run refuse its artifacts, so it must be on purpose
 DEMO_CONFIG_HASH = "7854e84185487224098e0c3edd4562d8988e285ed516664da4b98ff771dc0c64"
@@ -1018,8 +1027,8 @@ def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeyp
     assert tuple(segmentations[_UNUSED_SEGMENTATION_ROW - 1][:2]) not in pairs
     assert 0 < len(used) < len(segmentations)
 
-    # every JSON list decoded for the stage is a block of cells: every
-    # round-trip record's, then the round-trip pairs' segmentations
+    # every JSON list decoded for the stage is a block of the round-trip
+    # pairs' segmentation cells; no back-translation cell is decoded
     blocks = []
 
     def recording(text):
@@ -1032,14 +1041,32 @@ def test_aggregate_decodes_only_the_round_trip_pairs(demo_run, tmp_path, monkeyp
     before = {rel: (out / rel).read_bytes() for rel in ("features.csv", "ranking.csv", "ranking_bootstrap.csv")}
     run_stage(cfg, "aggregate")
     assert max(map(len, blocks)) == 2
-    assert [value for block in blocks for value in block] == [json.loads(cell) for *_, cell in roundtrips] + used
+    assert [value for block in blocks for value in block] == used
     assert {rel: (out / rel).read_bytes() for rel in before} == before
 
 
+def test_features_decodes_each_distinct_back_translation_cell_once(demo_run, tmp_path, monkeypatch):
+    cfg = _copy_demo_output(demo_run, tmp_path)
+    out = cfg.output_dir
+    cells = [cell for *_, cell in _csv_rows(out / "cache/roundtrips.csv")]
+    assert len(set(cells)) < len(cells)
+    decoded = []
+
+    def recording(text):
+        if text.startswith("["):
+            decoded.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(loads=recording, dumps=json.dumps))
+    before = (out / "cache/features_base.csv").read_bytes()
+    run_stage(cfg, "features")
+    assert Counter(decoded) == Counter(set(cells))
+    assert (out / "cache/features_base.csv").read_bytes() == before
+
+
 def test_features_reduces_each_color_as_its_rows_end(demo_run, tmp_path, monkeypatch):
-    # with blocks of two rows most colors' rows span several blocks; each
-    # color is still reduced once, from all of its records in file order
-    monkeypatch.setattr(pipeline, "_DECODE_BLOCK", 2)
+    # each color is reduced once, from all of its rows in file order, each
+    # as its language and its decoded back-translations
     cfg = _copy_demo_output(demo_run, tmp_path)
     out = cfg.output_dir
     roundtrips = _csv_rows(out / "cache/roundtrips.csv")
@@ -1506,8 +1533,9 @@ _cache_text = st.text(st.sampled_from(list('ab,"\\ \'é语́[]{}:\t')), max_size
 def test_bulk_readers_match_per_row_json(rows, dump):
     # commas, quotes, backslashes, brackets, non-ASCII text, empty lists,
     # zero rows and cells not written by json.dumps' defaults all read back
-    # as written, and come out as the values their stages hand on: their
-    # cells, the last decoded exactly as one json.loads per row does
+    # as written, and come out as the values their stages hand on: the
+    # round-trip rows as written, equal back-translation cells one string,
+    # and the segmentations decoded exactly as one json.loads per row does
     roundtrips = [(c, l, w, dump(sorted(set(b)))) for c, l, w, b in rows]
     segmentations = [(l, w, dump(b)) for _, l, w, b in rows]
     texts = {
@@ -1517,11 +1545,13 @@ def test_bulk_readers_match_per_row_json(rows, dump):
     assert pipeline._rows(texts["cache/roundtrips.csv"], {}) == roundtrips
     assert pipeline._rows(texts["cache/segmentations.csv"], {}) == segmentations
     records = pipeline.PARSERS["cache/roundtrips.csv"](texts["cache/roundtrips.csv"], {})
-    assert records == [(*row[:-1], tuple(json.loads(row[-1]))) for row in roundtrips]
+    assert records == roundtrips
+    first: dict[str, str] = {}
+    assert all(first.setdefault(cell, cell) is cell for *_, cell in records)
     expected = {}
     for lang, word, cell in segmentations:
         if len(segments := json.loads(cell)) > 1:
-            expected.setdefault(lang, {})[word] = tuple(segments)
+            expected[lang, word] = tuple(segments)
     built = {"cache/roundtrips.csv": records}
     assert pipeline.PARSERS["cache/segmentations.csv"](texts["cache/segmentations.csv"], built) == expected
 
@@ -1536,18 +1566,18 @@ def test_bulk_readers_match_per_row_json(rows, dump):
     st.sampled_from([json.dumps, functools.partial(json.dumps, indent=1, ensure_ascii=False)]),
 )
 def test_decoded_rows_match_per_row_json(rows, block, dump):
-    # whatever the block size, the round-trip records come out in file
-    # order, their last cell decoded as json.loads does, and of the
-    # segmentations only the rows of the round-trip pairs are decoded
+    # whatever the block size, the round-trip rows come out as written, in
+    # file order, and of the segmentations only the rows of the round-trip
+    # pairs are decoded, as json.loads does
     with mock.patch.object(pipeline, "_DECODE_BLOCK", block):
         roundtrips = [(c, l, w, dump(sorted(set(b)))) for c, l, w, b, keep in rows if keep]
         segmentations = [(l, w, dump(b)) for _, l, w, b, _ in rows]
         records = pipeline.PARSERS["cache/roundtrips.csv"](pipeline._csv_text("cache/roundtrips.csv", roundtrips), {})
-        assert records == [(*row[:-1], tuple(json.loads(row[-1]))) for row in roundtrips]
+        assert records == roundtrips
         pairs = {(l, w) for _, l, w, _ in roundtrips}
         expected = {}
         for lang, word, cell in segmentations:
             if (lang, word) in pairs and len(segments := json.loads(cell)) > 1:
-                expected.setdefault(lang, {})[word] = tuple(segments)
+                expected[lang, word] = tuple(segments)
         text = pipeline._csv_text("cache/segmentations.csv", segmentations)
         assert pipeline.PARSERS["cache/segmentations.csv"](text, {"cache/roundtrips.csv": records}) == expected

@@ -1022,6 +1022,28 @@ GOLDEN_GENERATED_SHA256 = {
     "summary.md": "2eae1dc06ac7d7afd9649d35ce47f3aaa97ff9046c533d55388f1935c1127214",
 }
 
+# every artifact of a run over conftest.write_generated's WIDE dataset (the
+# demo plus 24 small synthetic languages and 100 more colors, trained by a
+# pool of two), compared the same way
+GOLDEN_WIDE_SHA256 = {
+    "affixes.csv": "68904fb09c0333b9e8fb7a8ea98712424ec4be1a68e601036378223d03a7e703",
+    "cache/features_base.csv": "eb83d2dcd58eb5bd7374a0d1bb7ebc226327506d65392c243f78106af0165747",
+    "cache/lexicon_normalized.tsv": "24a3cca0c1e3f84a49b34877067d65cc4c635864614065c8f2d147d9921a36cc",
+    "cache/roundtrips.csv": "edecf080b4a0aac149844d15c16d6fbebdbbd8cf811caddbc8580cdd223ad86c",
+    "cache/segmentations.csv": "4c6c8c60ef938e7bff35a01391c57faa4639987488d25dab31a628265163f8b6",
+    "compounds.csv": "c8738484cf94f9315516b8e3fcf669eca3c8880536a2c71cb6d1b7082b075d4c",
+    "consensus.csv": "59b453786bc1d6243eb9760f9fca8b1c2ea7272aaf1f75f91cabc7d7706a5ce2",
+    "features.csv": "4c2107a475092bdf700efa8e18f1cf1202c8f63058a6f5c32ea60e1060ef6a58",
+    "gamma.csv": "d59c556cf32a67ff1a8438548ccbf4a54da38d261c24fda521c96fa8d1aae4bf",
+    "heterogeneity.svg": "28c8f09a4c646b14dc747889df1b0b34333cd7be8d0e14c78b76a54f6af4b15a",
+    "inventory.csv": "6f76eb4ebc612b7d2e47620a31f523b5006d0ecd180c00d0f891dd7702cd3544",
+    "manifest.json": "3ee5253f1fcd86b64150f44cb39af55278b2250a7f5b7bbee2b764c40f703111",
+    "ranking.csv": "e77787553d883a8f8bfcb8fe0f32bbf47fddd310a30b46485c661480ff17c002",
+    "ranking_bootstrap.csv": "ef35a243e6f5160f22ee899308e095db60840e9eb0ceb89e689d3eb0c5873e9b",
+    "rfe.json": "ab7b4937e08a5c73d425602d771a3c2253171f7d5a967d5bc0a3c86fa45d090f",
+    "summary.md": "86d40a8fcad11267f48451e838193f8d5dafc0543d95fc2e8cef14c069166268",
+}
+
 
 def _golden_words(n=1000, seed=11):
     """Seeded words from stems sharing prefixes and suffixes, with repeats."""
@@ -1079,3 +1101,21 @@ def test_golden_generated_lists_every_artifact(generated_run):
 def test_golden_generated_artifact_digest(generated_run, rel):
     cfg, _ = generated_run
     assert hashlib.sha256(artifacts(cfg.output_dir)[rel]).hexdigest() == GOLDEN_GENERATED_SHA256[rel]
+
+
+def test_golden_wide_lists_every_artifact(wide_run):
+    cfg, manifest = wide_run
+    assert set(artifacts(cfg.output_dir)) == set(GOLDEN_WIDE_SHA256)
+    # the dataset exercises what it is there for: many languages, trained
+    # by the pool, and many colors, with compounds accepted and none dropped
+    assert cfg.jobs == 2
+    assert manifest["stages"]["segment"]["counts"]["languages_trained"] == 30
+    assert manifest["stages"]["ingest"]["counts"]["colors"] == 120
+    assert manifest["stages"]["compounds"]["counts"]["accepted"] > 0
+    assert manifest["dropped_colors"] == []
+
+
+@pytest.mark.parametrize("rel", sorted(GOLDEN_WIDE_SHA256))
+def test_golden_wide_artifact_digest(wide_run, rel):
+    cfg, _ = wide_run
+    assert hashlib.sha256(artifacts(cfg.output_dir)[rel]).hexdigest() == GOLDEN_WIDE_SHA256[rel]
