@@ -25,10 +25,6 @@ class DependencyError(DataError):
     """A stage was invoked before its upstream artifacts exist."""
 
 
-class DegenerateColumnError(ColorbasisError):
-    """A feature column is constant and cannot be min-max scaled."""
-
-
 class UndefinedGammaError(ColorbasisError):
     """Every index pair is tied, so the rank association is undefined."""
 

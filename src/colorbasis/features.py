@@ -9,14 +9,13 @@ are filled with the column median, and rows keep seed-list order.
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DataError
 from .lexicon import TSV, normalize_term, read_tsv
-from .stats import FEATURE_COLUMNS
+from .stats import FEATURE_COLUMNS, _median_filled
 
 ETYMOLOGY_PROCESSES = ("inheritance", "derivation", "suffix-derivation", "cognate", "borrowing")
 
@@ -228,37 +227,6 @@ class FeatureMatrix:
     values: dict[str, list[float]]  # column -> per-color values
     missing: dict[str, list[bool]] = field(default_factory=dict)
     dropped: list[tuple[str, int]] = field(default_factory=list)  # (color, n_missing)
-
-    def column(self, name: str) -> list[float]:
-        return list(self.values[name])
-
-    def with_column(self, name: str, values) -> "FeatureMatrix":
-        """A copy with column ``name`` set to ``values``, its missing (None)
-        cells filled and marked as ``assemble_feature_matrix`` does."""
-        if name not in self.columns:
-            raise ValueError(f"unknown column {name!r}")
-        if len(values) != len(self.colors):
-            raise ValueError("column length mismatch")
-        new_values = {c: list(v) for c, v in self.values.items()}
-        missing = {c: list(m) for c, m in self.missing.items()}
-        new_values[name], missing[name] = _median_filled(name, values)
-        return FeatureMatrix(
-            colors=list(self.colors),
-            columns=self.columns,
-            values=new_values,
-            missing=missing,
-            dropped=list(self.dropped),
-        )
-
-
-def _median_filled(name: str, raw) -> tuple[list[float], list[bool]]:
-    """Column ``name``'s values with each missing (None) cell filled with
-    the median of the present ones, and the mask of the filled cells."""
-    present = [v for v in raw if v is not None]
-    if not present:
-        raise DataError(f"feature column {name!r} is entirely missing")
-    med = float(statistics.median(present))
-    return [med if v is None else float(v) for v in raw], [v is None for v in raw]
 
 
 def assemble_feature_matrix(

@@ -500,7 +500,7 @@ def stage_aggregate(cfg: PipelineConfig, built: dict) -> StageResult:
             bootstrap_ranking,
             min_support=cfg.affix_min_support,
         )
-        return {c: None if c in missing else scores[c] for c in matrix.colors}
+        return [None if c in missing else scores[c] for c in matrix.colors]
 
     boot, final, matrix = bootstrap_then_full_aggregate(
         matrix, cfg.negated, cfg.transforms, affix_fn
@@ -582,8 +582,9 @@ def stage_rfe(cfg: PipelineConfig, built: dict) -> StageResult:
 
     payload = {"enabled": True}
     for target_name in cfg.rfe_targets:
-        # an empty trajectory when no gamma is defined for the full set,
-        # as for a constant target, whose every pair is tied
+        # an empty trajectory when no gamma is defined for the full set:
+        # a constant target ties every pair, and under basic-only fewer
+        # than two basic colors leave no pair
         trajectory, best = rfe(*targets[target_name], cfg.negated, cfg.transforms)
         payload[target_name] = {
             "trajectory": [

@@ -1,21 +1,25 @@
 """Rank statistics and score aggregation.
 
 Implements the Goodman-Kruskal gamma association measure by direct pair
-counting, min-max feature normalization with optional direction flipping,
-the unweighted score aggregation that produces the basicness ranking, the
-acquisition-sequence target series, and greedy backward feature
-elimination.
+counting; the one rule that turns a feature column into a score (median
+fill of missing cells, a monotone transform, min-max scaling and a flip
+for the columns that point away from basicness); the unweighted score
+aggregation that produces the basicness ranking, with its affix-column
+bootstrap; the acquisition-sequence target series; and greedy backward
+feature elimination.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, UndefinedGammaError
+from .errors import DataError, UndefinedGammaError
 
 #: Canonical feature column order used by every consumer of the matrix.
 FEATURE_COLUMNS = (
@@ -100,7 +104,10 @@ def gamma(x, y) -> GammaResult:
 
 
 def gamma_or_nan(x, y) -> float:
-    """``gamma(x, y).gamma``, or NaN where every pair is tied."""
+    """``gamma(x, y).gamma``, or NaN where no pair is untied in both
+    series: every pair is tied, or there are fewer than two observations."""
+    if len(x) == len(y) < 2:
+        return float("nan")
     try:
         return gamma(x, y).gamma
     except UndefinedGammaError:
@@ -130,29 +137,14 @@ def _target_signs(data: bytes) -> np.ndarray:
     return signs
 
 
-def normalize_feature(values, direction: str = "positive") -> list[float]:
-    """Min-max scale a column to [0, 1]; 'negated' flips the result.
-
-    Raises DegenerateColumnError for constant columns.
-    """
-    if direction not in ("positive", "negated"):
-        raise ValueError(f"unknown direction {direction!r}")
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        raise ValueError("need at least two values")
-    lo, hi = min(vals), max(vals)
-    if lo == hi:
-        raise DegenerateColumnError("column is constant; cannot scale")
-    scaled = [(v - lo) / (hi - lo) for v in vals]
-    if direction == "negated":
-        scaled = [1.0 - s for s in scaled]
-    return scaled
-
-
-def _transform(values, name: str | None):
-    if name is None:
-        return list(values)
-    return list(map(TRANSFORMS[name], values))
+def _median_filled(name: str, raw) -> tuple[list[float], list[bool]]:
+    """Column ``name``'s values with each missing (None) cell filled with
+    the median of the present ones, and the mask of the filled cells."""
+    present = [v for v in raw if v is not None]
+    if not present:
+        raise DataError(f"feature column {name!r} is entirely missing")
+    med = float(statistics.median(present))
+    return [med if v is None else float(v) for v in raw], [v is None for v in raw]
 
 
 @dataclass
@@ -165,18 +157,21 @@ class AggregateRanking:
 
 
 def _scaled_columns(matrix, columns, negated, transforms) -> dict[str, np.ndarray]:
-    """Each distinct column of ``columns``, transformed and min-max scaled
-    (flipped when negated); a constant column becomes a flat 0.5."""
-    negated = frozenset(negated)
-    n = len(matrix.colors)
+    """Each distinct column of ``columns``, transformed (``TRANSFORMS``),
+    min-max scaled, ``(v - lo) / (hi - lo)``, and flipped, ``1.0 - s``,
+    when negated; a constant column becomes a flat 0.5."""
     scaled = {}
     for col in dict.fromkeys(columns):
-        vals = _transform(matrix.column(col), transforms.get(col))
-        direction = "negated" if col in negated else "positive"
-        try:
-            scaled[col] = np.array(normalize_feature(vals, direction))
-        except DegenerateColumnError:
-            scaled[col] = np.full(n, 0.5)
+        values = matrix.values[col]
+        if col in transforms:
+            values = map(TRANSFORMS[transforms[col]], values)
+        v = np.fromiter(values, dtype=float)
+        lo, hi = v.min(), v.max()
+        if lo == hi:
+            scaled[col] = np.full(v.shape, 0.5)
+        else:
+            s = (v - lo) / (hi - lo)
+            scaled[col] = 1.0 - s if col in negated else s
     return scaled
 
 
@@ -219,29 +214,28 @@ def aggregate(
     )
 
 
-def bootstrap_then_full_aggregate(
-    matrix,
-    negated=DEFAULT_NEGATED,
-    transforms=DEFAULT_TRANSFORMS,
-    affix_fn=None,
-):
+def bootstrap_then_full_aggregate(matrix, negated, transforms, affix_fn):
     """Two-pass aggregation around the affix-presence feature.
 
-    Pass one averages every column except affix-presence.  When
-    ``affix_fn`` is given it is called with that bootstrap ranking's
-    colors, best first (the affix feature reads its top colors from it),
-    and must return a value per color, which replaces the affix column.
-    Pass two averages all columns.  Returns (bootstrap_ranking,
-    final_ranking, matrix) where the matrix carries the possibly
-    recomputed affix column.
+    Pass one averages every column except affix-presence.  ``affix_fn`` is
+    called with that bootstrap ranking's colors, best first (the affix
+    feature reads its top colors from it), and returns the affix column in
+    matrix row order, None for a missing cell; its missing cells are
+    filled with the column median, as ``assemble_feature_matrix`` fills
+    every column.  Pass two averages all columns.  Returns
+    (bootstrap_ranking, final_ranking, matrix) where the matrix is a copy
+    carrying the new affix column and its missing mask.
     """
     if AFFIX_COLUMN not in matrix.columns:
         raise ValueError(f"matrix lacks the {AFFIX_COLUMN!r} column")
     others = tuple(c for c in matrix.columns if c != AFFIX_COLUMN)
     boot = aggregate(matrix, negated, others, transforms)
-    if affix_fn is not None:
-        new_values = affix_fn(boot.colors)
-        matrix = matrix.with_column(AFFIX_COLUMN, [new_values[c] for c in matrix.colors])
+    values, missing = _median_filled(AFFIX_COLUMN, affix_fn(boot.colors))
+    matrix = dataclasses.replace(
+        matrix,
+        values={**matrix.values, AFFIX_COLUMN: values},
+        missing={**matrix.missing, AFFIX_COLUMN: missing},
+    )
     final = aggregate(matrix, negated, tuple(matrix.columns), transforms)
     return boot, final, matrix
 
@@ -273,14 +267,16 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
     removal strictly improves gamma or one feature remains.  A subset
     whose gamma is undefined (its scores tie every pair, as a subset of
     constant columns does) is no improvement.  Returns the trajectory as a
-    list of {removed, gamma, features} dicts (the first entry is the full
-    set) and the surviving feature tuple; when the full set's gamma is
-    undefined, as it is for a constant target, an empty trajectory and no
-    features.
+    list of {removed, gamma} dicts (the first entry is the full set) and
+    the surviving feature tuple; when the full set's gamma is undefined, as
+    it is for a constant target or fewer than two colors, an empty
+    trajectory and no features.
     """
     current = tuple(matrix.columns)
     if len(current) < 2:
         raise ValueError("need at least two features")
+    if len(matrix.colors) < 2:  # no pair to correlate
+        return [], ()
 
     # each column is scaled once; a subset's scores are the aggregate's,
     # float for float, in matrix row order
@@ -292,7 +288,7 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
     g = score(current)
     if math.isnan(g):
         return [], ()
-    trajectory = [{"removed": None, "gamma": g, "features": list(current)}]
+    trajectory = [{"removed": None, "gamma": g}]
     while len(current) > 1:
         # Strict improvement required; scanning feature names in sorted
         # order makes the argmax tie-break lexicographic.
@@ -308,5 +304,5 @@ def rfe(matrix, target, negated=DEFAULT_NEGATED, transforms=DEFAULT_TRANSFORMS):
             break
         current = tuple(c for c in current if c != best_feature)
         g = best_gamma
-        trajectory.append({"removed": best_feature, "gamma": g, "features": list(current)})
+        trajectory.append({"removed": best_feature, "gamma": g})
     return trajectory, current

@@ -1352,6 +1352,51 @@ def test_cli_rfe_constant_target_writes_null_entry(tmp_path, capsys):
     assert "aggregate," in gamma_rows
 
 
+def _without_colors(config_path, colors):
+    """Delete every row that names one of ``colors`` from the lexicon and
+    the four feature tables, and set ``sequence_scope: basic-only``."""
+    for name in ("lexicon.tsv", "concreteness.tsv", "ngram.tsv", "treebank.tsv", "etymology.tsv"):
+        path = config_path.parent / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not colors & set(line.rstrip("\n").split("\t"))), encoding="utf-8")
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["parameters"]["sequence_scope"] = "basic-only"
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return config_path
+
+
+_BASIC = {"white", "black", "red", "green", "yellow", "blue", "brown", "purple", "pink", "orange", "grey"}
+
+
+@pytest.mark.parametrize(
+    "make, kept",
+    [
+        # the demo with one basic color left among nine secondary ones
+        (lambda d: _without_colors(write_demo(d), _BASIC - {"white"}), ["white"]),
+        # a generated dataset whose secondary colors alone survive
+        (lambda d: _without_colors(write_generated(d, languages=3, words=60, extra_colors=20), _BASIC), []),
+    ],
+    ids=["one-basic", "no-basic"],
+)
+def test_cli_basic_only_with_fewer_than_two_basic_colors_writes_undefined_sequence_gammas(tmp_path, capsys, make, kept):
+    # no pair of basic colors, so every sequence gamma is undefined: nan
+    # in gamma.csv and a null RFE entry, as for any undefined gamma
+    config_path = make(tmp_path / "data")
+    assert main(["run", "--config", str(config_path)]) == 0
+    out = config_path.parent / "out"
+    ranked = _read_ranking(out)
+    assert [c for c in ranked if c in _BASIC] == kept and len(ranked) >= 10
+    rows = list(csv.DictReader(io.StringIO((out / "gamma.csv").read_text(encoding="utf-8"))))
+    assert len(rows) == 15 and {row["gamma_sequence"] for row in rows} == {"nan"}
+    payload = json.loads((out / "rfe.json").read_text(encoding="utf-8"))
+    assert payload["sequence"] == {"best_features": [], "best_gamma": None, "trajectory": []}
+    full = {rel: (out / rel).read_bytes() for rel in ("gamma.csv", "rfe.json")}
+    # a stage run alone, from the parsed features.csv, writes the same bytes
+    for stage in ("gamma", "rfe"):
+        assert main([stage, "--config", str(config_path)]) == 0
+    assert {rel: (out / rel).read_bytes() for rel in full} == full
+
+
 def test_cli_rfe_over_constant_feature_subsets_exits_0(tmp_path, capsys):
     # flat concreteness, n-gram, treebank and etymology tables leave nine
     # constant columns, and with word-length negated RFE meets a subset of

@@ -7,8 +7,8 @@ runs the pipeline through the command line.  The exit-code tests also
 add malformed rows and may drop every demo row, or make one edit to any
 one input file or the config.  The table row-order test adds rows to the
 concreteness, n-gram, treebank, etymology and survey inputs instead.  The
-scaling and order tests draw the demo's treebank and etymology counts, or
-map its concreteness ratings, in place.  The renaming test gives one
+scaling and order tests draw the demo's treebank and etymology counts,
+map its concreteness ratings, or double its adjective tallies, in place.  The renaming test gives one
 language of a generated lexicon another code.
 """
 
@@ -342,18 +342,18 @@ def test_power_of_two_counts_give_identical_outputs(tables, scaled, k):
         assert results[1] == results[0]
 
 
-def _gamma_row(root: Path, scope: str, ratings: dict[str, float], feature: str) -> str:
-    """``feature``'s row of gamma.csv after a demo run under ``scope`` with
-    ``ratings`` as its concreteness input."""
+def _gamma_rows(root: Path, scope: str, inputs: dict[str, str]) -> tuple[dict[str, str], str]:
+    """The rows of gamma.csv, by feature, and features.csv, after a demo
+    run under ``scope`` with ``inputs`` (file name -> text) in place of the
+    demo's files."""
     config = write_demo(root)
     text = config.read_text(encoding="utf-8")
     config.write_text(text.replace("parameters:\n", f"parameters:\n  sequence_scope: {scope}\n"), encoding="utf-8")
-    lines = [f"{word}\t{rating!r}" for word, rating in ratings.items()]
-    (root / "concreteness.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name, text in inputs.items():
+        (root / name).write_text(text, encoding="utf-8")
     assert _run(config, root / "out") == 0
     rows = (root / "out" / "gamma.csv").read_text(encoding="utf-8").splitlines()
-    (row,) = (row for row in rows if row.startswith(f"{feature},"))
-    return row
+    return {row.split(",")[0]: row for row in rows}, (root / "out" / "features.csv").read_text(encoding="utf-8")
 
 
 @settings(max_examples=5)
@@ -375,8 +375,35 @@ def test_increasing_map_of_ratings_keeps_their_gamma_row(data):
     mapped = {w: mapping[r] for w, r in ratings.items()}
     with tempfile.TemporaryDirectory() as tmp:
         for scope in ("all", "basic-only"):
-            rows = [
-                _gamma_row(Path(tmp) / scope / name, scope, table, "word-concreteness")
-                for name, table in (("raw", ratings), ("mapped", mapped))
-            ]
+            rows = []
+            for name, table in (("raw", ratings), ("mapped", mapped)):
+                text = "".join(f"{word}\t{rating!r}\n" for word, rating in table.items())
+                rows.append(_gamma_rows(Path(tmp) / scope / name, scope, {"concreteness.tsv": text})[0]["word-concreteness"])
             assert rows[1] == rows[0]
+
+
+def _doubled_adjectives(text: str) -> str:
+    """An n-gram or treebank table with every adjective tally doubled and
+    the added count added to the row's total."""
+    lines = []
+    for line in text.splitlines():
+        word, total, adj, noun = line.split("\t")
+        lines.append(f"{word}\t{int(total) + int(adj)}\t{2 * int(adj)}\t{noun}")
+    return "\n".join(lines) + "\n"
+
+
+def test_doubled_adjective_tallies_keep_the_share_gamma_rows():
+    # doubling a word's adjective tally and adding the added count to its
+    # total maps its adjectival share s = adj / (adj + noun) to 2s / (1 + s),
+    # which is strictly increasing on [0, 1]; the median fill keeps its
+    # place in the order, so the share's gamma.csv row is unchanged, over
+    # all colors and over the basic ones alone, although its features.csv
+    # column is not
+    shares = {"ngram.tsv": (demo.build_ngram(), "ngram-pct-adj"), "treebank.tsv": (demo.build_treebank(), "penntb-pct-adj")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for scope in ("all", "basic-only"):
+            raw_rows, raw_features = _gamma_rows(Path(tmp) / scope / "raw", scope, {})
+            for name, (text, feature) in shares.items():
+                rows, features = _gamma_rows(Path(tmp) / scope / name, scope, {name: _doubled_adjectives(text)})
+                assert rows[feature] == raw_rows[feature]
+                assert features != raw_features

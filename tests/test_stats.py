@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorbasis.errors import DegenerateColumnError, UndefinedGammaError
+from colorbasis.errors import DataError, UndefinedGammaError
 from colorbasis.features import FeatureMatrix
 from colorbasis.stats import (
+    AFFIX_COLUMN,
     DEFAULT_NEGATED,
     DEFAULT_TRANSFORMS,
     FEATURE_COLUMNS,
@@ -16,7 +17,7 @@ from colorbasis.stats import (
     aggregate,
     bootstrap_then_full_aggregate,
     gamma,
-    normalize_feature,
+    gamma_or_nan,
     rfe,
     sequence_target,
 )
@@ -161,23 +162,6 @@ def test_gamma_unchanged_by_an_order_preserving_map(pairs, name):
 
 
 # ---------------------------------------------------------------------------
-# normalization
-
-
-def test_normalize_positive():
-    assert normalize_feature([2, 4, 6]) == [0.0, 0.5, 1.0]
-
-
-def test_normalize_negated():
-    assert normalize_feature([2, 4, 6], "negated") == [1.0, 0.5, 0.0]
-
-
-def test_normalize_constant_raises():
-    with pytest.raises(DegenerateColumnError):
-        normalize_feature([5, 5, 5])
-
-
-# ---------------------------------------------------------------------------
 # aggregation
 
 
@@ -187,6 +171,32 @@ def _matrix(colors, columns, rows):
         col: [rows[i][j] for i in range(len(colors))] for j, col in enumerate(columns)
     }
     return FeatureMatrix(colors=list(colors), columns=tuple(columns), values=values)
+
+
+def test_aggregate_min_max_scales_a_column():
+    ranking = aggregate(_matrix("abc", ["f1"], [[2], [4], [6]]), negated=frozenset(), transforms={})
+    assert ranking.scores_by_color == {"a": 0.0, "b": 0.5, "c": 1.0}
+    assert ranking.colors == ["c", "b", "a"]
+
+
+def test_aggregate_flips_a_negated_column():
+    ranking = aggregate(_matrix("abc", ["f1"], [[2], [4], [6]]), negated={"f1"}, transforms={})
+    assert ranking.scores_by_color == {"a": 1.0, "b": 0.5, "c": 0.0}
+    assert ranking.colors == ["a", "b", "c"]
+
+
+def test_aggregate_constant_column_adds_a_flat_half():
+    # f2 scales to 0.5 for every color, negated or not: each mean is
+    # (f1 + 0.5) / 2, and the order is f1's
+    for negated in (frozenset(), {"f2"}):
+        m = _matrix("abc", ["f1", "f2"], [[2, 5], [4, 5], [6, 5]])
+        ranking = aggregate(m, negated=negated, transforms={})
+        assert ranking.scores_by_color == {"a": 0.25 / 0.75, "b": 0.5 / 0.75, "c": 1.0}
+        assert ranking.colors == ["c", "b", "a"]
+    # alone, it ties every color, and row order breaks the ties
+    flat = aggregate(_matrix("bca", ["f1"], [[5], [5], [5]]), negated=frozenset(), transforms={})
+    assert flat.colors == ["b", "c", "a"]
+    assert flat.scores == [1.0, 1.0, 1.0]
 
 
 def test_aggregate_duplicate_columns_match_single_ordering():
@@ -248,7 +258,18 @@ def test_aggregate_affine_invariance(data):
     )
     r1 = aggregate(m1, negated=frozenset(), transforms={})
     r2 = aggregate(m2, negated=frozenset(), transforms={})
-    assert r1.colors == r2.colors
+    # the map cancels in exact arithmetic, but not in floating point: each
+    # scaled cell may move by a rounding error, and two colors whose sums
+    # tie exactly (0+1+20+15 and 0+7+10+19) may then tie no longer.  So
+    # the scores agree to rounding, and every pair of colors further apart
+    # than that keeps its order
+    s1, s2 = r1.scores_by_color, r2.scores_by_color
+    assert all(abs(s1[c] - s2[c]) < 1e-12 for c in colors)
+    place = {c: i for i, c in enumerate(r2.colors)}
+    for i, a in enumerate(r1.colors):
+        for b in r1.colors[i + 1:]:
+            if s1[a] - s1[b] > 1e-9:
+                assert place[a] < place[b]
 
 
 # normal floats far from overflow: scaling by 2**k with |k| <= 8 keeps every
@@ -299,24 +320,44 @@ def _six_color_matrix(affix):
     return FeatureMatrix(colors=colors, columns=tuple(columns), values=values)
 
 
+def _returns(column):
+    """An ``affix_fn`` that returns ``column`` whatever the bootstrap."""
+    return lambda top: list(column)
+
+
 def test_bootstrap_uniform_affix_keeps_ranking():
-    m = _six_color_matrix([0.3] * 6)
-    boot, final, _ = bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={})
+    m = _six_color_matrix([0.0] * 6)
+    boot, final, _ = bootstrap_then_full_aggregate(m, frozenset(), {}, _returns([0.3] * 6))
     assert final.colors == boot.colors
 
 
 def test_bootstrap_affix_flips_two_mid_colors():
     # strong affix evidence for 'g' pushes it past 'r'; everything else holds
-    m = _six_color_matrix([0.5, 0.5, 0.0, 1.0, 0.5, 0.5])
-    boot, final, _ = bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={})
+    m = _six_color_matrix([0.0] * 6)
+    boot, final, _ = bootstrap_then_full_aggregate(m, frozenset(), {}, _returns([0.5, 0.5, 0.0, 1.0, 0.5, 0.5]))
     assert boot.colors == ["w", "b", "r", "g", "y", "u"]
     assert final.colors == ["w", "b", "g", "r", "y", "u"]
+
+
+def test_bootstrap_fills_missing_affix_cells_on_a_copy():
+    m = _six_color_matrix([0.0] * 6)
+    m.missing = {"f1": [False] * 6}
+    _, _, filled = bootstrap_then_full_aggregate(m, frozenset(), {}, _returns([None, 0.2, 0.4, 0.6, None, 1.0]))
+    # the median of the present cells fills the missing ones, and is marked
+    assert filled.values["affix-presence"] == [0.5, 0.2, 0.4, 0.6, 0.5, 1.0]
+    assert filled.missing == {"f1": [False] * 6, "affix-presence": [True, False, False, False, True, False]}
+    assert filled.values["f1"] == m.values["f1"] and filled.colors == m.colors
+    # the matrix passed in keeps its placeholder column and mask
+    assert m.values["affix-presence"] == [0.0] * 6
+    assert m.missing == {"f1": [False] * 6}
+    with pytest.raises(DataError, match="affix-presence"):
+        bootstrap_then_full_aggregate(m, frozenset(), {}, _returns([None] * 6))
 
 
 def test_bootstrap_missing_affix_column_raises():
     m = _matrix(["a", "b"], ["f1"], [[1], [2]])
     with pytest.raises(ValueError):
-        bootstrap_then_full_aggregate(m)
+        bootstrap_then_full_aggregate(m, frozenset(), {}, _returns([0.0, 0.0]))
 
 
 def test_bootstrap_affix_fn_receives_top_colors():
@@ -325,7 +366,7 @@ def test_bootstrap_affix_fn_receives_top_colors():
 
     def affix_fn(top):
         seen["top"] = list(top)
-        return {c: 0.0 for c in m.colors}
+        return [0.0] * len(top)
 
     bootstrap_then_full_aggregate(m, negated=frozenset(), transforms={}, affix_fn=affix_fn)
     assert seen["top"] == ["w", "b", "r", "g", "y", "u"]
@@ -361,7 +402,7 @@ def test_basicness_evidence_in_one_hidden_order_ranks_the_colors_in_that_order(d
     is_basic = {c: place[c] < basic for c in hidden}
     stages = dict(zip(hidden, sorted(data.draw(st.lists(st.integers(1, 6), min_size=basic, max_size=basic)))))
 
-    boot, final, _ = bootstrap_then_full_aggregate(m, DEFAULT_NEGATED, DEFAULT_TRANSFORMS)
+    boot, final, _ = bootstrap_then_full_aggregate(m, DEFAULT_NEGATED, DEFAULT_TRANSFORMS, _returns(values[AFFIX_COLUMN]))
     assert boot.colors == hidden
     assert final.colors == hidden
     scores = [final.scores_by_color[c] for c in m.colors]
@@ -506,6 +547,18 @@ def test_rfe_with_an_undefined_full_set_gamma_has_no_trajectory():
     assert rfe(m, [2, 2, 2], negated=frozenset(), transforms={}) == ([], ())
 
 
+def test_fewer_than_two_colors_give_no_gamma_and_no_trajectory():
+    # no pair of observations, as under basic-only with one basic color
+    # or none: the gamma is undefined, not an error
+    assert math.isnan(gamma_or_nan([3.0], [1.0]))
+    assert math.isnan(gamma_or_nan([], []))
+    with pytest.raises(ValueError):
+        gamma_or_nan([3.0], [1.0, 2.0])
+    for colors in (["a"], []):
+        m = _matrix(colors, ["f1", "f2"], [[1, 2]] * len(colors))
+        assert rfe(m, [1.0] * len(colors), negated=frozenset(), transforms={}) == ([], ())
+
+
 def test_rfe_requires_two_features():
     m = _matrix(["a", "b"], ["f1"], [[1], [2]])
     with pytest.raises(ValueError):
@@ -536,13 +589,16 @@ def _old_aggregate_scores(matrix, negated, subset, transforms):
     n = len(matrix.colors)
     sums = [0.0] * n
     for col in subset:
-        vals = matrix.column(col)
+        vals = [float(v) for v in matrix.values[col]]
         if col in transforms:
             vals = [math.log1p(v) for v in vals]
-        try:
-            scaled = normalize_feature(vals, "negated" if col in negated else "positive")
-        except DegenerateColumnError:
+        lo, hi = min(vals), max(vals)
+        if lo == hi:
             scaled = [0.5] * n
+        else:
+            scaled = [(v - lo) / (hi - lo) for v in vals]
+            if col in negated:
+                scaled = [1.0 - s for s in scaled]
         for i, s in enumerate(scaled):
             sums[i] += s
     means = [s / len(subset) for s in sums]
